@@ -8,8 +8,10 @@ contains none of them, so the maximum free-set size is
 
     phi = n - (minimum transversal of the minimal-alliance family).
 
-This demo enumerates a family, solves phi with a witness, and replays the
-value through the independent brute-force oracle.
+phi itself is read off the 2^n alliance table once it is closed upward:
+it is the largest subset containing no alliance.  This demo enumerates a
+family, computes phi with a witness, and replays the value through the
+independent brute-force oracle.
 """
 
 from alliancekit import (

@@ -4,8 +4,11 @@ A set X is kind/k alliance free when no non-empty subset of X is a kind/k
 alliance.  Free sets are downward closed, so the inclusion-minimal
 alliances of a graph certify freeness: X is free iff it contains no
 minimal alliance.  ``enumerate_minimal_alliances`` computes that family
-exactly; single-set queries use direct subset enumeration instead, which
-is cheaper when |X| is well below n.
+exactly from the 2^n alliance table: an OR subset-sum (zeta) transform
+closes the table upward, marking every mask that contains an alliance,
+and a mask is minimal when it is an alliance and no mask one bit smaller
+is marked.  Single-set queries use direct subset enumeration instead,
+which is cheaper when |X| is well below n.
 """
 
 from __future__ import annotations
@@ -107,25 +110,50 @@ class MinimalAllianceFamily:
 def enumerate_minimal_alliances(
     g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXACT_LIMIT
 ) -> MinimalAllianceFamily:
-    """Exact inclusion-minimal kind/k alliances via a full 2^n sweep.
-
-    Subsets are processed in increasing cardinality; a subset is kept when
-    it is an alliance containing no previously kept set, so the output is
-    minimal by construction.
-    """
+    """Exact inclusion-minimal kind/k alliances via a full 2^n sweep."""
     kind = AllianceKind(kind)
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
-    table = _alliance_table(g, k, kind)
-    masks = _minimal_masks(table, g.n)
-    sets = sorted((VertexSet(m, g.n) for m in masks), key=lambda s: (len(s), s.to_sorted_list()))
-    return MinimalAllianceFamily(kind, k, tuple(sets))
+    table, covered = _closed_alliance_table(g, k, kind, limit)
+    return _minimal_family(table, covered, g.n, k, kind)
 
 
 # ---------------------------------------------------------------------------
 # Vectorised 2^n sweep
 
 _CHUNK_BITS = 20
+
+
+def _closed_alliance_table(
+    g: Graph, k: int, kind: AllianceKind, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alliance table, its up-closure) over all 2^n masks; the up-closure
+    is True exactly where the mask contains a kind/k alliance."""
+    if g.n > limit:
+        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
+    table = _alliance_table(g, k, kind)
+    return table, _up_closure(table, g.n)
+
+
+def _up_closure(table: np.ndarray, n: int) -> np.ndarray:
+    """OR subset-sum transform: pass b ORs every mask without bit b into
+    the same mask with bit b set."""
+    covered = table.copy()
+    for b in range(n):
+        view = covered.reshape(-1, 2, 1 << b)
+        view[:, 1] |= view[:, 0]
+    return covered
+
+
+def _minimal_family(
+    table: np.ndarray, covered: np.ndarray, n: int, k: int, kind: AllianceKind
+) -> MinimalAllianceFamily:
+    """Alliances none of whose one-bit-smaller subsets contains an alliance."""
+    minimal = table.copy()
+    for b in range(n):
+        shape = (-1, 2, 1 << b)
+        minimal.reshape(shape)[:, 1] &= ~covered.reshape(shape)[:, 0]
+    sets = sorted((VertexSet(int(m), n) for m in np.flatnonzero(minimal)),
+                  key=lambda s: (len(s), s.to_sorted_list()))
+    return MinimalAllianceFamily(kind, k, tuple(sets))
 
 
 def _alliance_table(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
@@ -164,37 +192,3 @@ def _condition_table(g: Graph, k: int, boundary: bool) -> np.ndarray:
             ok &= ~relevant | (2 * cnt >= g.degrees[v] + k)
         out[start : start + m.shape[0]] = ok
     return out
-
-
-def _minimal_masks(alliance: np.ndarray, n: int) -> list[int]:
-    """Extract the inclusion-minimal True masks, increasing cardinality.
-
-    ``covered`` marks masks that contain (or are) an already-found minimal
-    alliance; it is advanced one cardinality level at a time, since a mask
-    of size c contains a smaller minimal alliance iff removing some bit
-    lands on a covered mask of size c-1.
-    """
-    total = alliance.size
-    masks = np.arange(total, dtype=np.uint32)
-    popcounts = np.bitwise_count(masks)
-    covered = np.zeros(total, dtype=bool)
-    minimal: list[int] = []
-    for c in range(1, n + 1):
-        level = np.nonzero(popcounts == c)[0]
-        if level.size == 0:
-            continue
-        if minimal:
-            inherited = np.zeros(level.size, dtype=bool)
-            for b in range(n):
-                bit = 1 << b
-                has = (level & bit) != 0
-                if has.any():
-                    inherited[has] |= covered[level[has] ^ bit]
-            covered[level] = inherited
-            fresh = level[alliance[level] & ~inherited]
-        else:
-            fresh = level[alliance[level]]
-        if fresh.size:
-            minimal.extend(int(m) for m in fresh)
-            covered[fresh] = True
-    return minimal

@@ -1,15 +1,17 @@
 """Exact maximum alliance-free set sizes with witnesses and certificates.
 
-The solver reduces to a minimum transversal problem: a set X is free iff
-its complement meets every inclusion-minimal alliance, so
+Free sets are closed under taking subsets, so once the 2^n alliance table
+is closed upward (True where a mask contains an alliance), phi is the
+largest popcount among the uncovered masks, and the witness is the
+lexicographically smallest uncovered mask of that size.  The certificate
+is the inclusion-minimal alliance family: X is free iff its complement
+meets every member, so
 
-    phi = n - (minimum hitting set of the minimal-alliance family).
+    phi = n - (minimum transversal of the minimal-alliance family).
 
-The transversal is solved by branch and bound (branching on the vertex
-hitting the most remaining family members, greedy upper bound, disjoint
-packing lower bound).  ``phi_bruteforce`` is an independent oracle that
-never touches the family machinery: it walks subsets of V in decreasing
-cardinality and returns the size of the first free one.
+``phi_bruteforce`` is an independent oracle that never touches the table:
+it walks subsets of V in decreasing cardinality and returns the size of
+the first free one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from .alliances import AllianceKind
-from .freesets import MinimalAllianceFamily, _free_mask, enumerate_minimal_alliances
+from .freesets import MinimalAllianceFamily, _closed_alliance_table, _free_mask, _minimal_family
 from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet
 
 #: phi_bruteforce walks up to 3^n subset pairs; keep it on small graphs.
@@ -54,28 +58,30 @@ def phi(g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXAC
     smallest sorted vertex list.
     """
     kind = AllianceKind(kind)
-    family = enumerate_minimal_alliances(g, k, kind, limit=limit)
-    value, witness_mask = _solve(g.n, family.masks)
-    return PhiResult(kind, k, value, VertexSet(witness_mask, g.n), family)
+    table, covered = _closed_alliance_table(g, k, kind, limit)
+    family = _minimal_family(table, covered, g.n, k, kind)
+    sizes = _free_sizes(covered, g.n)
+    value = int(sizes.max())
+    witness = _lex_smallest(np.flatnonzero(sizes == value), g.n) if value else 0
+    return PhiResult(kind, k, value, VertexSet(witness, g.n), family)
 
 
 @lru_cache(maxsize=65536)
-def _phi_value_cached(g: Graph, k: int, kind: AllianceKind) -> int:
-    family = enumerate_minimal_alliances(g, k, kind)
-    value, _ = _solve(g.n, family.masks)
-    return value
+def _phi_value_cached(g: Graph, k: int, kind: AllianceKind, limit: int) -> int:
+    _, covered = _closed_alliance_table(g, k, kind, limit)
+    return int(_free_sizes(covered, g.n).max())
 
 
 def phi_value(g: Graph, k: int, kind: AllianceKind | str) -> int:
     """phi without witness extraction; memoised, for audit sweeps."""
-    return _phi_value_cached(g, k, AllianceKind(kind))
+    return _phi_value_cached(g, k, AllianceKind(kind), DEFAULT_EXACT_LIMIT)
 
 
 def phi_powerful_lower(g: Graph, k: int, *, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     """max(phi_defensive(k), phi_offensive(k+2)): every defensive-k-free or
     offensive-(k+2)-free set is powerful-k free, so phi_powerful dominates."""
-    d = phi(g, k, AllianceKind.DEFENSIVE, limit=limit).value
-    o = phi(g, k + 2, AllianceKind.OFFENSIVE, limit=limit).value
+    d = _phi_value_cached(g, k, AllianceKind.DEFENSIVE, limit)
+    o = _phi_value_cached(g, k + 2, AllianceKind.OFFENSIVE, limit)
     return max(d, o)
 
 
@@ -101,106 +107,25 @@ def phi_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# Minimum transversal branch and bound
+# Selection over the up-closed table
 
 
-def _solve(n: int, family: tuple[int, ...]) -> tuple[int, int]:
-    """(phi value, lex-smallest maximum free-set mask) for the family."""
-    full = (1 << n) - 1
-    if not family:
-        return n, full
-    tau = _min_transversal(family, full)
-    assert tau is not None
-    value = n - tau
-    chosen = 0
+def _free_sizes(covered: np.ndarray, n: int) -> np.ndarray:
+    """Popcount of every mask, zeroed where the mask contains an alliance.
+    The empty mask is never covered, so the maximum is phi."""
+    sizes = np.zeros(covered.size, dtype=np.uint8)
+    for b in range(n):
+        sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
+    sizes[covered] = 0
+    return sizes
+
+
+def _lex_smallest(masks: np.ndarray, n: int) -> int:
+    """The mask, among equal-size candidates, with the lexicographically
+    smallest sorted vertex list: from vertex 0 upward, keep the candidates
+    containing the vertex whenever any do."""
     for v in range(n):
-        trial = chosen | (1 << v)
-        t = _min_transversal(family, full & ~trial, cap=tau)
-        if t == tau:
-            chosen = trial
-    assert chosen.bit_count() == value
-    return value, chosen
-
-
-def _min_transversal(family: tuple[int, ...], allowed: int, cap: int | None = None) -> int | None:
-    """Exact minimum size of a hitting set drawn from ``allowed``.
-
-    Returns None when infeasible (some member has no allowed vertex) or,
-    when ``cap`` is given, when the optimum is proven to exceed it."""
-    reduced = []
-    for m in family:
-        m &= allowed
-        if m == 0:
-            return None
-        reduced.append(m)
-    # keep only inclusion-minimal members: hitting a subset hits its supersets
-    reduced.sort(key=int.bit_count)
-    live: list[int] = []
-    for m in reduced:
-        if not any(t & m == t for t in live):
-            live.append(m)
-
-    best = _greedy_hit(live)
-    if cap is not None and best > cap + 1:
-        best = cap + 1  # only need to know whether the optimum is <= cap
-
-    def lower_bound(sets: list[int]) -> int:
-        used = 0
-        count = 0
-        for m in sets:
-            if m & used == 0:
-                used |= m
-                count += 1
-        return count
-
-    def dfs(sets: list[int], count: int) -> None:
-        nonlocal best
-        if not sets:
-            if count < best:
-                best = count
-            return
-        if count + lower_bound(sets) >= best:
-            return
-        v = _busiest_vertex(sets)
-        bit = 1 << v
-        dfs([m for m in sets if not m & bit], count + 1)
-        without = []
-        for m in sets:
-            m &= ~bit
-            if m == 0:
-                return  # excluding v strands this member
-            without.append(m)
-        dfs(without, count)
-
-    dfs(live, 0)
-    if cap is not None and best > cap:
-        return None
-    return best
-
-
-def _greedy_hit(sets: list[int]) -> int:
-    remaining = list(sets)
-    count = 0
-    while remaining:
-        v = _busiest_vertex(remaining)
-        bit = 1 << v
-        remaining = [m for m in remaining if not m & bit]
-        count += 1
-    return count
-
-
-def _busiest_vertex(sets: list[int]) -> int:
-    union = 0
-    for m in sets:
-        union |= m
-    pick, pick_hits = -1, -1
-    m = union
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        bit = 1 << v
-        hits = sum(1 for s in sets if s & bit)
-        if hits > pick_hits:
-            pick, pick_hits = v, hits
-        m ^= low
-    return pick
+        has = masks[(masks >> v) & 1 == 1]
+        if has.size:
+            masks = has
+    return int(masks[0])

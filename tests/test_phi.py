@@ -2,6 +2,7 @@ import itertools
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from alliancekit import (
@@ -14,17 +15,22 @@ from alliancekit import (
     cartesian_product,
     complete_graph,
     cycle_graph,
+    enumerate_minimal_alliances,
     grid_graph,
+    is_alliance,
     is_free_set,
     path_graph,
     phi,
     phi_bruteforce,
     phi_powerful_lower,
     phi_value,
+    random_graph,
     random_tree,
     star_graph,
     wheel_graph,
 )
+
+from alliancekit.freesets import _free_mask
 
 from conftest import seeded_graph
 
@@ -180,3 +186,39 @@ def test_capacity_errors():
         phi(Graph(25), 0, "defensive")
     with pytest.raises(CapacityError):
         phi_bruteforce(Graph(15), 0, "defensive")
+    with pytest.raises(CapacityError):
+        phi_value(Graph(25), 0, "defensive")
+    with pytest.raises(CapacityError):
+        phi_powerful_lower(Graph(25), 0)
+
+
+def _min_transversal(family, n: int) -> int:
+    """Minimum hitting set size of the family, by scipy's HiGHS MILP."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rows = np.array([[(m >> v) & 1 for v in range(n)] for m in family.masks])
+    res = milp(np.ones(n), constraints=LinearConstraint(rows, lb=1),
+               integrality=np.ones(n), bounds=Bounds(0, 1))
+    assert res.success
+    return round(res.fun)
+
+
+@pytest.mark.parametrize("n", range(16, 21))
+def test_closure_beyond_the_oracle(n):
+    """Orders the brute-force oracle cannot reach: the family agrees with the
+    scalar free-set check on sampled small masks, every member is an
+    alliance, and phi = n - tau(certificate) by an independent MILP."""
+    pytest.importorskip("scipy")
+    rng = random.Random(50 + n)
+    g = random_graph(n, rng.choice((0.2, 0.3)), seed=n)
+    for kind in AllianceKind:
+        k = rng.randint(-1, 1)
+        r = phi(g, k, kind)
+        fam = r.certificate
+        assert fam == enumerate_minimal_alliances(g, k, kind)
+        for _ in range(200):
+            mask = VertexSet.of(rng.sample(range(n), rng.randint(1, 10)), n)
+            assert fam.certifies_free(mask) == _free_mask(g, mask.mask, k, kind)
+        assert all(is_alliance(g, s, k, kind) for s in fam)
+        assert len(r.witness) == r.value and fam.certifies_free(r.witness)
+        assert r.value == n - _min_transversal(fam, n)
