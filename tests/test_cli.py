@@ -1,8 +1,19 @@
+"""CLI tests.  ``tests/data/cli_help.json`` pins the ``--help`` text of
+every subcommand; regenerate it (only when a help change is intended) with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from alliancekit import (
+    AuditConfig,
     cartesian_product,
     cycle_graph,
     format_edge_list,
@@ -12,7 +23,22 @@ from alliancekit import (
     star_graph,
     write_edge_list,
 )
-from alliancekit.cli import main
+from alliancekit.cli import build_parser, main
+
+HELP_GOLDENS = Path(__file__).parent / "data" / "cli_help.json"
+SUBCOMMANDS = ("check", "minimal", "phi", "table", "product", "witness", "audit", "family")
+
+
+def help_texts() -> dict[str, str]:
+    """``--help`` output of the top-level parser and every subcommand at a
+    fixed 80-column width."""
+    texts = {}
+    for name in ("",) + SUBCOMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            main([name, "--help"] if name else ["--help"])
+        texts[name or "alliancekit"] = out.getvalue()
+    return texts
 
 
 @pytest.fixture
@@ -188,3 +214,20 @@ def test_usage_error_exit_code(capsys):
         main(["phi", "--kind", "defensive"])  # missing -g/-k
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_help_texts_match_recorded(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_texts() == json.loads(HELP_GOLDENS.read_text())
+
+
+def test_audit_defaults_come_from_the_config():
+    args = build_parser().parse_args(["audit"])
+    config = AuditConfig(seed=args.seed, max_factor_order=args.factors,
+                         max_product_order=args.product, trials_per_theorem=args.trials)
+    assert config == AuditConfig()
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
+    HELP_GOLDENS.write_text(json.dumps(help_texts(), indent=1, sort_keys=True) + "\n")
