@@ -1,12 +1,19 @@
 """Randomized and scripted verification of the product/factor claims.
 
 Every numbered claim the package relies on gets an auditor: seeded random
-factor graphs (plus scripted family instances) are drawn, each claim's
-hypothesis is checked exactly, trials whose hypothesis never holds are
-skipped and counted, and the conclusion is asserted with the exact solvers.
-All claims are proved facts, so a failure is evidence of an implementation
-bug; failures carry a greedily minimized counterexample (vertex deletions
-that preserve the failure).
+factor graphs (plus scripted family instances) are drawn and the claim is
+checked on them with the exact solvers.  An auditor states its claim once,
+as a list of cases ``(k values, verdict)``.  A verdict takes
+``(g1, g2, sets)`` and returns ``None`` when the claim's hypothesis or
+k-range does not hold on that instance, and ``(ok, observed, expected)``
+otherwise.
+
+One driver, ``_check``, runs every case of a drawn instance.  Each
+non-``None`` verdict counts as a check; an instance without checks is
+skipped and counted.  All claims are proved facts, so a false verdict is
+evidence of an implementation bug: it is reported with a greedily minimized
+counterexample, found by re-running the same verdict on vertex-deleted
+instances (``None`` there counts as not failing).
 
 An audit that never saw a hypothesis-satisfying trial is flagged
 inconclusive rather than passed.  Reports are deterministic functions of
@@ -17,9 +24,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable
+from dataclasses import asdict, dataclass
+from functools import lru_cache, partial
+from typing import Callable, Iterable
 
 from .alliances import AllianceKind, is_defensive_alliance
 from .freesets import is_free_set
@@ -27,6 +34,7 @@ from .graph import (
     DEFAULT_EXACT_LIMIT,
     Graph,
     VertexSet,
+    _gnp,
     cartesian_product,
     cycle_graph,
     complete_graph,
@@ -41,32 +49,11 @@ from .graph import (
     wheel_graph,
 )
 from .phi import phi_value
+from .products import box_k, column_k, union_k
 
 DEF = AllianceKind.DEFENSIVE
 OFF = AllianceKind.OFFENSIVE
 POW = AllianceKind.POWERFUL
-
-THEOREM_IDS = (
-    "remark1",
-    "th1_i",
-    "th1_ii",
-    "cor_CoroTh1def_i",
-    "cor_CoroTh1def_ii",
-    "prop_remarktree",
-    "th_factor_recovery",
-    "cor_otrocoro",
-    "prop_iff_regular",
-    "th1of",
-    "cor_coronofensive",
-    "th_union",
-    "cor_union",
-    "phi_p_lower",
-    "th1p_i",
-    "th1p_ii",
-    "cor_coroproductpowerful_i",
-    "cor_coroproductpowerful_ii",
-    "vizing_alpha",
-)
 
 _EDGE_PROBS = (0.3, 0.5, 0.7)
 
@@ -97,12 +84,7 @@ class AuditConfig:
             raise ValueError("trials_per_theorem must be non-negative")
 
     def to_record(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_factor_order": self.max_factor_order,
-            "max_product_order": self.max_product_order,
-            "trials_per_theorem": self.trials_per_theorem,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -150,50 +132,18 @@ class AuditReport:
         return lines
 
 
-class _Tally:
-    def __init__(self):
-        self.trials = 0
-        self.passes = 0
-        self.failures: list[dict] = []
-        self.skipped = 0
-        self.checks = 0
-
-    def add(self, checks_run: int, failures: list[dict]) -> None:
-        if checks_run == 0:
-            self.skipped += 1
-            return
-        self.trials += 1
-        self.checks += checks_run
-        if failures:
-            # one merged payload per failing instance keeps passes+failures=trials
-            merged = failures[0]
-            if len(failures) > 1:
-                merged = dict(merged)
-                merged["additional_failing_checks"] = len(failures) - 1
-            self.failures.append(merged)
-        else:
-            self.passes += 1
-
-
 # ---------------------------------------------------------------------------
 # Instance drawing
-
-
-def _er(rng: random.Random, n: int, p: float) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
 
 
 def _draw_graph(
     rng: random.Random,
     max_order: int,
     accept: Callable[[Graph], bool] | None = None,
-    min_order: int = 2,
-    tries: int = 500,
 ) -> Graph:
-    for _ in range(tries):
-        n = rng.randint(min_order, max_order)
-        g = _er(rng, n, rng.choice(_EDGE_PROBS))
+    for _ in range(500):
+        n = rng.randint(2, max_order)
+        g = _gnp(rng, n, rng.choice(_EDGE_PROBS))
         if accept is None or accept(g):
             return g
     raise RuntimeError("failed to draw an acceptable random graph")
@@ -257,15 +207,23 @@ def _degree_sum_3(g: Graph) -> bool:
     return g.delta_min + g.delta_max >= 3
 
 
+# scripted pairs come first, for the auditors that use them
+_SCRIPTED_PAIRS = (
+    (star_graph(3), path_graph(3)),
+    (star_graph(3), path_graph(4)),
+    (cycle_graph(4), path_graph(3)),
+    (cycle_graph(3), path_graph(3)),
+)
+
+
 def _pair_instances(
     rng: random.Random,
     config: AuditConfig,
-    scripted: list[tuple[Graph, Graph]],
     accept: Callable[[Graph], bool] | None = None,
 ) -> list[tuple[Graph, Graph]]:
     fits = [
         (a, b)
-        for a, b in scripted
+        for a, b in _SCRIPTED_PAIRS
         if a.n * b.n <= config.max_product_order
         and (accept is None or (accept(a) and accept(b)))
     ]
@@ -275,38 +233,20 @@ def _pair_instances(
     return out
 
 
-def _scripted_pairs() -> list[tuple[Graph, Graph]]:
-    return [
-        (star_graph(3), path_graph(3)),
-        (star_graph(3), path_graph(4)),
-        (cycle_graph(4), path_graph(3)),
-        (cycle_graph(3), path_graph(3)),
-    ]
-
-
 @lru_cache(maxsize=2048)
 def _product(g1: Graph, g2: Graph) -> Graph:
     return cartesian_product(g1, g2)
 
 
-class _FreeCache:
-    """Memoised free-set queries against one fixed graph."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._memo: dict[tuple[int, int, AllianceKind], bool] = {}
-
-    def __call__(self, s: VertexSet, k: int, kind: AllianceKind) -> bool:
-        key = (s.mask, k, kind)
-        if key not in self._memo:
-            self._memo[key] = is_free_set(self.g, s, k, kind)
-        return self._memo[key]
+@lru_cache(maxsize=2048)
+def _free(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> bool:
+    return is_free_set(g, s, k, kind)
 
 
 # ---------------------------------------------------------------------------
 # Counterexample minimization
 
-_Verdict = Callable[[Graph, Graph | None, dict[str, VertexSet]], tuple[bool, object, object]]
+_Verdict = Callable[[Graph, Graph | None, dict], tuple[bool, object, object] | None]
 
 
 def _graph_record(g: Graph | None) -> dict | None:
@@ -368,32 +308,29 @@ def _shrink(
 
     def fails(a: Graph, b: Graph | None, ss: dict[str, VertexSet]) -> bool:
         try:
-            ok, _, _ = verdict(a, b, ss)
+            outcome = verdict(a, b, ss)
         except Exception:
             return False
-        return not ok
+        return outcome is not None and not outcome[0]
 
-    improved = True
-    while improved:
-        improved = False
-        for which in ("g1", "g2"):
-            g = g1 if which == "g1" else g2
+    def deletions():
+        # one vertex deleted: vertices of g1 first, then of g2
+        n2 = g2.n if g2 is not None else 1
+        for which, g in (("g1", g1), ("g2", g2)):
             if g is None or g.n <= 1:
                 continue
-            other = g2 if which == "g1" else g1
-            n1 = g1.n
-            n2 = g2.n if g2 is not None else 1
             for v in range(g.n):
                 shrunk, index = _delete_vertex(g, v)
-                new_sets = _remap_sets(sets, bindings, which, v, index, n1, n2)
-                a, b = (shrunk, g2) if which == "g1" else (g1, shrunk)
-                if fails(a, b, new_sets):
-                    g1, g2, sets = a, b, new_sets
-                    improved = True
-                    break
-            if improved:
+                new_sets = _remap_sets(sets, bindings, which, v, index, g1.n, n2)
+                yield (shrunk, g2, new_sets) if which == "g1" else (g1, shrunk, new_sets)
+
+    while True:
+        for a, b, ss in deletions():
+            if fails(a, b, ss):
+                g1, g2, sets = a, b, ss
                 break
-    return g1, g2, sets
+        else:
+            return g1, g2, sets
 
 
 def _failure(
@@ -422,101 +359,112 @@ def _failure(
     }
 
 
+def _check(
+    tally: AuditReport,
+    g1: Graph,
+    g2: Graph | None,
+    sets: dict[str, VertexSet],
+    bindings: dict[str, str],
+    cases: Iterable[tuple[dict, _Verdict]],
+    check: str,
+) -> None:
+    """Run every ``(ks, verdict)`` case on one drawn instance and tally it:
+    each verdict that is not ``None`` is a check, and an instance with no
+    check is skipped."""
+    checks = 0
+    fails = []
+    for ks, verdict in cases:
+        outcome = verdict(g1, g2, sets)
+        if outcome is None:
+            continue
+        checks += 1
+        if not outcome[0]:
+            fails.append(_failure(verdict, g1, g2, sets, bindings, ks, check))
+    if checks == 0:
+        tally.skipped += 1
+        return
+    tally.trials += 1
+    tally.checks += checks
+    if fails:
+        # one merged payload per failing instance keeps passes+failures=trials
+        merged = fails[0]
+        if len(fails) > 1:
+            merged = {**merged, "additional_failing_checks": len(fails) - 1}
+        tally.failures.append(merged)
+    else:
+        tally.passes += 1
+
+
 # ---------------------------------------------------------------------------
 # The auditors
 
 
-def _audit_remark1(config: AuditConfig, rng: random.Random, tally: _Tally) -> None:
+def _audit_remark1(config: AuditConfig, rng: random.Random, tally: AuditReport) -> None:
     """phi_def(k) over the product is at least the independence-based bound
     a1*a2 + min(n1-a1, n2-a2) for 1-d1-d2 <= k <= D1+D2."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _has_edge):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for k in range(1 - g1.delta_min - g2.delta_min, g1.delta_max + g2.delta_max + 1):
 
-            def verdict(a, b, sets, k=k):
-                if k < 1 - a.delta_min - b.delta_min or k > a.delta_max + b.delta_max:
-                    return True, None, None
-                bound = vizing_alpha_bound(independence_number(a), independence_number(b))
-                val = phi_value(_product(a, b), k, DEF)
-                return val >= bound, val, bound
+    def k_range(a, b):
+        return range(1 - a.delta_min - b.delta_min, a.delta_max + b.delta_max + 1)
 
-            bound = vizing_alpha_bound(independence_number(g1), independence_number(g2))
-            val = phi_value(prod, k, DEF)
-            checks += 1
-            if val < bound:
-                fails.append(_failure(verdict, g1, g2, {}, {}, {"k": k}, "phi_def >= alpha bound"))
-        tally.add(checks, fails)
+    def verdict(a, b, sets, k):
+        if k not in k_range(a, b):
+            return None
+        bound = vizing_alpha_bound(independence_number(a), independence_number(b))
+        val = phi_value(_product(a, b), k, DEF)
+        return val >= bound, val, bound
+
+    for g1, g2 in _pair_instances(rng, config, _has_edge):
+        cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
+        _check(tally, g1, g2, {}, {}, cases, "phi_def >= alpha bound")
 
 
 def _projection_transfer_audit(
     config: AuditConfig,
     rng: random.Random,
-    tally: _Tally,
+    tally: AuditReport,
     kind: AllianceKind,
-    claim_k: Callable[[int, Graph], int],
     check: str,
 ) -> None:
     """Shared driver for the one-projection transfer claims: if the i-th
-    projection of S is free at k_i in its factor, S is free at claim_k in
-    the product."""
+    projection of S is free at k_i in its factor, S is free at
+    column_k(k_i, other factor) in the product."""
+
+    def verdict(a, b, sets, axis, ki):
+        own, other = (a, b) if axis == 1 else (b, a)
+        if not _free(own, projections(sets["s"], a.n, b.n)[axis - 1], ki, kind):
+            return None
+        got = _free(_product(a, b), sets["s"], column_k(ki, other, kind), kind)
+        return got, got, True
+
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        prod = _product(g1, g2)
         s = _draw_product_subset(rng, g1, g2)
-        product_free = _FreeCache(prod)
-        proj = projections(s, g1.n, g2.n)
-        fails = []
-        checks = 0
-        for i, own, other in ((1, g1, g2), (2, g2, g1)):
-            p = proj[i - 1]
-            for ki in kind.canonical_k_range(own):
-                if not is_free_set(own, p, ki, kind):
-                    continue
-                kc = claim_k(ki, other)
-
-                def verdict(a, b, sets, i=i, ki=ki):
-                    own2, other2 = (a, b) if i == 1 else (b, a)
-                    p2 = projections(sets["s"], a.n, b.n)[i - 1]
-                    if not is_free_set(own2, p2, ki, kind):
-                        return True, None, None
-                    got = is_free_set(_product(a, b), sets["s"], claim_k(ki, other2), kind)
-                    return got, got, True
-
-                checks += 1
-                if not product_free(s, kc, kind):
-                    fails.append(
-                        _failure(
-                            verdict,
-                            g1,
-                            g2,
-                            {"s": s},
-                            {"s": "product"},
-                            {"k_i": ki, "axis": i, "k_claim": kc},
-                            check,
-                        )
-                    )
-        tally.add(checks, fails)
+        cases = [
+            ({"k_i": ki, "axis": axis, "k_claim": column_k(ki, other, kind)},
+             partial(verdict, axis=axis, ki=ki))
+            for axis, own, other in ((1, g1, g2), (2, g2, g1))
+            for ki in kind.canonical_k_range(own)
+        ]
+        _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
 
 
 def _audit_th1_i(config, rng, tally):
     _projection_transfer_audit(
-        config, rng, tally, DEF, lambda ki, other: ki + other.delta_max,
+        config, rng, tally, DEF,
         "free projection at k makes S (k+D_other)-def-free in the product",
     )
 
 
 def _audit_th1of(config, rng, tally):
     _projection_transfer_audit(
-        config, rng, tally, OFF, lambda ki, other: ki - other.delta_min,
+        config, rng, tally, OFF,
         "free projection at k makes S (k-d_other)-off-free in the product",
     )
 
 
 def _audit_th1p_i(config, rng, tally):
     _projection_transfer_audit(
-        config, rng, tally, POW, lambda ki, other: ki + other.delta_max,
+        config, rng, tally, POW,
         "free projection at k makes S (k+D_other)-pow-free in the product",
     )
 
@@ -524,135 +472,190 @@ def _audit_th1p_i(config, rng, tally):
 def _both_projection_audit(
     config: AuditConfig,
     rng: random.Random,
-    tally: _Tally,
+    tally: AuditReport,
     kind: AllianceKind,
-    claim_k: Callable[[int, int, Graph, Graph], int | None],
     check: str,
 ) -> None:
-    """Shared driver for the two-projection transfer claims."""
+    """Shared driver for the two-projection transfer claims: if both
+    projections of S are free, S is free at box_k in the product."""
+
+    def verdict(a, b, sets, k1, k2):
+        q1, q2 = projections(sets["s"], a.n, b.n)
+        if not (_free(a, q1, k1, kind) and _free(b, q2, k2, kind)):
+            return None
+        kc = box_k(k1, k2, a, b, kind)
+        if kind is POW and kc > a.delta_max + b.delta_max - 2:
+            return None  # stated range is empty
+        got = _free(_product(a, b), sets["s"], kc, kind)
+        return got, got, True
+
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        prod = _product(g1, g2)
         s = _draw_product_subset(rng, g1, g2)
-        product_free = _FreeCache(prod)
-        p1, p2 = projections(s, g1.n, g2.n)
-        free1 = {k1: is_free_set(g1, p1, k1, kind) for k1 in kind.canonical_k_range(g1)}
-        free2 = {k2: is_free_set(g2, p2, k2, kind) for k2 in kind.canonical_k_range(g2)}
-        fails = []
-        checks = 0
-        for k1, ok1 in free1.items():
-            if not ok1:
-                continue
-            for k2, ok2 in free2.items():
-                if not ok2:
-                    continue
-                kc = claim_k(k1, k2, g1, g2)
-                if kc is None:
-                    continue
-
-                def verdict(a, b, sets, k1=k1, k2=k2):
-                    q1, q2 = projections(sets["s"], a.n, b.n)
-                    if not (is_free_set(a, q1, k1, kind) and is_free_set(b, q2, k2, kind)):
-                        return True, None, None
-                    kc2 = claim_k(k1, k2, a, b)
-                    if kc2 is None:
-                        return True, None, None
-                    got = is_free_set(_product(a, b), sets["s"], kc2, kind)
-                    return got, got, True
-
-                checks += 1
-                if not product_free(s, kc, kind):
-                    fails.append(
-                        _failure(
-                            verdict, g1, g2, {"s": s}, {"s": "product"},
-                            {"k1": k1, "k2": k2, "k_claim": kc}, check,
-                        )
-                    )
-        tally.add(checks, fails)
+        cases = [
+            ({"k1": k1, "k2": k2, "k_claim": box_k(k1, k2, g1, g2, kind)},
+             partial(verdict, k1=k1, k2=k2))
+            for k1 in kind.canonical_k_range(g1)
+            for k2 in kind.canonical_k_range(g2)
+        ]
+        _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
 
 
 def _audit_th1_ii(config, rng, tally):
     _both_projection_audit(
-        config, rng, tally, DEF, lambda k1, k2, a, b: k1 + k2 - 1,
+        config, rng, tally, DEF,
         "both projections free make S (k1+k2-1)-def-free in the product",
     )
 
 
 def _audit_th1p_ii(config, rng, tally):
-    def claim(k1, k2, a, b):
-        kc = max(k1 + k2 - 1, min(k2 - a.delta_min, k1 - b.delta_min))
-        if kc > a.delta_max + b.delta_max - 2:
-            return None  # stated range is empty
-        return kc
-
     _both_projection_audit(
-        config, rng, tally, POW, claim,
+        config, rng, tally, POW,
         "both projections free make S k'-pow-free in the product",
     )
 
 
+def _column_bound_audit(
+    config: AuditConfig,
+    rng: random.Random,
+    tally: AuditReport,
+    kind: AllianceKind,
+    accept: Callable[[Graph], bool] | None,
+    k_range: Callable[[Graph, Graph], range],
+    check: str,
+) -> None:
+    """Shared driver for the column bounds phi(k) over the product >=
+    n_j * phi(k') of factor i, for k in k_range(G_i, G_j), where the column
+    over a k'-free set of G_i is free at k = column_k(k', G_j)."""
+
+    def verdict(a, b, sets, axis, k):
+        own, other = (a, b) if axis == 1 else (b, a)
+        if k not in k_range(own, other):
+            return None
+        lhs = phi_value(_product(a, b), k, kind)
+        # column_k shifts k by a constant, so this inverts it
+        rhs = other.n * phi_value(own, k - column_k(0, other, kind), kind)
+        return lhs >= rhs, lhs, rhs
+
+    for g1, g2 in _pair_instances(rng, config, accept):
+        cases = [
+            ({"k": k, "axis": axis}, partial(verdict, axis=axis, k=k))
+            for axis, own, other in ((1, g1, g2), (2, g2, g1))
+            for k in k_range(own, other)
+        ]
+        _check(tally, g1, g2, {}, {}, cases, check)
+
+
 def _audit_cor_CoroTh1def_i(config, rng, tally):
     """phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs()):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for own, other, axis in ((g1, g2, 1), (g2, g1, 2)):
-            di, dj = own.delta_max, other.delta_max
-            for k in range(dj - di, di + dj + 1):
+    _column_bound_audit(
+        config, rng, tally, DEF, None,
+        lambda own, other: range(
+            other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
+        ),
+        "column bound for phi_def on the product",
+    )
 
-                def verdict(a, b, sets, axis=axis, k=k):
-                    own2, other2 = (a, b) if axis == 1 else (b, a)
-                    lo = other2.delta_max - own2.delta_max
-                    hi = own2.delta_max + other2.delta_max
-                    if not lo <= k <= hi:
-                        return True, None, None
-                    lhs = phi_value(_product(a, b), k, DEF)
-                    rhs = other2.n * phi_value(own2, k - other2.delta_max, DEF)
-                    return lhs >= rhs, lhs, rhs
 
-                lhs = phi_value(prod, k, DEF)
-                rhs = other.n * phi_value(own, k - dj, DEF)
-                checks += 1
-                if lhs < rhs:
-                    fails.append(
-                        _failure(verdict, g1, g2, {}, {}, {"k": k, "axis": axis},
-                                 "column bound for phi_def on the product")
-                    )
-        tally.add(checks, fails)
+def _audit_cor_coronofensive(config, rng, tally):
+    """phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor."""
+    _column_bound_audit(
+        config, rng, tally, OFF, _has_edge,
+        lambda own, other: range(
+            2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
+        ),
+        "column bound for phi_off on the product",
+    )
+
+
+def _audit_cor_coroproductpowerful_i(config, rng, tally):
+    """phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor."""
+    _column_bound_audit(
+        config, rng, tally, POW, _degree_sum_3,
+        lambda own, other: range(
+            max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
+            own.delta_max + other.delta_max - 1,
+        ),
+        "column bound for phi_pow on the product",
+    )
+
+
+def _factor_phi_bound_audit(
+    config: AuditConfig,
+    rng: random.Random,
+    tally: AuditReport,
+    kind: AllianceKind,
+    accept: Callable[[Graph], bool],
+    factor_range: Callable[[Graph], range],
+    claim_range: Callable[[int, int, Graph, Graph], range],
+    bound: Callable[[int, int, Graph, Graph], int],
+    check: str,
+    report_k: bool = True,
+) -> None:
+    """Shared driver for the bounds phi(k) over the product >=
+    bound(phi1, phi2, G1, G2), where phi_i = phi(G_i, k_i), for k_i in
+    factor_range(G_i) and k in claim_range(k1, k2, G1, G2).  Without
+    ``report_k`` the claim range is the single k1+k2-1 and payloads name
+    only k1 and k2."""
+
+    def verdict(a, b, sets, k1, k2, k):
+        if k1 not in factor_range(a) or k2 not in factor_range(b):
+            return None
+        if k not in claim_range(k1, k2, a, b):
+            return None
+        rhs = bound(phi_value(a, k1, kind), phi_value(b, k2, kind), a, b)
+        lhs = phi_value(_product(a, b), k, kind)
+        return lhs >= rhs, lhs, rhs
+
+    for g1, g2 in _pair_instances(rng, config, accept):
+        cases = [
+            ({"k1": k1, "k2": k2, "k": k} if report_k else {"k1": k1, "k2": k2},
+             partial(verdict, k1=k1, k2=k2, k=k))
+            for k1 in factor_range(g1)
+            for k2 in factor_range(g2)
+            for k in claim_range(k1, k2, g1, g2)
+        ]
+        _check(tally, g1, g2, {}, {}, cases, check)
+
+
+def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
+    return p1 * p2 + min(a.n - p1, b.n - p2)
 
 
 def _audit_cor_CoroTh1def_ii(config, rng, tally):
     """phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _has_edge):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for k1 in range(1 - g1.delta_min, g1.delta_max + 1):
-            f1 = phi_value(g1, k1, DEF)
-            for k2 in range(1 - g2.delta_min, g2.delta_max + 1):
-                f2 = phi_value(g2, k2, DEF)
-                rhs = f1 * f2 + min(g1.n - f1, g2.n - f2)
-                lhs = phi_value(prod, k1 + k2 - 1, DEF)
+    _factor_phi_bound_audit(
+        config, rng, tally, DEF, _has_edge,
+        lambda g: range(1 - g.delta_min, g.delta_max + 1),
+        lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
+        _box_plus_diagonal_bound,
+        "box-plus-diagonal bound for phi_def on the product",
+        report_k=False,
+    )
 
-                def verdict(a, b, sets, k1=k1, k2=k2):
-                    if not (1 - a.delta_min <= k1 <= a.delta_max):
-                        return True, None, None
-                    if not (1 - b.delta_min <= k2 <= b.delta_max):
-                        return True, None, None
-                    p1 = phi_value(a, k1, DEF)
-                    p2 = phi_value(b, k2, DEF)
-                    r = p1 * p2 + min(a.n - p1, b.n - p2)
-                    lh = phi_value(_product(a, b), k1 + k2 - 1, DEF)
-                    return lh >= r, lh, r
 
-                checks += 1
-                if lhs < rhs:
-                    fails.append(
-                        _failure(verdict, g1, g2, {}, {}, {"k1": k1, "k2": k2},
-                                 "box-plus-diagonal bound for phi_def on the product")
-                    )
-        tally.add(checks, fails)
+def _audit_cor_coroproductpowerful_ii(config, rng, tally):
+    """phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for
+    k from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i."""
+    _factor_phi_bound_audit(
+        config, rng, tally, POW, _degree_sum_3,
+        lambda g: range(1 - g.delta_min, g.delta_max - 1),
+        lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
+        _box_plus_diagonal_bound,
+        "box-plus-diagonal bound for phi_pow on the product",
+    )
+
+
+def _audit_cor_union(config, rng, tally):
+    """phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for
+    every k from k' up to D1+D2."""
+    _factor_phi_bound_audit(
+        config, rng, tally, OFF, _has_edge,
+        OFF.canonical_k_range,
+        lambda k1, k2, a, b: range(union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1),
+        lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
+        "union bound for phi_off on the product",
+    )
 
 
 def _is_connected(g: Graph) -> bool:
@@ -681,17 +684,17 @@ def _triangle_free(g: Graph) -> bool:
 def _audit_prop_remarktree(config, rng, tally):
     """phi_def(k) = n on trees (k >= 2), planar graphs (k >= 6), and planar
     triangle-free graphs (k >= 4), up to the maximum degree."""
-    cases: list[tuple[Graph, str]] = []
+    instances: list[tuple[Graph, str]] = []
     for n in range(3, 9):
-        cases.append((path_graph(n), "tree"))
-        cases.append((star_graph(n - 1), "tree"))
-    cases.append((wheel_graph(7), "planar6"))
-    cases.append((wheel_graph(8), "planar6"))
-    cases.append((grid_graph(3, 3), "planar4_trianglefree"))
-    cases.append((grid_graph(3, 4), "planar4_trianglefree"))
-    cases = cases[: config.trials_per_theorem]
-    while len(cases) < config.trials_per_theorem:
-        cases.append((random_tree(rng.randint(3, 8), seed=rng.randrange(2**30)), "tree"))
+        instances.append((path_graph(n), "tree"))
+        instances.append((star_graph(n - 1), "tree"))
+    instances.append((wheel_graph(7), "planar6"))
+    instances.append((wheel_graph(8), "planar6"))
+    instances.append((grid_graph(3, 3), "planar4_trianglefree"))
+    instances.append((grid_graph(3, 4), "planar4_trianglefree"))
+    instances = instances[: config.trials_per_theorem]
+    while len(instances) < config.trials_per_theorem:
+        instances.append((random_tree(rng.randint(3, 8), seed=rng.randrange(2**30)), "tree"))
 
     lows = {"tree": 2, "planar6": 6, "planar4_trianglefree": 4}
 
@@ -704,103 +707,62 @@ def _audit_prop_remarktree(config, rng, tally):
             return bool(g.planar) and g.delta_max >= 6
         return bool(g.planar) and g.delta_max >= 4 and _triangle_free(g)
 
-    for g, case in cases:
-        fails = []
-        checks = 0
-        for k in range(lows[case], g.delta_max + 1):
-            if not applicable(g, case, k):
-                continue
+    def verdict(a, b, sets, case, k):
+        if not applicable(a, case, k):
+            return None
+        val = phi_value(a, k, DEF)
+        return val == a.n, val, a.n
 
-            def verdict(a, b, sets, case=case, k=k):
-                if not applicable(a, case, k):
-                    return True, None, None
-                val = phi_value(a, k, DEF)
-                return val == a.n, val, a.n
-
-            val = phi_value(g, k, DEF)
-            checks += 1
-            if val != g.n:
-                fails.append(
-                    _failure(verdict, g, None, {}, {}, {"k": k, "case": case},
-                             "phi_def equals the order")
-                )
-        tally.add(checks, fails)
+    for g, case in instances:
+        cases = [
+            ({"k": k, "case": case}, partial(verdict, case=case, k=k))
+            for k in range(lows[case], g.delta_max + 1)
+        ]
+        _check(tally, g, None, {}, {}, cases, "phi_def equals the order")
 
 
 def _audit_th_factor_recovery(config, rng, tally):
     """If S1 x S2 is def k-free in the product and S2 is a defensive
     k'-alliance in G2, then S1 is def (k-k')-free in G1."""
+
+    def verdict(a, b, sets, k, kp):
+        s1, s2 = sets["s1"], sets["s2"]
+        if s2.mask == 0 or not is_defensive_alliance(b, s2, kp):
+            return None
+        if not _free(_product(a, b), factor_box(s1, s2), k, DEF):
+            return None
+        got = _free(a, s1, k - kp, DEF)
+        return got, got, True
+
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _has_edge)
-        prod = _product(g1, g2)
         s1 = _draw_subset(rng, g1.n)
         s2 = _draw_subset(rng, g2.n)
         if s2.mask == 0:
             s2 = VertexSet(1 << rng.randrange(g2.n), g2.n)
-        box = factor_box(s1, s2)
-        product_free = _FreeCache(prod)
-        alliance_ks = [
-            kp for kp in DEF.canonical_k_range(g2) if is_defensive_alliance(g2, s2, kp)
+        cases = [
+            ({"k": k, "k_prime": kp}, partial(verdict, k=k, kp=kp))
+            for k in DEF.canonical_k_range(_product(g1, g2))
+            for kp in DEF.canonical_k_range(g2)
         ]
-        fails = []
-        checks = 0
-        if alliance_ks:
-            for k in DEF.canonical_k_range(prod):
-                if not product_free(box, k, DEF):
-                    continue
-                for kp in alliance_ks:
-
-                    def verdict(a, b, sets, k=k, kp=kp):
-                        bx = factor_box(sets["s1"], sets["s2"])
-                        if sets["s2"].mask == 0:
-                            return True, None, None
-                        if not is_free_set(_product(a, b), bx, k, DEF):
-                            return True, None, None
-                        if not is_defensive_alliance(b, sets["s2"], kp):
-                            return True, None, None
-                        got = is_free_set(a, sets["s1"], k - kp, DEF)
-                        return got, got, True
-
-                    got = is_free_set(g1, s1, k - kp, DEF)
-                    checks += 1
-                    if not got:
-                        fails.append(
-                            _failure(verdict, g1, g2, {"s1": s1, "s2": s2},
-                                     {"s1": "g1", "s2": "g2"}, {"k": k, "k_prime": kp},
-                                     "factor recovery of a def-free set")
-                        )
-        tally.add(checks, fails)
+        _check(tally, g1, g2, {"s1": s1, "s2": s2}, {"s1": "g1", "s2": "g2"}, cases,
+               "factor recovery of a def-free set")
 
 
 def _audit_cor_otrocoro(config, rng, tally):
     """If S1 x V2 is def k-free in the product, S1 is def (k-d2)-free."""
+
+    def verdict(a, b, sets, k):
+        if not _free(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
+            return None
+        got = _free(a, sets["s1"], k - b.delta_min, DEF)
+        return got, got, True
+
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _has_edge)
-        prod = _product(g1, g2)
         s1 = _draw_subset(rng, g1.n)
-        column = factor_box(s1, g2.vertices)
-        product_free = _FreeCache(prod)
-        fails = []
-        checks = 0
-        for k in DEF.canonical_k_range(prod):
-            if not product_free(column, k, DEF):
-                continue
-
-            def verdict(a, b, sets, k=k):
-                col = factor_box(sets["s1"], b.vertices)
-                if not is_free_set(_product(a, b), col, k, DEF):
-                    return True, None, None
-                got = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
-                return got, got, True
-
-            got = is_free_set(g1, s1, k - g2.delta_min, DEF)
-            checks += 1
-            if not got:
-                fails.append(
-                    _failure(verdict, g1, g2, {"s1": s1}, {"s1": "g1"}, {"k": k},
-                             "column recovery of a def-free set")
-                )
-        tally.add(checks, fails)
+        cases = [({"k": k}, partial(verdict, k=k)) for k in DEF.canonical_k_range(_product(g1, g2))]
+        _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases, "column recovery of a def-free set")
 
 
 _REGULAR_POOL = ("complete:2", "cycle:3", "complete:3", "cycle:4", "complete:4")
@@ -809,6 +771,17 @@ _REGULAR_POOL = ("complete:2", "cycle:3", "complete:3", "cycle:4", "complete:4")
 def _audit_prop_iff_regular(config, rng, tally):
     """For regular G2: S1 x V2 def k-free in the product iff S1 def
     (k-d2)-free in G1, for d2-D1 <= k <= D1+d2."""
+
+    def k_range(a, b):
+        return range(b.delta_min - a.delta_max, a.delta_max + b.delta_min + 1)
+
+    def verdict(a, b, sets, k):
+        if not b.is_regular or k not in k_range(a, b):
+            return None
+        left = _free(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
+        right = _free(a, sets["s1"], k - b.delta_min, DEF)
+        return left == right, [left, right], "equal"
+
     for _ in range(config.trials_per_theorem):
         spec = rng.choice(_REGULAR_POOL)
         kind_name, order = spec.split(":")
@@ -816,274 +789,73 @@ def _audit_prop_iff_regular(config, rng, tally):
         cap = max(2, config.max_product_order // g2.n)
         g1 = _draw_graph(rng, min(config.max_factor_order, cap))
         s1 = _draw_subset(rng, g1.n)
-        prod = _product(g1, g2)
-        product_free = _FreeCache(prod)
-        d2 = g2.delta_min
-        fails = []
-        checks = 0
-        for k in range(d2 - g1.delta_max, g1.delta_max + d2 + 1):
-
-            def verdict(a, b, sets, k=k):
-                if not b.is_regular:
-                    return True, None, None
-                if not b.delta_min - a.delta_max <= k <= a.delta_max + b.delta_min:
-                    return True, None, None
-                col = factor_box(sets["s1"], b.vertices)
-                left = is_free_set(_product(a, b), col, k, DEF)
-                right = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
-                return left == right, [left, right], "equal"
-
-            left = product_free(factor_box(s1, g2.vertices), k, DEF)
-            right = is_free_set(g1, s1, k - d2, DEF)
-            checks += 1
-            if left != right:
-                fails.append(
-                    _failure(verdict, g1, g2, {"s1": s1}, {"s1": "g1"}, {"k": k},
-                             "column freeness iff factor freeness (regular G2)")
-                )
-        tally.add(checks, fails)
-
-
-def _audit_cor_coronofensive(config, rng, tally):
-    """phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _has_edge):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for own, other, axis in ((g1, g2, 1), (g2, g1, 2)):
-            for k in range(2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1):
-
-                def verdict(a, b, sets, axis=axis, k=k):
-                    own2, other2 = (a, b) if axis == 1 else (b, a)
-                    lo = 2 - other2.delta_min - own2.delta_max
-                    hi = own2.delta_max - other2.delta_min
-                    if not lo <= k <= hi:
-                        return True, None, None
-                    lhs = phi_value(_product(a, b), k, OFF)
-                    rhs = other2.n * phi_value(own2, k + other2.delta_min, OFF)
-                    return lhs >= rhs, lhs, rhs
-
-                lhs = phi_value(prod, k, OFF)
-                rhs = other.n * phi_value(own, k + other.delta_min, OFF)
-                checks += 1
-                if lhs < rhs:
-                    fails.append(
-                        _failure(verdict, g1, g2, {}, {}, {"k": k, "axis": axis},
-                                 "column bound for phi_off on the product")
-                    )
-        tally.add(checks, fails)
-
-
-def _union_k(k1: int, k2: int, g1: Graph, g2: Graph) -> int:
-    return max(
-        k1 - g2.delta_min,
-        k2 - g1.delta_min,
-        min(k2 + g1.delta_max, k1 + g2.delta_max),
-    )
+        cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
+        _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases,
+               "column freeness iff factor freeness (regular G2)")
 
 
 def _audit_th_union(config, rng, tally):
     """If S_i is off k_i-free in G_i, (S1 x V2) u (V1 x S2) is off k'-free
     in the product for k' = max(k1-d2, k2-d1, min(k2+D1, k1+D2))."""
+
+    def verdict(a, b, sets, k1, k2):
+        s1, s2 = sets["s1"], sets["s2"]
+        if not (_free(a, s1, k1, OFF) and _free(b, s2, k2, OFF)):
+            return None
+        union = VertexSet(
+            factor_box(s1, b.vertices).mask | factor_box(a.vertices, s2).mask, a.n * b.n
+        )
+        got = _free(_product(a, b), union, union_k(k1, k2, a, b), OFF)
+        return got, got, True
+
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        prod = _product(g1, g2)
         s1 = _draw_small_subset(rng, g1.n)
         s2 = _draw_small_subset(rng, g2.n)
-        union = VertexSet(
-            factor_box(s1, g2.vertices).mask | factor_box(g1.vertices, s2).mask, prod.n
-        )
-        product_free = _FreeCache(prod)
-        free1 = {k1: is_free_set(g1, s1, k1, OFF) for k1 in OFF.canonical_k_range(g1)}
-        free2 = {k2: is_free_set(g2, s2, k2, OFF) for k2 in OFF.canonical_k_range(g2)}
-        fails = []
-        checks = 0
-        for k1, ok1 in free1.items():
-            if not ok1:
-                continue
-            for k2, ok2 in free2.items():
-                if not ok2:
-                    continue
-                kc = _union_k(k1, k2, g1, g2)
-
-                def verdict(a, b, sets, k1=k1, k2=k2):
-                    if not (is_free_set(a, sets["s1"], k1, OFF) and is_free_set(b, sets["s2"], k2, OFF)):
-                        return True, None, None
-                    u = VertexSet(
-                        factor_box(sets["s1"], b.vertices).mask
-                        | factor_box(a.vertices, sets["s2"]).mask,
-                        a.n * b.n,
-                    )
-                    got = is_free_set(_product(a, b), u, _union_k(k1, k2, a, b), OFF)
-                    return got, got, True
-
-                checks += 1
-                if not product_free(union, kc, OFF):
-                    fails.append(
-                        _failure(verdict, g1, g2, {"s1": s1, "s2": s2},
-                                 {"s1": "g1", "s2": "g2"},
-                                 {"k1": k1, "k2": k2, "k_claim": kc},
-                                 "union of columns is off k'-free")
-                    )
-        tally.add(checks, fails)
-
-
-def _audit_cor_union(config, rng, tally):
-    """phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for
-    every k from k' up to D1+D2."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _has_edge):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for k1 in OFF.canonical_k_range(g1):
-            f1 = phi_value(g1, k1, OFF)
-            for k2 in OFF.canonical_k_range(g2):
-                f2 = phi_value(g2, k2, OFF)
-                rhs = g1.n * f2 + g2.n * f1 - f1 * f2
-                for k in range(_union_k(k1, k2, g1, g2), g1.delta_max + g2.delta_max + 1):
-
-                    def verdict(a, b, sets, k1=k1, k2=k2, k=k):
-                        if k1 not in OFF.canonical_k_range(a) or k2 not in OFF.canonical_k_range(b):
-                            return True, None, None
-                        if not _union_k(k1, k2, a, b) <= k <= a.delta_max + b.delta_max:
-                            return True, None, None
-                        p1 = phi_value(a, k1, OFF)
-                        p2 = phi_value(b, k2, OFF)
-                        r = a.n * p2 + b.n * p1 - p1 * p2
-                        lh = phi_value(_product(a, b), k, OFF)
-                        return lh >= r, lh, r
-
-                    lhs = phi_value(prod, k, OFF)
-                    checks += 1
-                    if lhs < rhs:
-                        fails.append(
-                            _failure(verdict, g1, g2, {}, {}, {"k1": k1, "k2": k2, "k": k},
-                                     "union bound for phi_off on the product")
-                        )
-        tally.add(checks, fails)
+        cases = [
+            ({"k1": k1, "k2": k2, "k_claim": union_k(k1, k2, g1, g2)},
+             partial(verdict, k1=k1, k2=k2))
+            for k1 in OFF.canonical_k_range(g1)
+            for k2 in OFF.canonical_k_range(g2)
+        ]
+        _check(tally, g1, g2, {"s1": s1, "s2": s2}, {"s1": "g1", "s2": "g2"}, cases,
+               "union of columns is off k'-free")
 
 
 def _audit_phi_p_lower(config, rng, tally):
     """phi_pow(k) >= max(phi_def(k), phi_off(k+2)) on any graph."""
+
+    def verdict(a, b, sets, k):
+        if k not in POW.canonical_k_range(a):
+            return None
+        lhs = phi_value(a, k, POW)
+        rhs = max(phi_value(a, k, DEF), phi_value(a, k + 2, OFF))
+        return lhs >= rhs, lhs, rhs
+
     top = min(9, config.max_product_order)
     for _ in range(config.trials_per_theorem):
         g = _draw_graph(rng, top, _has_edge)
-        fails = []
-        checks = 0
-        for k in POW.canonical_k_range(g):
-
-            def verdict(a, b, sets, k=k):
-                if k not in POW.canonical_k_range(a):
-                    return True, None, None
-                lhs = phi_value(a, k, POW)
-                rhs = max(phi_value(a, k, DEF), phi_value(a, k + 2, OFF))
-                return lhs >= rhs, lhs, rhs
-
-            lhs = phi_value(g, k, POW)
-            rhs = max(phi_value(g, k, DEF), phi_value(g, k + 2, OFF))
-            checks += 1
-            if lhs < rhs:
-                fails.append(
-                    _failure(verdict, g, None, {}, {}, {"k": k},
-                             "phi_pow dominates phi_def and shifted phi_off")
-                )
-        tally.add(checks, fails)
-
-
-def _audit_cor_coroproductpowerful_i(config, rng, tally):
-    """phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _degree_sum_3):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for own, other, axis in ((g1, g2, 1), (g2, g1, 2)):
-            di, dj = own.delta_max, other.delta_max
-            lo = max(dj - di, dj + 1 - own.delta_min)
-            for k in range(lo, di + dj - 1):
-
-                def verdict(a, b, sets, axis=axis, k=k):
-                    own2, other2 = (a, b) if axis == 1 else (b, a)
-                    lo2 = max(
-                        other2.delta_max - own2.delta_max,
-                        other2.delta_max + 1 - own2.delta_min,
-                    )
-                    if not lo2 <= k <= own2.delta_max + other2.delta_max - 2:
-                        return True, None, None
-                    lhs = phi_value(_product(a, b), k, POW)
-                    rhs = other2.n * phi_value(own2, k - other2.delta_max, POW)
-                    return lhs >= rhs, lhs, rhs
-
-                lhs = phi_value(prod, k, POW)
-                rhs = other.n * phi_value(own, k - dj, POW)
-                checks += 1
-                if lhs < rhs:
-                    fails.append(
-                        _failure(verdict, g1, g2, {}, {}, {"k": k, "axis": axis},
-                                 "column bound for phi_pow on the product")
-                    )
-        tally.add(checks, fails)
-
-
-def _audit_cor_coroproductpowerful_ii(config, rng, tally):
-    """phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for
-    k from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i."""
-    for g1, g2 in _pair_instances(rng, config, _scripted_pairs(), _degree_sum_3):
-        prod = _product(g1, g2)
-        fails = []
-        checks = 0
-        for k1 in range(1 - g1.delta_min, g1.delta_max - 1):
-            f1 = phi_value(g1, k1, POW)
-            for k2 in range(1 - g2.delta_min, g2.delta_max - 1):
-                f2 = phi_value(g2, k2, POW)
-                rhs = f1 * f2 + min(g1.n - f1, g2.n - f2)
-                for k in range(k1 + k2 - 1, g1.delta_max + g2.delta_max - 1):
-
-                    def verdict(a, b, sets, k1=k1, k2=k2, k=k):
-                        if not (1 - a.delta_min <= k1 <= a.delta_max - 2):
-                            return True, None, None
-                        if not (1 - b.delta_min <= k2 <= b.delta_max - 2):
-                            return True, None, None
-                        if not k1 + k2 - 1 <= k <= a.delta_max + b.delta_max - 2:
-                            return True, None, None
-                        p1 = phi_value(a, k1, POW)
-                        p2 = phi_value(b, k2, POW)
-                        r = p1 * p2 + min(a.n - p1, b.n - p2)
-                        lh = phi_value(_product(a, b), k, POW)
-                        return lh >= r, lh, r
-
-                    lhs = phi_value(prod, k, POW)
-                    checks += 1
-                    if lhs < rhs:
-                        fails.append(
-                            _failure(verdict, g1, g2, {}, {}, {"k1": k1, "k2": k2, "k": k},
-                                     "box-plus-diagonal bound for phi_pow on the product")
-                        )
-        tally.add(checks, fails)
+        cases = [({"k": k}, partial(verdict, k=k)) for k in POW.canonical_k_range(g)]
+        _check(tally, g, None, {}, {}, cases, "phi_pow dominates phi_def and shifted phi_off")
 
 
 def _audit_vizing_alpha(config, rng, tally):
     """alpha(product) >= alpha1*alpha2 + min(n1-alpha1, n2-alpha2)."""
+
+    def verdict(a, b, sets):
+        bound = vizing_alpha_bound(independence_number(a), independence_number(b))
+        val = independence_number(_product(a, b)).independence
+        return val >= bound, val, bound
+
     cap = min(20, config.max_product_order)
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config)
         while g1.n * g2.n > cap:
             g1, g2 = _draw_pair(rng, config)
-
-        def verdict(a, b, sets):
-            bound = vizing_alpha_bound(independence_number(a), independence_number(b))
-            val = independence_number(_product(a, b)).independence
-            return val >= bound, val, bound
-
-        ok, val, bound = verdict(g1, g2, {})
-        fails = []
-        if not ok:
-            fails.append(
-                _failure(verdict, g1, g2, {}, {}, {}, "independence bound on the product")
-            )
-        tally.add(1, fails)
+        _check(tally, g1, g2, {}, {}, [({}, verdict)], "independence bound on the product")
 
 
-_AUDITS: dict[str, Callable[[AuditConfig, random.Random, _Tally], None]] = {
+_AUDITS: dict[str, Callable[[AuditConfig, random.Random, AuditReport], None]] = {
     "remark1": _audit_remark1,
     "th1_i": _audit_th1_i,
     "th1_ii": _audit_th1_ii,
@@ -1105,7 +877,7 @@ _AUDITS: dict[str, Callable[[AuditConfig, random.Random, _Tally], None]] = {
     "vizing_alpha": _audit_vizing_alpha,
 }
 
-assert set(_AUDITS) == set(THEOREM_IDS)
+THEOREM_IDS = tuple(_AUDITS)
 
 
 def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
@@ -1113,19 +885,10 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
     config = config or AuditConfig()
-    rng = random.Random(f"{config.seed}/{theorem_id}")
-    tally = _Tally()
-    if config.trials_per_theorem > 0:
-        _AUDITS[theorem_id](config, rng, tally)
-    return AuditReport(
-        theorem_id=theorem_id,
-        trials=tally.trials,
-        passes=tally.passes,
-        failures=tally.failures,
-        skipped=tally.skipped,
-        checks=tally.checks,
-        config=config,
-    )
+    report = AuditReport(theorem_id=theorem_id, trials=0, passes=0, failures=[], skipped=0,
+                         checks=0, config=config)
+    _AUDITS[theorem_id](config, random.Random(f"{config.seed}/{theorem_id}"), report)
+    return report
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:
@@ -1164,7 +927,7 @@ def find_strict_gap_instance(
     rng = random.Random(f"{seed}/strict-gap/{k}")
     for _ in range(attempts):
         n = rng.randint(6, max_order)
-        g = _er(rng, n, rng.choice((0.4, 0.5, 0.6, 0.7)))
+        g = _gnp(rng, n, rng.choice((0.4, 0.5, 0.6, 0.7)))
         if g.delta_max < k:
             continue
         pp = phi_value(g, k, POW)

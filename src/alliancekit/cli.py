@@ -21,6 +21,8 @@ from .alliances import AllianceKind, canonical_k_range, is_alliance
 from .audit import THEOREM_IDS, AuditConfig, audit, audit_all
 from .freesets import enumerate_minimal_alliances
 from .graph import (
+    _FAMILY_ARITY,
+    DEFAULT_EXACT_LIMIT,
     CapacityError,
     EdgeListParseError,
     Graph,
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
         if kinds:
             p.add_argument("--kind", choices=_KINDS, required=True)
         if limit:
-            p.add_argument("--limit", type=int, default=24,
-                           help="exact-enumeration order cap (default 24)")
+            p.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
+                           help=f"exact-enumeration order cap (default {DEFAULT_EXACT_LIMIT})")
 
     p = sub.add_parser("check", help="alliance predicate on a vertex set")
     p.add_argument("-g", "--graph", required=True)
@@ -246,17 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, limit=False)
     p.set_defaults(fn=_cmd_witness)
 
+    defaults = AuditConfig()
     p = sub.add_parser("audit", help="verify the product/factor claims")
     p.add_argument("--theorem", default="all", choices=("all",) + THEOREM_IDS)
-    p.add_argument("--seed", type=int, default=987620)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--factors", type=int, default=4, help="max factor order")
-    p.add_argument("--product", type=int, default=16, help="max product order")
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--trials", type=int, default=defaults.trials_per_theorem)
+    p.add_argument("--factors", type=int, default=defaults.max_factor_order,
+                   help="max factor order")
+    p.add_argument("--product", type=int, default=defaults.max_product_order,
+                   help="max product order")
     add_common(p, kinds=False, limit=False)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("family", help="write a generated family graph")
-    p.add_argument("kind", choices=("path", "cycle", "star", "complete", "wheel", "grid", "random_tree"))
+    p.add_argument("kind", choices=tuple(_FAMILY_ARITY))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=None, help="seed for random_tree")

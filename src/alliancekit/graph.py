@@ -428,7 +428,12 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("graph needs at least 1 vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
-    rng = random.Random(seed)
+    return _gnp(random.Random(seed), n, p)
+
+
+def _gnp(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p) drawn from ``rng``: one ``rng.random()`` per vertex pair, in
+    lexicographic pair order."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
 

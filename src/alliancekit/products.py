@@ -49,6 +49,26 @@ class ProductWitness:
         }
 
 
+def column_k(k: int, other: Graph, kind: AllianceKind) -> int:
+    """k claimed for the column over a k-free set of one factor; ``other``
+    is the factor the column spans."""
+    if kind is AllianceKind.OFFENSIVE:
+        return k - other.delta_min
+    return k + other.delta_max
+
+
+def box_k(k1: int, k2: int, g1: Graph, g2: Graph, kind: AllianceKind) -> int:
+    """k claimed for S1 x S2 (defensive or powerful kind)."""
+    if kind is AllianceKind.DEFENSIVE:
+        return k1 + k2 - 1
+    return max(k1 + k2 - 1, min(k2 - g1.delta_min, k1 - g2.delta_min))
+
+
+def union_k(k1: int, k2: int, g1: Graph, g2: Graph) -> int:
+    """k claimed for (S1 x V2) u (V1 x S2) (offensive kind)."""
+    return max(k1 - g2.delta_min, k2 - g1.delta_min, min(k2 + g1.delta_max, k1 + g2.delta_max))
+
+
 def _require_free(g: Graph, s: VertexSet, k: int, kind: AllianceKind, label: str) -> None:
     if not is_free_set(g, s, k, kind):
         raise ValueError(f"{label} is not {kind.value} {k}-alliance free")
@@ -91,10 +111,7 @@ def column_witness(
     own, other = (g1, g2) if axis == 1 else (g2, g1)
     _check_universe(own, s)
     _require_free(own, s, k_factor, kind, "s")
-    if kind is AllianceKind.OFFENSIVE:
-        k_claim = k_factor - other.delta_min
-    else:
-        k_claim = k_factor + other.delta_max
+    k_claim = column_k(k_factor, other, kind)
     if axis == 1:
         result = factor_box(s, g2.vertices)
     else:
@@ -122,10 +139,7 @@ def box_witness(
     _check_universe(g2, s2)
     _require_free(g1, s1, k1, kind, "s1")
     _require_free(g2, s2, k2, kind, "s2")
-    if kind is AllianceKind.DEFENSIVE:
-        k_claim = k1 + k2 - 1
-    else:
-        k_claim = max(k1 + k2 - 1, min(k2 - g1.delta_min, k1 - g2.delta_min))
+    k_claim = box_k(k1, k2, g1, g2, kind)
     result = factor_box(s1, s2)
     product = cartesian_product(g1, g2)
     return _finish("box", (s1, s2), k_claim, kind, product, result, verify)
@@ -187,11 +201,7 @@ def union_witness(
     _require_free(g2, s2, k2, kind, "s2")
     mask = factor_box(s1, g2.vertices).mask | factor_box(g1.vertices, s2).mask
     result = VertexSet(mask, g1.n * g2.n)
-    k_claim = max(
-        k1 - g2.delta_min,
-        k2 - g1.delta_min,
-        min(k2 + g1.delta_max, k1 + g2.delta_max),
-    )
+    k_claim = union_k(k1, k2, g1, g2)
     product = cartesian_product(g1, g2)
     return _finish("union", (s1, s2), k_claim, kind, product, result, verify)
 
