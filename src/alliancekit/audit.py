@@ -765,7 +765,9 @@ def _audit_cor_otrocoro(config, rng, tally):
         _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases, "column recovery of a def-free set")
 
 
-_REGULAR_POOL = ("complete:2", "cycle:3", "complete:3", "cycle:4", "complete:4")
+_REGULAR_POOL = (
+    complete_graph(2), cycle_graph(3), complete_graph(3), cycle_graph(4), complete_graph(4)
+)
 
 
 def _audit_prop_iff_regular(config, rng, tally):
@@ -783,11 +785,9 @@ def _audit_prop_iff_regular(config, rng, tally):
         return left == right, [left, right], "equal"
 
     for _ in range(config.trials_per_theorem):
-        spec = rng.choice(_REGULAR_POOL)
-        kind_name, order = spec.split(":")
-        g2 = complete_graph(int(order)) if kind_name == "complete" else cycle_graph(int(order))
-        cap = max(2, config.max_product_order // g2.n)
-        g1 = _draw_graph(rng, min(config.max_factor_order, cap))
+        # G2 leaves room for a factor of order >= 2 under the product cap
+        g2 = rng.choice([g for g in _REGULAR_POOL if 2 * g.n <= config.max_product_order])
+        g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
         cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
         _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases,

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from alliancekit.audit import _failure, _shrink
 from alliancekit.phi import phi_value
 
 FAST = AuditConfig(trials_per_theorem=4)
+audit_mod = importlib.import_module("alliancekit.audit")
 
 
 def test_theorem_id_list():
@@ -76,6 +78,21 @@ def test_report_serialization():
     assert lines[0].startswith("theorem=remark1 ")
     assert f"seed={FAST.seed}" in lines[0]
     json.dumps(record)  # json-able
+
+
+@pytest.mark.parametrize("cap", [4, 5, 6, 7])
+def test_prop_iff_regular_respects_the_product_cap(monkeypatch, cap):
+    orders = []
+    product = audit_mod._product
+
+    def spy(g1, g2):
+        orders.append(g1.n * g2.n)
+        return product(g1, g2)
+
+    monkeypatch.setattr(audit_mod, "_product", spy)
+    report = audit("prop_iff_regular", AuditConfig(max_product_order=cap))
+    assert report.ok
+    assert orders and max(orders) <= cap
 
 
 def test_shrinker_minimizes_a_false_claim():
