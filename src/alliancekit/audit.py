@@ -240,6 +240,7 @@ def _product(g1: Graph, g2: Graph) -> Graph:
 
 @lru_cache(maxsize=2048)
 def _free(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> bool:
+    # verdicts re-test their hypotheses per case; the memo keeps that cheap
     return is_free_set(g, s, k, kind)
 
 
