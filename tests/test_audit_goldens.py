@@ -89,13 +89,22 @@ def perturbed_records(trials: int) -> list[dict]:
         return records(AuditConfig(seed=PERTURBED_SEED, trials_per_theorem=trials))
 
 
+def dump(corpus: dict[str, list[dict]]) -> str:
+    """One report record per line."""
+    blocks = [
+        json.dumps(name) + ": [\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in recs) + "\n]"
+        for name, recs in sorted(corpus.items())
+    ]
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
 def write_goldens() -> None:
     corpus = {
         "default": records(),
         "trials10_seed1": records(AuditConfig(trials_per_theorem=10, seed=1)),
         **{f"perturbed_trials{t}": perturbed_records(t) for t in PERTURBED_TRIALS},
     }
-    GOLDENS.write_text(json.dumps(corpus, sort_keys=True, indent=1) + "\n")
+    GOLDENS.write_text(dump(corpus))
 
 
 @pytest.fixture(scope="module")
