@@ -9,12 +9,12 @@ tables next to the factor-derived lower bounds.
 """
 
 from alliancekit import (
-    canonical_k_range,
     cartesian_product,
     cycle_graph,
     independence_number,
     path_graph,
     phi,
+    phi_table,
     star_graph,
     vizing_alpha_bound,
 )
@@ -36,12 +36,13 @@ for k in range(-2, 6):
     marker = " >= bound" if k >= bound_low else ""
     print(f"  k={k:+d}  phi={value:2d}{marker}")
 
-# Offensive tables for two products with known exact values.
+# Offensive tables for two products with known exact values; phi_table
+# answers every canonical k from one 2^n sweep.
 for g1, g2, label in (
     (cycle_graph(4), path_graph(3), "cycle(4) x path(3)"),
     (cycle_graph(3), path_graph(3), "cycle(3) x path(3)"),
 ):
     prod = cartesian_product(g1, g2)
     print(f"\noffensive table for {label}:")
-    for k in canonical_k_range(prod, "offensive"):
-        print(f"  k={k:+d}  phi={phi(prod, k, 'offensive').value:2d}")
+    for k, value, _ in phi_table(prod, "offensive"):
+        print(f"  k={k:+d}  phi={value:2d}")

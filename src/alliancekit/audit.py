@@ -880,12 +880,27 @@ _AUDITS: dict[str, Callable[[AuditConfig, random.Random, AuditReport], None]] = 
 
 THEOREM_IDS = tuple(_AUDITS)
 
+#: Auditors whose factors need order >= 3 (max degree >= 2, or degree sum
+#: >= 3), so their products need order >= 9.
+_ORDER_3_FACTORS = ("th1_i", "th1_ii", "th1of", "th_union", "th1p_i", "th1p_ii",
+                    "cor_coroproductpowerful_i", "cor_coroproductpowerful_ii")
+
 
 def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
-    """Run one auditor; deterministic for a fixed configuration."""
+    """Run one auditor; deterministic for a fixed configuration.  Raises
+    ValueError for an unknown id or a config whose caps admit none of the
+    auditor's factor pairs."""
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
     config = config or AuditConfig()
+    if theorem_id in _ORDER_3_FACTORS and (
+        config.max_factor_order < 3 or config.max_product_order < 9
+    ):
+        raise ValueError(
+            f"{theorem_id} draws factors of order >= 3: it needs max factor order >= 3"
+            f" and max product order >= 9, got {config.max_factor_order}"
+            f" and {config.max_product_order}"
+        )
     report = AuditReport(theorem_id=theorem_id, trials=0, passes=0, failures=[], skipped=0,
                          checks=0, config=config)
     _AUDITS[theorem_id](config, random.Random(f"{config.seed}/{theorem_id}"), report)

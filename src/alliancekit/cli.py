@@ -32,7 +32,7 @@ from .graph import (
     read_edge_list,
     write_edge_list,
 )
-from .phi import phi
+from .phi import phi, phi_table
 from .products import CONSTRUCTIONS, build_witness
 
 _KINDS = tuple(k.value for k in AllianceKind)
@@ -110,10 +110,8 @@ def _cmd_phi(args) -> int:
 
 def _cmd_table(args) -> int:
     g = read_edge_list(args.graph)
-    rows = []
-    for k in canonical_k_range(g, args.kind):
-        result = phi(g, k, args.kind, limit=args.limit)
-        rows.append({"k": k, "value": result.value, "witness": result.witness.to_sorted_list()})
+    rows = [{"k": k, "value": value, "witness": witness.to_sorted_list()}
+            for k, value, witness in phi_table(g, args.kind, limit=args.limit)]
     record = {"command": "table", "kind": args.kind, "rows": rows}
     lines = [f"k\tphi_{args.kind}"]
     lines += [f"{row['k']}\t{row['value']}" for row in rows]

@@ -1,11 +1,15 @@
 """Exact maximum alliance-free set sizes with witnesses and certificates.
 
-Free sets are closed under taking subsets, so once the 2^n alliance table
-is closed upward (True where a mask contains an alliance), phi is the
-largest popcount among the uncovered masks, and the witness is the
-lexicographically smallest uncovered mask of that size.  The certificate
-is the inclusion-minimal alliance family: X is free iff its complement
-meets every member, so
+Everything here reads one k-independent table per (graph, kind): the
+max-closure of the slack table (see ``freesets``), whose entry for a mask
+is the largest k at which the mask contains a kind/k alliance.  Free sets
+are closed under taking subsets, so for a given k the masks whose entry
+is below that k are exactly the free ones; phi is the largest popcount
+among them, and the witness is the lexicographically smallest free mask
+of that size.  ``phi_value`` keeps only the smallest entry of each
+popcount level, which answers every k.  The certificate is the
+inclusion-minimal alliance family: X is free iff its complement meets
+every member, so
 
     phi = n - (minimum transversal of the minimal-alliance family).
 
@@ -16,6 +20,7 @@ the first free one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -23,7 +28,13 @@ from itertools import combinations
 import numpy as np
 
 from .alliances import AllianceKind
-from .freesets import MinimalAllianceFamily, _closed_alliance_table, _free_mask, _minimal_family
+from .freesets import (
+    MinimalAllianceFamily,
+    _closed_slack_table,
+    _free_mask,
+    _minimal_family,
+    _threshold,
+)
 from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet
 
 #: phi_bruteforce walks up to 3^n subset pairs; keep it on small graphs.
@@ -58,30 +69,56 @@ def phi(g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXAC
     smallest sorted vertex list.
     """
     kind = AllianceKind(kind)
-    table, covered = _closed_alliance_table(g, k, kind, limit)
-    family = _minimal_family(table, covered, g.n, k, kind)
-    sizes = _free_sizes(covered, g.n)
-    value = int(sizes.max())
-    witness = _lex_smallest(np.flatnonzero(sizes == value), g.n) if value else 0
+    covered = _closed_slack_table(g, kind, limit) >= _threshold(k)
+    family = _minimal_family(covered, g.n, k, kind)
+    sizes = _popcounts(g.n)
+    sizes[covered] = 0
+    value, witness = _select(sizes, g.n)
     return PhiResult(kind, k, value, VertexSet(witness, g.n), family)
 
 
+def phi_table(
+    g: Graph, kind: AllianceKind | str, *, limit: int = DEFAULT_EXACT_LIMIT
+) -> list[tuple[int, int, VertexSet]]:
+    """(k, phi value, witness) for every canonical k, from one closed table;
+    each row equals the value and witness of ``phi(g, k, kind)``."""
+    kind = AllianceKind(kind)
+    closed = _closed_slack_table(g, kind, limit)
+    sizes = _popcounts(g.n)
+    rows = []
+    for k in kind.canonical_k_range(g):
+        value, witness = _select(np.where(closed >= _threshold(k), np.uint8(0), sizes), g.n)
+        rows.append((k, value, VertexSet(witness, g.n)))
+    return rows
+
+
 @lru_cache(maxsize=65536)
-def _phi_value_cached(g: Graph, k: int, kind: AllianceKind, limit: int) -> int:
-    _, covered = _closed_alliance_table(g, k, kind, limit)
-    return int(_free_sizes(covered, g.n).max())
+def _level_minima(g: Graph, kind: AllianceKind, limit: int) -> tuple[int, ...]:
+    """Smallest closure entry among the masks of each popcount 0..n.  The
+    closure grows along inclusion, so the tuple is non-decreasing."""
+    closed = _closed_slack_table(g, kind, limit)
+    minima = np.full(g.n + 1, 255, dtype=np.uint8)
+    np.minimum.at(minima, _popcounts(g.n), closed)
+    return tuple(minima.tolist())
+
+
+def _value(g: Graph, k: int, kind: AllianceKind, limit: int) -> int:
+    # the levels whose smallest entry is below the threshold are 0..phi:
+    # the minima are non-decreasing and level 0 (the empty mask) holds 0
+    return bisect_left(_level_minima(g, kind, limit), _threshold(k)) - 1
 
 
 def phi_value(g: Graph, k: int, kind: AllianceKind | str) -> int:
-    """phi without witness extraction; memoised, for audit sweeps."""
-    return _phi_value_cached(g, k, AllianceKind(kind), DEFAULT_EXACT_LIMIT)
+    """phi without witness extraction; memoised per (graph, kind), for audit
+    sweeps."""
+    return _value(g, k, AllianceKind(kind), DEFAULT_EXACT_LIMIT)
 
 
 def phi_powerful_lower(g: Graph, k: int, *, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     """max(phi_defensive(k), phi_offensive(k+2)): every defensive-k-free or
     offensive-(k+2)-free set is powerful-k free, so phi_powerful dominates."""
-    d = _phi_value_cached(g, k, AllianceKind.DEFENSIVE, limit)
-    o = _phi_value_cached(g, k + 2, AllianceKind.OFFENSIVE, limit)
+    d = _value(g, k, AllianceKind.DEFENSIVE, limit)
+    o = _value(g, k + 2, AllianceKind.OFFENSIVE, limit)
     return max(d, o)
 
 
@@ -107,17 +144,24 @@ def phi_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# Selection over the up-closed table
+# Selection over the closed table
 
 
-def _free_sizes(covered: np.ndarray, n: int) -> np.ndarray:
-    """Popcount of every mask, zeroed where the mask contains an alliance.
-    The empty mask is never covered, so the maximum is phi."""
-    sizes = np.zeros(covered.size, dtype=np.uint8)
+def _popcounts(n: int) -> np.ndarray:
+    """Popcount of every mask below 2^n, as uint8."""
+    sizes = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
-        sizes.reshape(-1, 2, 1 << b)[:, 1] += 1
-    sizes[covered] = 0
+        np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
     return sizes
+
+
+def _select(free_sizes: np.ndarray, n: int) -> tuple[int, int]:
+    """(phi, witness mask) from popcounts zeroed where the mask contains an
+    alliance; the empty mask never does, so the maximum is phi."""
+    value = int(free_sizes.max())
+    if not value:
+        return 0, 0
+    return value, _lex_smallest(np.flatnonzero(free_sizes == value), n)
 
 
 def _lex_smallest(masks: np.ndarray, n: int) -> int:

@@ -95,6 +95,32 @@ def test_prop_iff_regular_respects_the_product_cap(monkeypatch, cap):
     assert orders and max(orders) <= cap
 
 
+#: auditors whose factors need order >= 3 (max degree >= 2 or degree sum >= 3)
+ORDER_3_AUDITORS = ("th1_i", "th1_ii", "th1of", "th_union", "th1p_i", "th1p_ii",
+                    "cor_coroproductpowerful_i", "cor_coroproductpowerful_ii")
+
+
+@pytest.mark.parametrize("cap", [4, 6, 8])
+def test_product_caps_below_nine_are_rejected_or_run(cap):
+    """Below cap 9 the order-3 auditors refuse the config up front with a
+    ValueError naming their minimum; every other auditor runs."""
+    config = AuditConfig(max_product_order=cap, trials_per_theorem=3)
+    for tid in THEOREM_IDS:
+        if tid in ORDER_3_AUDITORS:
+            with pytest.raises(ValueError, match="max product order >= 9"):
+                audit(tid, config)
+        else:
+            assert audit(tid, config).trials <= 3
+
+
+def test_factor_cap_two_is_rejected_and_cap_nine_runs():
+    config = AuditConfig(max_factor_order=2, trials_per_theorem=3)
+    for tid in ORDER_3_AUDITORS:
+        with pytest.raises(ValueError, match="max factor order >= 3"):
+            audit(tid, config)
+    assert audit("th1_i", AuditConfig(max_product_order=9, trials_per_theorem=3)).trials == 3
+
+
 def test_shrinker_minimizes_a_false_claim():
     # deliberately false claim: phi_def(0) equals the order on every graph;
     # vertex deletion should shrink the counterexample all the way down

@@ -8,12 +8,14 @@ import contextlib
 import io
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from alliancekit import (
     AuditConfig,
+    Graph,
     cartesian_product,
     cycle_graph,
     format_edge_list,
@@ -207,6 +209,26 @@ def test_capacity_error_exit(tmp_path, capsys):
     big.write_text(format_edge_list(parse_edge_list("30\n0 1\n")))
     assert main(["phi", "-g", str(big), "-k", "0", "--kind", "defensive"]) == 2
     assert "capacity" in capsys.readouterr().err
+
+
+def test_table_capacity_error_before_any_allocation(tmp_path, capsys):
+    big = tmp_path / "g25.el"
+    write_edge_list(Graph(25), big)
+    tracemalloc.start()
+    try:
+        code = main(["table", "-g", str(big), "--kind", "defensive"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "capacity error" in capsys.readouterr().err
+    assert peak < 1 << 20  # a 2^25 table would take 32 MiB
+
+
+def test_audit_below_an_auditors_minimum_product_is_a_usage_error(capsys):
+    assert main(["audit", "--theorem", "th1_i", "--product", "8"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "max product order >= 9" in err
 
 
 def test_usage_error_exit_code(capsys):

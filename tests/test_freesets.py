@@ -19,7 +19,10 @@ from alliancekit import (
     is_cover_set,
     is_free_set,
     path_graph,
+    random_graph,
 )
+from alliancekit.alliances import _alliance_ok
+from alliancekit.freesets import _BIAS, _slack_table
 
 from conftest import graph_and_set, kinds, seeded_graph, seeded_subset
 
@@ -165,3 +168,22 @@ def test_capacity_errors():
         enumerate_minimal_alliances(big, 0, "defensive")
     with pytest.raises(CapacityError):
         is_free_set(big, big.vertices, 0, "defensive")
+
+
+@pytest.mark.parametrize("n", range(15, 25))
+def test_slack_table_matches_the_scalar_predicate(n):
+    """Orders the oracle cannot reach: on sampled masks of every size, for
+    every canonical k, the raw slack entry passes k + bias exactly when
+    the scalar predicate holds.  Orders above 16 span several blocks of
+    the table."""
+    rng = random.Random(70 + n)
+    g = random_graph(n, rng.choice((0.15, 0.25, 0.35)), seed=n)
+    masks = [g.full_mask, 1 << (n - 1)]
+    for _ in range(120):
+        masks.append(VertexSet.of(rng.sample(range(n), rng.randint(1, n)), n).mask)
+    for kind in AllianceKind:
+        slack = _slack_table(g, kind)
+        assert slack[0] == 0
+        for m in masks:
+            for k in canonical_k_range(g, kind):
+                assert (slack[m] >= k + _BIAS) == _alliance_ok(g, m, k, kind), (kind, m, k)

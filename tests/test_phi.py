@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import warnings
@@ -23,6 +24,7 @@ from alliancekit import (
     phi,
     phi_bruteforce,
     phi_powerful_lower,
+    phi_table,
     phi_value,
     random_graph,
     random_tree,
@@ -33,6 +35,8 @@ from alliancekit import (
 from alliancekit.freesets import _free_mask
 
 from conftest import seeded_graph
+
+phi_mod = importlib.import_module("alliancekit.phi")
 
 
 def test_phi_p3_offensive():
@@ -161,6 +165,36 @@ def test_phi_value_matches_phi():
             assert phi_value(g, k, kind) == phi(g, k, kind).value
 
 
+def test_extreme_k_matches_the_oracle():
+    """phi takes any int k.  Far below the canonical range every non-empty
+    set is an alliance; above it only the vacuous offensive sets (unions of
+    whole components, empty boundary) are, at every k however large."""
+    p3_k2 = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    graphs = [p3_k2, Graph(3), path_graph(4), star_graph(3), cycle_graph(5),
+              complete_graph(4), wheel_graph(5), Graph(6, [(0, 1), (2, 3), (3, 4)])]
+    for g in graphs:
+        d = g.delta_max
+        for kind in AllianceKind:
+            for k in (-1000, -d - 3, d + 1, d + 2, 150, 1000):
+                expected = phi_bruteforce(g, k, kind)
+                assert phi(g, k, kind).value == expected, (g.n, kind, k)
+                assert phi_value(g, k, kind) == expected, (g.n, kind, k)
+            for k, value, witness in phi_table(g, kind):
+                assert value == len(witness) == phi_bruteforce(g, k, kind), (g.n, kind, k)
+    assert phi(p3_k2, 150, "offensive").value == 3
+    assert phi_value(p3_k2, 150, "offensive") == 3
+
+
+def test_phi_value_builds_one_table_per_graph_and_kind():
+    phi_mod._level_minima.cache_clear()
+    g = random_graph(9, 0.4, 3)
+    for kind in AllianceKind:
+        for k in range(-12, 13):
+            phi_value(g, k, kind)
+    phi_powerful_lower(g, 0)
+    assert phi_mod._level_minima.cache_info().misses == 3
+
+
 def test_phi_deterministic():
     g = seeded_graph(random.Random(37), 7)
     a = phi(g, 0, "defensive")
@@ -190,6 +224,8 @@ def test_capacity_errors():
         phi_value(Graph(25), 0, "defensive")
     with pytest.raises(CapacityError):
         phi_powerful_lower(Graph(25), 0)
+    with pytest.raises(CapacityError):
+        phi_table(Graph(25), "defensive")
 
 
 def _min_transversal(family, n: int) -> int:

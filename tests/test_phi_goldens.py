@@ -24,6 +24,7 @@ from alliancekit import (
     is_free_set,
     path_graph,
     phi,
+    phi_table,
     random_graph,
     star_graph,
 )
@@ -70,6 +71,16 @@ def test_phi_matches_goldens(goldens, name, g):
     assert g == Graph(case["n"], [tuple(e) for e in case["edges"]])
     for rec in case["records"]:
         assert phi_record(g, rec["k"], AllianceKind(rec["kind"])) == rec
+
+
+@pytest.mark.parametrize("name,g", corpus_graphs(), ids=[name for name, _ in corpus_graphs()])
+def test_phi_table_matches_goldens(goldens, name, g):
+    """One closure per kind gives every canonical k's per-k phi row."""
+    records = goldens[name]["records"]
+    for kind in AllianceKind:
+        expected = [(r["k"], r["value"], r["witness"]) for r in records if r["kind"] == kind.value]
+        got = [(k, value, witness.to_sorted_list()) for k, value, witness in phi_table(g, kind)]
+        assert got == expected
 
 
 def test_witness_is_lex_smallest_maximum_free_set():
