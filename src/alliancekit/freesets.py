@@ -225,8 +225,13 @@ def _low_tables(g: Graph, low_bits: int) -> tuple[np.ndarray, np.ndarray, np.nda
     present = np.zeros((g.n, 1 << low_bits), dtype=np.uint8)
     for j in range(low_bits):
         np.add(present[:, : 1 << j], step[:, j : j + 1], out=present[:, 1 << j : 2 << j])
-    unreached = ((present & ~np.uint8(_VACUOUS)) == 0).view(np.uint8) << 7
-    return present ^ np.uint8(_VACUOUS), present, present | unreached
+    # no neighbour of v in l: the count is 0, and (count - 1) wraps to 255,
+    # whose high bit is the flag; counts 2..32 leave it clear
+    present_or_unreached = present & ~np.uint8(_VACUOUS)
+    present_or_unreached -= 1
+    present_or_unreached &= _VACUOUS
+    present_or_unreached |= present
+    return present ^ np.uint8(_VACUOUS), present, present_or_unreached
 
 
 def _block_minimum(g: Graph, h: int, tables, boundary: bool, out: np.ndarray) -> np.ndarray:
