@@ -12,21 +12,27 @@ its slack is at least k.  A max subset-sum (zeta) transform then closes
 the table upward: each mask holds the largest k at which it contains a
 k-alliance, and thresholding at k marks the masks that contain one.  A
 mask is a minimal alliance when it is marked and no mask one bit smaller
-is.  Single-set queries use direct subset enumeration instead, which is
-cheaper when |X| is well below n.
+is.  A single set X needs no 2^n table: the same kernel, run over the
+listed members of X, gives the slack of its 2^|X| subsets, and X is free
+at k exactly when the largest slack among its non-empty subsets is below
+k.  That largest slack does not depend on k, so it is kept per (graph, X,
+kind).  ``_free_mask`` is the scalar twin, which enumerates the subsets
+of X one by one; the ``phi_bruteforce`` oracle and the tests use it, and
+so does ``is_free_set`` on graphs too large for the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .alliances import AllianceKind, _alliance_ok
-from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet, _check_universe
+from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet, _bits, _check_universe
 
-#: Largest |X| accepted by the direct 2^|X| free-set check.
+#: Largest |X| accepted by the 2^|X| free-set check.
 DEFAULT_FREE_SET_BITS = 20
 
 
@@ -40,17 +46,24 @@ def is_free_set(
 ) -> bool:
     """True iff no non-empty subset of x is a kind/k alliance.
 
-    Enumerates the 2^|x| subsets of x directly (ascending mask order,
-    stopping at the first alliance found).
+    Builds the slack of the 2^|x| subsets of x with the kernel behind the
+    full table and compares their largest value with k; that largest value
+    does not depend on k and is memoised per (graph, x, kind).  Graphs of
+    order above 63, beyond the kernel's range, go through the scalar
+    subset enumeration instead.
     """
     kind = AllianceKind(kind)
     _check_universe(g, x)
     if len(x) > max_bits:
         raise CapacityError(f"free-set check on {len(x)} vertices exceeds budget {max_bits}")
-    return _free_mask(g, x.mask, k, kind)
+    if g.n > _MAX_KERNEL_ORDER:
+        return _free_mask(g, x.mask, k, kind)
+    return _max_slack(g, x.mask, kind) < _threshold(k)
 
 
 def _free_mask(g: Graph, xmask: int, k: int, kind: AllianceKind) -> bool:
+    """Scalar twin of ``is_free_set``: tests each non-empty subset of xmask
+    with the predicate, stopping at the first alliance."""
     sub = (0 - xmask) & xmask
     while sub:
         if _alliance_ok(g, sub, k, kind):
@@ -128,7 +141,9 @@ def enumerate_minimal_alliances(
 # slack of S is the minimum of that left side over the scope (S for the
 # defensive kind, the boundary of S for the offensive kind, and
 # min(defensive, offensive - 2) for the powerful kind), so S is a kind/k
-# alliance exactly when slack(S) >= k, for every k at once.
+# alliance exactly when slack(S) >= k, for every k at once.  One kernel,
+# ``_subset_slack``, computes it for the subsets of a vertex list: all of V
+# for the table, the members of X for a single-set check.
 
 #: A block of the slack table spans 2^_LOW_BITS masks; of 2^12..2^18,
 #: 2^16 built an order-24 table fastest.
@@ -140,6 +155,10 @@ _BIAS = 64
 #: this bit set, so it never wins the minimum; a set with an empty scope
 #: (a vacuous offensive alliance) keeps a value at or above it.
 _VACUOUS = 128
+#: Largest order the kernel takes: it reads adjacency masks as int64, and
+#: degrees up to 63 keep every biased slack (2*d - deg + _BIAS, or the
+#: powerful kind's offensive part less 2, where d >= 1) in [1, _VACUOUS).
+_MAX_KERNEL_ORDER = 63
 
 
 def _threshold(k: int) -> int:
@@ -191,64 +210,103 @@ def _minimal_family(
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0.
-
-    Each mask splits into a high part h, fixed within a block of
-    2^_LOW_BITS consecutive masks, and a low part l.  Everything a vertex
-    contributes that depends on l is tabulated once (``_low_tables``), so a
-    block costs one add and one minimum per vertex."""
-    low_bits = min(g.n, _LOW_BITS)
-    tables = _low_tables(g, low_bits)
-    out = np.empty(1 << g.n, dtype=np.uint8)
-    width = 1 << low_bits
-    for h in range(0, out.size, width):
-        block = out[h : h + width]
-        if kind is AllianceKind.POWERFUL:
-            off = _block_minimum(g, h, tables, True, np.empty_like(block))
-            off -= 2
-            np.minimum(_block_minimum(g, h, tables, False, block), off, out=block)
-        else:
-            _block_minimum(g, h, tables, kind is AllianceKind.OFFENSIVE, block)
+    never an alliance) is 0."""
+    out = _subset_slack(g, range(g.n), kind)
     out[0] = 0
     return out
 
 
-def _low_tables(g: Graph, low_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex tables over the low parts l < 2^low_bits: row v holds
-    2*|N(v) & l|, with _VACUOUS set where v is outside the scope.  Returns
-    (absent, present, present_or_unreached), named for where the flag is
-    set: v not in l (defensive), v in l (offensive, when the high part
-    already has a neighbour of v), and v in l or no neighbour of v in l
-    (offensive otherwise)."""
-    # adding bit j to l adds 2 to row v when j is a neighbour of v, and
-    # toggles the high bit (adds 128 mod 256) when j is v
-    step = ((np.array(g.adj_bits)[:, None] >> np.arange(low_bits)) & 1).astype(np.uint8) << 1
-    np.fill_diagonal(step, _VACUOUS)
-    present = np.zeros((g.n, 1 << low_bits), dtype=np.uint8)
-    for j in range(low_bits):
-        np.add(present[:, : 1 << j], step[:, j : j + 1], out=present[:, 1 << j : 2 << j])
+@lru_cache(maxsize=65536)
+def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> int:
+    """Largest biased slack over the non-empty subsets of xmask (0 when
+    xmask is empty).  The subsets hold a kind/k alliance iff their slack
+    reaches _threshold(k), so xmask is kind/k free iff this is below it,
+    for every k at once."""
+    return int(_subset_slack(g, list(_bits(xmask)), kind)[1:].max(initial=0))
+
+
+def _subset_slack(g: Graph, verts: Sequence[int], kind: AllianceKind) -> np.ndarray:
+    """Biased kind slack of each subset of the listed vertices as uint8;
+    bit j of an index stands for verts[j].  Index 0, the empty subset, has
+    an empty scope, so it holds a value at or above _VACUOUS.
+
+    Each index splits into a high part h, fixed within a block of
+    2^_LOW_BITS consecutive indices, and a low part l.  Everything a vertex
+    contributes that depends on l is tabulated once (``_low_tables``), so a
+    block costs one add and one minimum per scope row."""
+    low, high = verts[:_LOW_BITS], verts[_LOW_BITS:]
+    xmask = sum(1 << v for v in verts)
+    highmask = sum(1 << v for v in high)
+    if kind is not AllianceKind.OFFENSIVE:
+        # only members of X can be in a defensive scope
+        defensive = _low_tables(g, list(_bits(xmask)), low, False)
+    if kind is not AllianceKind.DEFENSIVE:
+        # only N[X] can meet the boundary of a subset of X
+        closed = xmask
+        for v in verts:
+            closed |= g.adj_bits[v]
+        offensive = _low_tables(g, list(_bits(closed)), low, True)
+    out = np.empty(1 << len(verts), dtype=np.uint8)
+    width = 1 << len(low)
+    for b in range(1 << len(high)):
+        hmask = sum(1 << v for j, v in enumerate(high) if b >> j & 1)
+        block = out[b * width : (b + 1) * width]
+        # a high member is in every set of the block or in none: off the
+        # boundary when present, out of a defensive scope when absent
+        if kind is AllianceKind.DEFENSIVE:
+            _block_minimum(g, hmask, highmask & ~hmask, defensive, block)
+            continue
+        _block_minimum(g, hmask, hmask, offensive, block)
+        if kind is AllianceKind.POWERFUL:
+            block -= 2
+            defn = _block_minimum(g, hmask, highmask & ~hmask, defensive, np.empty_like(block))
+            np.minimum(block, defn, out=block)
+    return out
+
+
+def _low_tables(g: Graph, rows: list[int], low: Sequence[int], boundary: bool):
+    """Scope rows with their tables over the low parts l < 2^len(low): the
+    table of row v holds 2*|N(v) & l|, with _VACUOUS set where v is outside
+    the scope.  Returns (rows, reached, unreached): the tables for blocks
+    whose high part has a neighbour of v and for those whose high part has
+    none.  Defensive: one table for both, flagged where v is a low vertex
+    absent from l.  Offensive: flagged where v is in l (reached), and where
+    v is in l or has no neighbour in l (unreached)."""
+    # adding low[j] to l adds 2 to row v when low[j] is a neighbour of v,
+    # and toggles the high bit (adds 128 mod 256) when low[j] is v
+    cols = np.array(low, dtype=np.int64)
+    adj = np.array([g.adj_bits[v] for v in rows], dtype=np.int64)
+    step = ((adj[:, None] >> cols) & 1).astype(np.uint8) << 1
+    is_v = np.array(rows, dtype=np.int64)[:, None] == cols
+    step[is_v] = _VACUOUS
+    table = np.empty((len(rows), 1 << len(low)), dtype=np.uint8)
+    # a defensive low row starts flagged (v is absent from l = 0), so its
+    # toggle clears the flag where v joins l
+    table[:, 0] = 0 if boundary else is_v.any(axis=1) * np.uint8(_VACUOUS)
+    for j in range(len(low)):
+        np.add(table[:, : 1 << j], step[:, j : j + 1], out=table[:, 1 << j : 2 << j])
+    if not boundary:
+        return rows, table, table
     # no neighbour of v in l: the count is 0, and (count - 1) wraps to 255,
     # whose high bit is the flag; counts 2..32 leave it clear
-    present_or_unreached = present & ~np.uint8(_VACUOUS)
-    present_or_unreached -= 1
-    present_or_unreached &= _VACUOUS
-    present_or_unreached |= present
-    return present ^ np.uint8(_VACUOUS), present, present_or_unreached
+    unreached = table & ~np.uint8(_VACUOUS)
+    unreached -= 1
+    unreached &= _VACUOUS
+    unreached |= table
+    return rows, table, unreached
 
 
-def _block_minimum(g: Graph, h: int, tables, boundary: bool, out: np.ndarray) -> np.ndarray:
-    """Biased min over the scope (the boundary if ``boundary``, else the
-    set) of 2*d_S(v) - deg(v) for the masks S = h | l; at least _VACUOUS
-    where the scope is empty."""
-    absent, present, present_or_unreached = tables
+def _block_minimum(g: Graph, hmask: int, skip: int, scope, out: np.ndarray) -> np.ndarray:
+    """Biased min over the scope of 2*d_S(v) - deg(v) for the sets S = h | l
+    of one block, whose high part has the vertex mask hmask; rows in skip
+    are out of the scope throughout the block.  At least _VACUOUS where the
+    scope is empty."""
+    rows, reached, unreached = scope
     out.fill(255)
-    for v, adj in enumerate(g.adj_bits):
-        if boundary:
-            if h >> v & 1:
-                continue  # v is in every set of the block
-            table = present[v] if h & adj else present_or_unreached[v]
-        else:
-            # for v in h, present carries no flags: v is in every set
-            table = present[v] if h >> v & 1 else absent[v]
-        np.minimum(out, table + np.uint8(2 * (h & adj).bit_count() + _BIAS - g.degrees[v]), out=out)
+    for i, v in enumerate(rows):
+        if skip >> v & 1:
+            continue
+        adj = g.adj_bits[v]
+        table = reached[i] if hmask & adj else unreached[i]
+        np.minimum(out, table + np.uint8(2 * (hmask & adj).bit_count() + _BIAS - g.degrees[v]), out=out)
     return out

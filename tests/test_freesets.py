@@ -1,4 +1,6 @@
+import importlib
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -14,17 +16,22 @@ from alliancekit import (
     canonical_k_range,
     enumerate_minimal_alliances,
     free_set_monotone_witness,
+    grid_graph,
     independence_number,
     is_alliance,
     is_cover_set,
     is_free_set,
     path_graph,
+    phi_bruteforce,
     random_graph,
+    star_graph,
 )
 from alliancekit.alliances import _alliance_ok
-from alliancekit.freesets import _BIAS, _slack_table
+from alliancekit.freesets import _BIAS, _free_mask, _slack_table
 
 from conftest import graph_and_set, kinds, seeded_graph, seeded_subset
+
+freesets_mod = importlib.import_module("alliancekit.freesets")
 
 
 def test_free_set_examples():
@@ -187,3 +194,120 @@ def test_slack_table_matches_the_scalar_predicate(n):
         for m in masks:
             for k in canonical_k_range(g, kind):
                 assert (slack[m] >= k + _BIAS) == _alliance_ok(g, m, k, kind), (kind, m, k)
+
+
+def _free_at(g, x, kind, ks, check):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CanonicalRangeWarning)
+        return [check(g, x, k, kind) for k in ks]
+
+
+@pytest.mark.parametrize("n", range(15, 25))
+def test_free_set_kernel_beyond_the_oracle(n):
+    """Orders the oracle cannot reach, for every kind at every canonical k
+    and at extreme k.  From order 21 on, x has 17 to 20 members, so its
+    subsets span several blocks of the kernel.  An alliance at k is one at
+    every smaller k, so freeness only grows with k: once the kernel's
+    answers do too, the scalar twin need only confirm the last k at which
+    x is not free and the first at which it is."""
+    rng = random.Random(90 + n)
+    g = random_graph(n, 0.15, seed=n)  # sparse: the twin's 2^20 sweeps stay near 1 s
+    d = g.delta_max
+    for size in (rng.randint(1, 12), n - 4 if n > 20 else min(n, 16)):
+        x = VertexSet.of(rng.sample(range(n), size), n)
+        for kind in AllianceKind:
+            ks = sorted(set(canonical_k_range(g, kind)) | {-1000, -d - 3, d + 1, d + 2, 150, 1000})
+            got = _free_at(g, x, kind, ks, is_free_set)
+            assert got == sorted(got), (n, size, kind)
+            first_free = got.index(True) if True in got else len(ks)
+            if first_free:
+                assert not _free_mask(g, x.mask, ks[first_free - 1], kind), (n, size, kind)
+            if first_free < len(ks):
+                assert _free_mask(g, x.mask, ks[first_free], kind), (n, size, kind)
+
+
+def test_free_set_kernel_exhaustive_on_small_graphs():
+    """Every set of 40 random graphs of order <= 6, every kind, every k from
+    -n-3 to n+3; the graphs include isolated vertices and components."""
+    rng = random.Random(91)
+    for _ in range(40):
+        g = seeded_graph(rng, rng.randint(1, 6))
+        ks = range(-g.n - 3, g.n + 4)
+        for kind in AllianceKind:
+            for mask in range(1 << g.n):
+                x = VertexSet(mask, g.n)
+                expected = _free_at(g, x, kind, ks, lambda g, x, k, kind: _free_mask(g, x.mask, k, kind))
+                assert _free_at(g, x, kind, ks, is_free_set) == expected, (g, mask, kind)
+
+
+def test_free_set_at_the_edge_of_the_kernel_range():
+    """Order 63 with a degree-62 centre is the largest input the kernel
+    takes, and its biased slack stays in range; from order 64 on the scalar
+    enumeration answers."""
+    rng = random.Random(93)
+    for g in (star_graph(62), star_graph(63), grid_graph(8, 8)):
+        sets = [VertexSet.of(s, g.n) for s in ([0], [0, 1], [1, 2, 3], range(6), range(1, 9))]
+        sets += [VertexSet.of(rng.sample(range(g.n), 10), g.n) for _ in range(3)]
+        for x in sets:
+            for kind in AllianceKind:
+                for k in range(-g.n - 3, g.n + 4, 5):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", CanonicalRangeWarning)
+                        assert is_free_set(g, x, k, kind) == _free_mask(g, x.mask, k, kind), (
+                            g, x.to_sorted_list(), kind, k)
+
+
+def test_free_set_memo_is_k_independent():
+    freesets_mod._max_slack.cache_clear()
+    g = random_graph(10, 0.4, 4)
+    x = VertexSet.of([0, 2, 3, 7, 8], 10)
+    for kind in AllianceKind:
+        for k in range(-14, 15):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CanonicalRangeWarning)
+                is_free_set(g, x, k, kind)
+    assert freesets_mod._max_slack.cache_info().misses == 3
+
+
+def test_empty_set_is_free_at_every_k():
+    for g in (Graph(1), path_graph(3), Graph(4, [(0, 1), (2, 3)]), random_graph(12, 0.5, 1)):
+        for kind in AllianceKind:
+            for k in (-1000, -g.n - 3, -1, 0, 1, g.n + 3, 150, 1000):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CanonicalRangeWarning)
+                    assert is_free_set(g, VertexSet(0, g.n), k, kind), (g.n, kind, k)
+
+
+def test_free_set_refusals():
+    g = random_graph(24, 0.3, 2)
+    x = VertexSet.of(range(21), 24)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            is_free_set(g, x, 0, "offensive")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 2^21 subsets would take 2 MiB per table
+    with pytest.raises(CapacityError):
+        is_free_set(path_graph(6), VertexSet.of(range(6), 6), 0, "defensive", max_bits=5)
+    with pytest.raises(ValueError, match="universe"):
+        is_free_set(path_graph(3), VertexSet(1, 4), 0, "defensive")
+    with pytest.raises(ValueError, match="universe"):
+        is_free_set(path_graph(3), VertexSet(0, 2), 0, "defensive")
+
+
+def test_oracle_never_reaches_the_kernel(monkeypatch):
+    def kernel_spy(*args, **kwargs):
+        raise AssertionError("the oracle reached the slack kernel")
+
+    monkeypatch.setattr(freesets_mod, "_subset_slack", kernel_spy)
+    monkeypatch.setattr(freesets_mod, "_max_slack", kernel_spy)
+    assert phi_bruteforce(path_graph(4), 0, "defensive") == 2
+    rng = random.Random(92)
+    for _ in range(10):
+        g = seeded_graph(rng, rng.randint(1, 7))
+        for kind in AllianceKind:
+            phi_bruteforce(g, 0, kind)
+    with pytest.raises(AssertionError, match="slack kernel"):
+        is_free_set(path_graph(4), VertexSet(1, 4), 0, "defensive")

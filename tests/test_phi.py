@@ -195,6 +195,17 @@ def test_phi_value_builds_one_table_per_graph_and_kind():
     assert phi_mod._level_minima.cache_info().misses == 3
 
 
+def test_package_attributes_phi_and_audit_are_the_functions():
+    """``alliancekit.phi`` and ``alliancekit.audit`` name the functions, not
+    the modules; the modules are reached through importlib."""
+    import alliancekit
+
+    audit_mod = importlib.import_module("alliancekit.audit")
+    assert alliancekit.phi is phi_mod.phi is phi
+    assert alliancekit.audit is audit_mod.audit
+    assert phi_mod.__name__ == "alliancekit.phi" and audit_mod.__name__ == "alliancekit.audit"
+
+
 def test_phi_deterministic():
     g = seeded_graph(random.Random(37), 7)
     a = phi(g, 0, "defensive")
