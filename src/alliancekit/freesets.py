@@ -264,7 +264,9 @@ def _subset_slack(g: Graph, verts: Sequence[int], kind: AllianceKind) -> np.ndar
     return out
 
 
-def _low_tables(g: Graph, rows: list[int], low: Sequence[int], boundary: bool):
+def _low_tables(
+    g: Graph, rows: list[int], low: Sequence[int], boundary: bool
+) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Scope rows with their tables over the low parts l < 2^len(low): the
     table of row v holds 2*|N(v) & l|, with _VACUOUS set where v is outside
     the scope.  Returns (rows, reached, unreached): the tables for blocks
@@ -288,7 +290,7 @@ def _low_tables(g: Graph, rows: list[int], low: Sequence[int], boundary: bool):
     if not boundary:
         return rows, table, table
     # no neighbour of v in l: the count is 0, and (count - 1) wraps to 255,
-    # whose high bit is the flag; counts 2..32 leave it clear
+    # whose high bit is the flag; counts 2..126 leave it clear
     unreached = table & ~np.uint8(_VACUOUS)
     unreached -= 1
     unreached &= _VACUOUS
