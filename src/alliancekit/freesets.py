@@ -10,9 +10,13 @@ kind).  The slack of a set S is the minimum of 2*d_S(v) - deg(v) over
 the vertices the kind constrains, so S is a kind/k alliance exactly when
 its slack is at least k.  A max subset-sum (zeta) transform then closes
 the table upward: each mask holds the largest k at which it contains a
-k-alliance, and thresholding at k marks the masks that contain one.  A
-mask is a minimal alliance when it is marked and no mask one bit smaller
-is.  A single set X needs no 2^n table: the same kernel, run over the
+k-alliance, and thresholding at k marks the masks that contain one.  That
+closure serves callers that need every k.  For one k the order is
+swapped: thresholding commutes with the max-closure, so the table is
+thresholded first, packed 64 masks to a word, and closed by OR passes
+over the words (``_covered_words``).  A mask is a minimal alliance when
+it is marked and no mask one bit smaller is; the same word passes, with
+AND-NOT, find them.  A single set X needs no 2^n table: the same kernel, run over the
 listed members of X, gives the slack of its 2^|X| subsets, and X is free
 at k exactly when the largest slack among its non-empty subsets is below
 k.  That largest slack does not depend on k, so it is kept per (graph, X,
@@ -130,8 +134,7 @@ def enumerate_minimal_alliances(
 ) -> MinimalAllianceFamily:
     """Exact inclusion-minimal kind/k alliances via a full 2^n sweep."""
     kind = AllianceKind(kind)
-    covered = _closed_slack_table(g, kind, limit) >= _threshold(k)
-    return _minimal_family(covered, g.n, k, kind)
+    return _minimal_family(_covered_words(g, k, kind, limit), g.n, k, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +197,65 @@ def _bit_pairs(table: np.ndarray, b: int):
             yield view[:, 0, j], view[:, 1, j]
 
 
+#: In-word halves for bits 0..5 of a mask: word bit p stands for mask
+#: 64*w + p, and _LOW_HALVES[b] has the positions p whose bit b is clear.
+_LOW_HALVES = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6))
+
+
+def _covered_words(g: Graph, k: int, kind: AllianceKind, limit: int) -> np.ndarray:
+    """The masks that contain a kind/k alliance, one bit each: bit p of word
+    w stands for mask 64*w + p (orders below 6 pad the one word with zeros).
+    The slack table is thresholded, packed and closed upward by OR passes:
+    thresholding commutes with the max-closure, since a mask contains a set
+    of slack >= t iff its closed entry is >= t, so this equals
+    ``_closed_slack_table(g, kind, limit) >= _threshold(k)``."""
+    if g.n > limit:
+        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
+    slack = _slack_table(g, kind)
+    covered = np.greater_equal(slack, _threshold(k), out=slack.view(np.bool_))
+    packed = np.packbits(covered, bitorder="little")
+    del slack, covered  # the word passes need only the packed bits
+    words = (np.pad(packed, (0, 8 - packed.size)) if packed.size < 8 else packed).view("<u8")
+    for b in range(g.n):
+        for with_b, without in _word_pairs(words, words, b):
+            with_b |= without
+    return words
+
+
+def _word_pairs(target: np.ndarray, source: np.ndarray, b: int):
+    """Aligned (target's masks with bit b, source's same masks without it)
+    over covered words.  Bits 0..5 lie inside a word: the whole target comes
+    with source's bit-b-clear positions shifted onto the bit-b-set ones, and
+    zeros elsewhere.  From bit 6 on, bit b selects whole words, matched by
+    the word-pair views of ``_bit_pairs``."""
+    if b < 6:
+        yield target, (source & _LOW_HALVES[b]) << np.uint64(1 << b)
+    else:
+        for (_, with_b), (without, _) in zip(_bit_pairs(target, b - 6), _bit_pairs(source, b - 6)):
+            yield with_b, without
+
+
 def _minimal_family(
     covered: np.ndarray, n: int, k: int, kind: AllianceKind
 ) -> MinimalAllianceFamily:
     """Covered masks none of whose one-bit-smaller subsets is covered: such a
-    mask contains an alliance but no proper subset does, so it is one."""
+    mask contains an alliance but no proper subset does, so it is one.
+    ``covered`` holds the words of ``_covered_words``.  Members come in
+    order of size, then of sorted vertex list; for sets of one size, that
+    list order is the descending order of the bit-reversed masks."""
     minimal = covered.copy()
     for b in range(n):
-        for (_, with_b), (without, _) in zip(_bit_pairs(minimal, b), _bit_pairs(covered, b)):
-            np.greater(with_b, without, out=with_b)  # with_b and not without
-    sets = sorted((VertexSet(int(m), n) for m in np.flatnonzero(minimal)),
-                  key=lambda s: (len(s), s.to_sorted_list()))
-    return MinimalAllianceFamily(kind, k, tuple(sets))
+        for with_b, without in _word_pairs(minimal, covered, b):
+            with_b &= ~without
+    nonzero = np.flatnonzero(minimal)
+    bits = np.unpackbits(minimal[nonzero].view(np.uint8), bitorder="little")
+    rows, cols = np.nonzero(bits.reshape(-1, 64))
+    masks = nonzero[rows] << 6 | cols
+    reversed_masks = np.zeros_like(masks)
+    for v in range(n):
+        reversed_masks |= (masks >> v & 1) << (n - 1 - v)
+    masks = masks[np.lexsort((-reversed_masks, np.bitwise_count(masks)))]
+    return MinimalAllianceFamily(kind, k, tuple(VertexSet(m, n) for m in masks.tolist()))
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Exact maximum alliance-free set sizes with witnesses and certificates.
 
-Everything here reads one k-independent table per (graph, kind): the
-max-closure of the slack table (see ``freesets``), whose entry for a mask
-is the largest k at which the mask contains a kind/k alliance.  Free sets
-are closed under taking subsets, so for a given k the masks whose entry
-is below that k are exactly the free ones; phi is the largest popcount
-among them, and the witness is the lexicographically smallest free mask
-of that size.  ``phi_value`` keeps only the smallest entry of each
-popcount level, which answers every k.  The certificate is the
+``phi`` reads the covered set of one k (see ``freesets``): one bit per
+mask, set where the mask contains a kind/k alliance.  Free sets are
+closed under taking subsets, so the uncovered masks are exactly the free
+ones; phi is the largest popcount among them, and the witness is the
+lexicographically smallest free mask of that size.  ``phi_table`` and
+``phi_value`` answer every k, so they read the k-independent max-closure
+of the slack table instead, whose entry for a mask is the largest k at
+which the mask contains a kind/k alliance; ``phi_value`` keeps only the
+smallest entry of each popcount level.  The certificate is the
 inclusion-minimal alliance family: X is free iff its complement meets
 every member, so
 
@@ -31,6 +32,7 @@ from .alliances import AllianceKind
 from .freesets import (
     MinimalAllianceFamily,
     _closed_slack_table,
+    _covered_words,
     _free_mask,
     _minimal_family,
     _threshold,
@@ -69,11 +71,9 @@ def phi(g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXAC
     smallest sorted vertex list.
     """
     kind = AllianceKind(kind)
-    covered = _closed_slack_table(g, kind, limit) >= _threshold(k)
+    covered = _covered_words(g, k, kind, limit)
     family = _minimal_family(covered, g.n, k, kind)
-    sizes = _popcounts(g.n)
-    sizes[covered] = 0
-    value, witness = _select(sizes, g.n)
+    value, witness = _select(_free_sizes(covered, g.n), g.n)
     return PhiResult(kind, k, value, VertexSet(witness, g.n), family)
 
 
@@ -144,7 +144,7 @@ def phi_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# Selection over the closed table
+# Selection over the free masks
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -155,13 +155,31 @@ def _popcounts(n: int) -> np.ndarray:
     return sizes
 
 
+#: Masks unpacked at a time by ``_free_sizes``.
+_UNPACK_BLOCK = 1 << 16
+
+
+def _free_sizes(covered: np.ndarray, n: int) -> np.ndarray:
+    """Popcounts zeroed where the mask is covered, from the covered words.
+    Unpacking one block at a time keeps a single byte per mask alive."""
+    sizes = _popcounts(n)
+    free = ~covered.view(np.uint8)
+    for start in range(0, sizes.size, _UNPACK_BLOCK):
+        block = sizes[start : start + _UNPACK_BLOCK]
+        free_bits = free[start >> 3 : (start + _UNPACK_BLOCK) >> 3]
+        block *= np.unpackbits(free_bits, count=block.size, bitorder="little")
+    return sizes
+
+
 def _select(free_sizes: np.ndarray, n: int) -> tuple[int, int]:
     """(phi, witness mask) from popcounts zeroed where the mask contains an
-    alliance; the empty mask never does, so the maximum is phi."""
+    alliance; the empty mask never does, so the maximum is phi.  The
+    comparison with phi overwrites free_sizes, which no caller reads again."""
     value = int(free_sizes.max())
     if not value:
         return 0, 0
-    return value, _lex_smallest(np.flatnonzero(free_sizes == value), n)
+    at_value = np.equal(free_sizes, value, out=free_sizes.view(np.bool_))
+    return value, _lex_smallest(np.flatnonzero(at_value), n)
 
 
 def _lex_smallest(masks: np.ndarray, n: int) -> int:

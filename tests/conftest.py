@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from alliancekit import AllianceKind, Graph, VertexSet
+from alliancekit import AllianceKind, CapacityError, Graph, VertexSet
 
 settings.register_profile("alliancekit", deadline=None, max_examples=60)
 settings.load_profile("alliancekit")
@@ -39,3 +41,21 @@ def seeded_graph(rng: random.Random, n: int) -> Graph:
 
 def seeded_subset(rng: random.Random, n: int) -> VertexSet:
     return VertexSet(rng.getrandbits(n), n)
+
+
+def traced_peak(call) -> int:
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def refusal_peak(call) -> int:
+    """Peak traced allocation of a call that must raise CapacityError."""
+    def refused():
+        with pytest.raises(CapacityError):
+            call()
+    return traced_peak(refused)

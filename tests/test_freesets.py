@@ -3,6 +3,7 @@ import random
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -22,14 +23,23 @@ from alliancekit import (
     is_cover_set,
     is_free_set,
     path_graph,
+    phi,
     phi_bruteforce,
     random_graph,
     star_graph,
 )
 from alliancekit.alliances import _alliance_ok
-from alliancekit.freesets import _BIAS, _free_mask, _slack_table
+from alliancekit.freesets import (
+    _BIAS,
+    _closed_slack_table,
+    _covered_words,
+    _free_mask,
+    _slack_table,
+    _threshold,
+)
+from alliancekit.graph import DEFAULT_EXACT_LIMIT
 
-from conftest import graph_and_set, kinds, seeded_graph, seeded_subset
+from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset
 
 freesets_mod = importlib.import_module("alliancekit.freesets")
 
@@ -64,13 +74,16 @@ def test_minimal_families():
 
 def test_family_order_is_cardinality_then_lex():
     rng = random.Random(5)
+    families = []
     for _ in range(20):
         g = seeded_graph(rng, rng.randint(2, 7))
         for kind in AllianceKind:
-            for k in canonical_k_range(g, kind):
-                fam = enumerate_minimal_alliances(g, k, kind)
-                keys = [(len(s), s.to_sorted_list()) for s in fam]
-                assert keys == sorted(keys)
+            families += [enumerate_minimal_alliances(g, k, kind) for k in canonical_k_range(g, kind)]
+    families.append(enumerate_minimal_alliances(random_graph(20, 0.3, 4), 0, "defensive"))
+    assert len(families[-1]) > 3000
+    for fam in families:
+        keys = [(len(s), s.to_sorted_list()) for s in fam]
+        assert keys == sorted(keys)
 
 
 def test_family_antichain():
@@ -171,10 +184,49 @@ def test_every_member_is_a_minimal_alliance():
 
 def test_capacity_errors():
     big = Graph(25)
-    with pytest.raises(CapacityError):
-        enumerate_minimal_alliances(big, 0, "defensive")
+    # refused before the 2^25-mask table (32 MiB) is built
+    assert refusal_peak(lambda: enumerate_minimal_alliances(big, 0, "defensive")) < 1 << 20
     with pytest.raises(CapacityError):
         is_free_set(big, big.vertices, 0, "defensive")
+
+
+def _rule_family(covered: np.ndarray, n: int) -> list[int]:
+    """Masks that are covered while no one-bit-smaller mask is, ascending."""
+    masks = np.arange(1 << n)
+    minimal = covered.copy()
+    for b in range(n):
+        has_b = masks[masks >> b & 1 == 1]
+        minimal[has_b] &= ~covered[has_b ^ (1 << b)]
+    return np.flatnonzero(minimal).tolist()
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), 17])
+def test_covered_words_and_family_match_the_closure(n):
+    """The packed covered set equals the thresholded max-closure, bit for
+    bit, with clear padding below order 6; the family read off the words
+    equals the rule computed here on the unpacked closure, and phi picks
+    the largest uncovered mask, lexicographically first on ties."""
+    rng = random.Random(110 + n)
+    graphs = [seeded_graph(rng, n) for _ in range(4)] if n < 8 else [random_graph(n, 0.3, seed=n)]
+    for g in graphs:
+        d = g.delta_max
+        for kind in AllianceKind:
+            closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+            for k in sorted(set(canonical_k_range(g, kind)) | {-1000, -d - 3, d + 1, d + 2, 150, 1000}):
+                expected = closed >= _threshold(k)
+                words = _covered_words(g, k, kind, DEFAULT_EXACT_LIMIT)
+                assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << n) >> 6)
+                bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
+                assert not bits[1 << n :].any(), (n, kind, k)
+                assert (bits[: 1 << n] == expected).all(), (n, kind, k)
+                family = enumerate_minimal_alliances(g, k, kind)
+                assert sorted(family.masks) == _rule_family(expected, n), (n, kind, k)
+                free = np.flatnonzero(~expected)
+                sizes = np.bitwise_count(free)
+                largest = free[sizes == sizes.max()].tolist()
+                first = min(largest, key=lambda m: VertexSet(m, n).to_sorted_list())
+                r = phi(g, k, kind)
+                assert (r.value, r.witness.mask) == (sizes.max(), first), (n, kind, k)
 
 
 @pytest.mark.parametrize("n", range(15, 25))

@@ -34,7 +34,7 @@ from alliancekit import (
 
 from alliancekit.freesets import _free_mask
 
-from conftest import seeded_graph
+from conftest import refusal_peak, seeded_graph, traced_peak
 
 phi_mod = importlib.import_module("alliancekit.phi")
 
@@ -227,8 +227,8 @@ def test_phi_record():
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
-        phi(Graph(25), 0, "defensive")
+    # refused before the 2^25-mask table (32 MiB) is built
+    assert refusal_peak(lambda: phi(Graph(25), 0, "defensive")) < 1 << 20
     with pytest.raises(CapacityError):
         phi_bruteforce(Graph(15), 0, "defensive")
     with pytest.raises(CapacityError):
@@ -237,6 +237,14 @@ def test_capacity_errors():
         phi_powerful_lower(Graph(25), 0)
     with pytest.raises(CapacityError):
         phi_table(Graph(25), "defensive")
+
+
+def test_phi_memory_at_order_24():
+    """phi holds about one byte per mask at its peak: the slack table while
+    the covered words are built, the popcounts while the witness is chosen.
+    A byte-per-mask covered set and a copy of it for the minimal pass, next
+    to the closed table, would take three."""
+    assert traced_peak(lambda: phi(grid_graph(4, 6), 0, "defensive")) < 2.5 * (1 << 24)
 
 
 def _min_transversal(family, n: int) -> int:
@@ -250,7 +258,7 @@ def _min_transversal(family, n: int) -> int:
     return round(res.fun)
 
 
-@pytest.mark.parametrize("n", range(16, 21))
+@pytest.mark.parametrize("n", range(16, 25))
 def test_closure_beyond_the_oracle(n):
     """Orders the brute-force oracle cannot reach: the family agrees with the
     scalar free-set check on sampled small masks, every member is an
