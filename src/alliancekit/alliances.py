@@ -102,23 +102,20 @@ def _validated_mask(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> int:
 def is_defensive_alliance(g: Graph, s: VertexSet, k: int) -> bool:
     """True iff every v in s has at least k more neighbours in s than outside."""
     kind = AllianceKind.DEFENSIVE
-    return _defensive_ok(g.adj_bits, g.degrees, _validated_mask(g, s, k, kind), k)
+    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
 
 
 def is_offensive_alliance(g: Graph, s: VertexSet, k: int) -> bool:
     """True iff every boundary vertex of s has at least k more neighbours in s
     than outside; vacuously true when the boundary is empty."""
     kind = AllianceKind.OFFENSIVE
-    return _offensive_ok(g.adj_bits, g.degrees, _validated_mask(g, s, k, kind), k)
+    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
 
 
 def is_powerful_alliance(g: Graph, s: VertexSet, k: int) -> bool:
     """Defensive k-alliance and offensive (k+2)-alliance simultaneously."""
     kind = AllianceKind.POWERFUL
-    mask = _validated_mask(g, s, k, kind)
-    return _defensive_ok(g.adj_bits, g.degrees, mask, k) and _offensive_ok(
-        g.adj_bits, g.degrees, mask, k + 2
-    )
+    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
 
 
 def is_alliance(g: Graph, s: VertexSet, k: int, kind: AllianceKind | str) -> bool:

@@ -124,11 +124,9 @@ def _cmd_product(args) -> int:
     g2 = read_edge_list(args.graph2)
     product = cartesian_product(g1, g2, limit=args.limit)
     write_edge_list(product, args.output)
-    if args.json:
-        print(json.dumps({"command": "product", "n": product.n, "m": product.edge_count,
-                          "output": args.output}, sort_keys=True))
-    else:
-        print(f"wrote product with {product.n} vertices, {product.edge_count} edges to {args.output}")
+    record = {"command": "product", "n": product.n, "m": product.edge_count, "output": args.output}
+    line = f"wrote product with {product.n} vertices, {product.edge_count} edges to {args.output}"
+    _emit(args, record, [line])
     return 0
 
 
@@ -177,11 +175,10 @@ def _cmd_audit(args) -> int:
 def _cmd_family(args) -> int:
     g = family(args.kind, *args.params, seed=args.seed)
     write_edge_list(g, args.output)
-    if args.json:
-        print(json.dumps({"command": "family", "kind": args.kind, "n": g.n,
-                          "m": g.edge_count, "output": args.output}, sort_keys=True))
-    else:
-        print(f"wrote {args.kind} graph with {g.n} vertices, {g.edge_count} edges to {args.output}")
+    record = {"command": "family", "kind": args.kind, "n": g.n, "m": g.edge_count,
+              "output": args.output}
+    line = f"wrote {args.kind} graph with {g.n} vertices, {g.edge_count} edges to {args.output}"
+    _emit(args, record, [line])
     return 0
 
 

@@ -16,53 +16,46 @@ swapped: thresholding commutes with the max-closure, so the table is
 thresholded first, packed 64 masks to a word, and closed by OR passes
 over the words (``_covered_words``).  A mask is a minimal alliance when
 it is marked and no mask one bit smaller is; the same word passes, with
-AND-NOT, find them.  A single set X needs no 2^n table: the same kernel, run over the
-listed members of X, gives the slack of its 2^|X| subsets, and X is free
-at k exactly when the largest slack among its non-empty subsets is below
-k.  That largest slack does not depend on k, so it is kept per (graph, X,
-kind).  ``_free_mask`` is the scalar twin, which enumerates the subsets
-of X one by one; the ``phi_bruteforce`` oracle and the tests use it, and
-so does ``is_free_set`` on graphs too large for the kernel.
+AND-NOT, find them.
+
+A single set X needs no table.  The union of two kind/k alliances is again
+one, so X holds one largest kind/k alliance, and greedy peeling finds it,
+as in the k-core decomposition: start from s = X, and each round take the
+constraint of s of least value (2*d_s(v) - deg(v) for a member or a
+boundary vertex, less 2 for a powerful boundary vertex), then drop that
+member, or the neighbours of that boundary vertex, from s.  An alliance A inside s loses a vertex only
+to a constraint that binds A, whose value is then at least A's slack, and
+each value taken is the slack of the current s; so the largest value taken
+is the largest slack over the non-empty subsets of X.  It does not depend
+on k, so it is kept per (graph, X, kind), and X is free at k exactly when
+it is below k.  ``_free_mask`` is the scalar twin, which enumerates the
+subsets of X one by one; the ``phi_bruteforce`` oracle and the tests use
+it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .alliances import AllianceKind, _alliance_ok
 from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet, _bits, _check_universe
 
-#: Largest |X| accepted by the 2^|X| free-set check.
-DEFAULT_FREE_SET_BITS = 20
 
-
-def is_free_set(
-    g: Graph,
-    x: VertexSet,
-    k: int,
-    kind: AllianceKind | str,
-    *,
-    max_bits: int = DEFAULT_FREE_SET_BITS,
-) -> bool:
+def is_free_set(g: Graph, x: VertexSet, k: int, kind: AllianceKind | str) -> bool:
     """True iff no non-empty subset of x is a kind/k alliance.
 
-    Builds the slack of the 2^|x| subsets of x with the kernel behind the
-    full table and compares their largest value with k; that largest value
-    does not depend on k and is memoised per (graph, x, kind).  Graphs of
-    order above 63, beyond the kernel's range, go through the scalar
-    subset enumeration instead.
+    Peels x down to the largest slack over its non-empty subsets and
+    compares that with k; the value does not depend on k and is memoised
+    per (graph, x, kind).  Polynomial in the order, for sets of any size.
     """
     kind = AllianceKind(kind)
     _check_universe(g, x)
-    if len(x) > max_bits:
-        raise CapacityError(f"free-set check on {len(x)} vertices exceeds budget {max_bits}")
-    if g.n > _MAX_KERNEL_ORDER:
-        return _free_mask(g, x.mask, k, kind)
-    return _max_slack(g, x.mask, kind) < _threshold(k)
+    return _max_slack(g, x.mask, kind) < k
 
 
 def _free_mask(g: Graph, xmask: int, k: int, kind: AllianceKind) -> bool:
@@ -76,17 +69,10 @@ def _free_mask(g: Graph, xmask: int, k: int, kind: AllianceKind) -> bool:
     return True
 
 
-def is_cover_set(
-    g: Graph,
-    y: VertexSet,
-    k: int,
-    kind: AllianceKind | str,
-    *,
-    max_bits: int = DEFAULT_FREE_SET_BITS,
-) -> bool:
+def is_cover_set(g: Graph, y: VertexSet, k: int, kind: AllianceKind | str) -> bool:
     """True iff y meets every kind/k alliance; by duality, iff the
     complement of y is kind/k alliance free."""
-    return is_free_set(g, y.complement(), k, kind, max_bits=max_bits)
+    return is_free_set(g, y.complement(), k, kind)
 
 
 def free_set_monotone_witness(
@@ -144,9 +130,7 @@ def enumerate_minimal_alliances(
 # slack of S is the minimum of that left side over the scope (S for the
 # defensive kind, the boundary of S for the offensive kind, and
 # min(defensive, offensive - 2) for the powerful kind), so S is a kind/k
-# alliance exactly when slack(S) >= k, for every k at once.  One kernel,
-# ``_subset_slack``, computes it for the subsets of a vertex list: all of V
-# for the table, the members of X for a single-set check.
+# alliance exactly when slack(S) >= k, for every k at once.
 
 #: A block of the slack table spans 2^_LOW_BITS masks; of 2^12..2^18,
 #: 2^16 built an order-24 table fastest.
@@ -158,10 +142,6 @@ _BIAS = 64
 #: this bit set, so it never wins the minimum; a set with an empty scope
 #: (a vacuous offensive alliance) keeps a value at or above it.
 _VACUOUS = 128
-#: Largest order the kernel takes: it reads adjacency masks as int64, and
-#: degrees up to 63 keep every biased slack (2*d - deg + _BIAS, or the
-#: powerful kind's offensive part less 2, where d >= 1) in [1, _VACUOUS).
-_MAX_KERNEL_ORDER = 63
 
 
 def _threshold(k: int) -> int:
@@ -260,48 +240,24 @@ def _minimal_family(
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0."""
-    out = _subset_slack(g, range(g.n), kind)
-    out[0] = 0
-    return out
+    never an alliance) is 0.
 
-
-@lru_cache(maxsize=65536)
-def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> int:
-    """Largest biased slack over the non-empty subsets of xmask (0 when
-    xmask is empty).  The subsets hold a kind/k alliance iff their slack
-    reaches _threshold(k), so xmask is kind/k free iff this is below it,
-    for every k at once."""
-    return int(_subset_slack(g, list(_bits(xmask)), kind)[1:].max(initial=0))
-
-
-def _subset_slack(g: Graph, verts: Sequence[int], kind: AllianceKind) -> np.ndarray:
-    """Biased kind slack of each subset of the listed vertices as uint8;
-    bit j of an index stands for verts[j].  Index 0, the empty subset, has
-    an empty scope, so it holds a value at or above _VACUOUS.
-
-    Each index splits into a high part h, fixed within a block of
-    2^_LOW_BITS consecutive indices, and a low part l.  Everything a vertex
+    Each mask splits into a high part h, fixed within a block of
+    2^_LOW_BITS consecutive masks, and a low part l.  Everything a vertex
     contributes that depends on l is tabulated once (``_low_tables``), so a
-    block costs one add and one minimum per scope row."""
-    low, high = verts[:_LOW_BITS], verts[_LOW_BITS:]
-    xmask = sum(1 << v for v in verts)
-    highmask = sum(1 << v for v in high)
+    block costs one add and one minimum per vertex."""
+    low = min(g.n, _LOW_BITS)
     if kind is not AllianceKind.OFFENSIVE:
-        # only members of X can be in a defensive scope
-        defensive = _low_tables(g, list(_bits(xmask)), low, False)
+        defensive = _low_tables(g, low, False)
     if kind is not AllianceKind.DEFENSIVE:
-        # only N[X] can meet the boundary of a subset of X
-        closed = xmask
-        for v in verts:
-            closed |= g.adj_bits[v]
-        offensive = _low_tables(g, list(_bits(closed)), low, True)
-    out = np.empty(1 << len(verts), dtype=np.uint8)
-    width = 1 << len(low)
-    for b in range(1 << len(high)):
-        hmask = sum(1 << v for j, v in enumerate(high) if b >> j & 1)
+        offensive = _low_tables(g, low, True)
+    out = np.empty(1 << g.n, dtype=np.uint8)
+    width = 1 << low
+    highmask = g.full_mask >> low << low
+    for b in range(1 << (g.n - low)):
+        hmask = b << low
         block = out[b * width : (b + 1) * width]
-        # a high member is in every set of the block or in none: off the
+        # a high vertex is in every set of the block or in none: off the
         # boundary when present, out of a defensive scope when absent
         if kind is AllianceKind.DEFENSIVE:
             _block_minimum(g, hmask, highmask & ~hmask, defensive, block)
@@ -311,54 +267,89 @@ def _subset_slack(g: Graph, verts: Sequence[int], kind: AllianceKind) -> np.ndar
             block -= 2
             defn = _block_minimum(g, hmask, highmask & ~hmask, defensive, np.empty_like(block))
             np.minimum(block, defn, out=block)
+    out[0] = 0
     return out
 
 
-def _low_tables(
-    g: Graph, rows: list[int], low: Sequence[int], boundary: bool
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Scope rows with their tables over the low parts l < 2^len(low): the
-    table of row v holds 2*|N(v) & l|, with _VACUOUS set where v is outside
-    the scope.  Returns (rows, reached, unreached): the tables for blocks
-    whose high part has a neighbour of v and for those whose high part has
-    none.  Defensive: one table for both, flagged where v is a low vertex
-    absent from l.  Offensive: flagged where v is in l (reached), and where
-    v is in l or has no neighbour in l (unreached)."""
-    # adding low[j] to l adds 2 to row v when low[j] is a neighbour of v,
-    # and toggles the high bit (adds 128 mod 256) when low[j] is v
-    cols = np.array(low, dtype=np.int64)
-    adj = np.array([g.adj_bits[v] for v in rows], dtype=np.int64)
+@lru_cache(maxsize=65536)
+def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> float:
+    """Largest kind slack over the non-empty subsets of xmask, unbiased:
+    ``math.inf`` when one of them has an empty scope (a vacuous offensive
+    alliance), ``-math.inf`` when xmask is empty.  The subsets hold a
+    kind/k alliance iff this is at least k, for every k at once.
+
+    Greedy peel of s = xmask: each round takes the least constraint of s,
+    a member or a boundary vertex, keeps the largest value taken, and
+    drops the member, or the boundary vertex's neighbours, from s."""
+    adj, degrees = g.adj_bits, g.degrees
+    members = kind is not AllianceKind.OFFENSIVE
+    boundary = kind is not AllianceKind.DEFENSIVE
+    offset = 2 if kind is AllianceKind.POWERFUL else 0
+    best = -math.inf
+    s = xmask
+    while s:
+        least, drop = math.inf, 0
+        reach = 0
+        for v in _bits(s):
+            reach |= adj[v]
+            if members:
+                value = 2 * (adj[v] & s).bit_count() - degrees[v]
+                if value < least:
+                    least, drop = value, 1 << v
+        if boundary:
+            for v in _bits(reach & ~s):
+                value = 2 * (adj[v] & s).bit_count() - degrees[v] - offset
+                if value < least:
+                    least, drop = value, adj[v]
+        if not drop:
+            return math.inf
+        best = max(best, least)
+        s &= ~drop
+    return best
+
+
+def _low_tables(g: Graph, low: int, boundary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex tables over the low parts l < 2^low: the table of vertex v
+    holds 2*|N(v) & l|, with _VACUOUS set where v is outside the scope.
+    Returns (reached, unreached): the tables for blocks whose high part has
+    a neighbour of v and for those whose high part has none.  Defensive:
+    one table for both, flagged where v is a low vertex absent from l.
+    Offensive: flagged where v is in l (reached), and where v is in l or
+    has no neighbour in l (unreached)."""
+    # adding vertex j < low to l adds 2 to row v when j is a neighbour of
+    # v, and toggles the high bit (adds 128 mod 256) when j is v
+    cols = np.arange(low, dtype=np.int64)
+    adj = np.array(g.adj_bits, dtype=np.int64)
     step = ((adj[:, None] >> cols) & 1).astype(np.uint8) << 1
-    is_v = np.array(rows, dtype=np.int64)[:, None] == cols
+    is_v = np.arange(g.n, dtype=np.int64)[:, None] == cols
     step[is_v] = _VACUOUS
-    table = np.empty((len(rows), 1 << len(low)), dtype=np.uint8)
+    table = np.empty((g.n, 1 << low), dtype=np.uint8)
     # a defensive low row starts flagged (v is absent from l = 0), so its
     # toggle clears the flag where v joins l
     table[:, 0] = 0 if boundary else is_v.any(axis=1) * np.uint8(_VACUOUS)
-    for j in range(len(low)):
+    for j in range(low):
         np.add(table[:, : 1 << j], step[:, j : j + 1], out=table[:, 1 << j : 2 << j])
     if not boundary:
-        return rows, table, table
+        return table, table
     # no neighbour of v in l: the count is 0, and (count - 1) wraps to 255,
     # whose high bit is the flag; counts 2..126 leave it clear
     unreached = table & ~np.uint8(_VACUOUS)
     unreached -= 1
     unreached &= _VACUOUS
     unreached |= table
-    return rows, table, unreached
+    return table, unreached
 
 
 def _block_minimum(g: Graph, hmask: int, skip: int, scope, out: np.ndarray) -> np.ndarray:
     """Biased min over the scope of 2*d_S(v) - deg(v) for the sets S = h | l
-    of one block, whose high part has the vertex mask hmask; rows in skip
-    are out of the scope throughout the block.  At least _VACUOUS where the
-    scope is empty."""
-    rows, reached, unreached = scope
+    of one block, whose high part has the vertex mask hmask; vertices in
+    skip are out of the scope throughout the block.  At least _VACUOUS where
+    the scope is empty."""
+    reached, unreached = scope
     out.fill(255)
-    for i, v in enumerate(rows):
+    for v, adj in enumerate(g.adj_bits):
         if skip >> v & 1:
             continue
-        adj = g.adj_bits[v]
-        table = reached[i] if hmask & adj else unreached[i]
+        table = reached[v] if hmask & adj else unreached[v]
         np.minimum(out, table + np.uint8(2 * (hmask & adj).bit_count() + _BIAS - g.degrees[v]), out=out)
     return out

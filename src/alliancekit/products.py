@@ -15,8 +15,8 @@ set of the product that is provably alliance free at a shifted k:
                     k' = max(k1-d2, k2-d1, min(k2+D1, k1+D2))
 
 Preconditions (each s_i actually free at its k_i) are verified eagerly so
-the claims are never vacuous; the resulting set is re-verified exhaustively
-whenever its size fits the free-set budget.
+the claims are never vacuous, and the resulting set is re-verified with the
+free-set check in the product.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alliances import AllianceKind, is_defensive_alliance
-from .freesets import DEFAULT_FREE_SET_BITS, is_free_set
+from .freesets import is_free_set
 from .graph import Graph, VertexSet, cartesian_product, factor_box, _check_universe
 
 CONSTRUCTIONS = ("column", "box", "box_plus_diagonal", "union")
@@ -81,11 +81,8 @@ def _finish(
     kind: AllianceKind,
     product: Graph,
     result: VertexSet,
-    verify: bool,
 ) -> ProductWitness:
-    verified = False
-    if verify and len(result) <= DEFAULT_FREE_SET_BITS:
-        verified = is_free_set(product, result, k_claim, kind)
+    verified = is_free_set(product, result, k_claim, kind)
     return ProductWitness(construction, sources, k_claim, kind, result, verified)
 
 
@@ -96,8 +93,6 @@ def column_witness(
     axis: int,
     k_factor: int,
     kind: AllianceKind | str,
-    *,
-    verify: bool = True,
 ) -> ProductWitness:
     """S x V2 (axis 1) or V1 x S (axis 2) from a free set of one factor.
 
@@ -117,7 +112,7 @@ def column_witness(
     else:
         result = factor_box(g1.vertices, s)
     product = cartesian_product(g1, g2)
-    return _finish("column", (s,), k_claim, kind, product, result, verify)
+    return _finish("column", (s,), k_claim, kind, product, result)
 
 
 def box_witness(
@@ -128,8 +123,6 @@ def box_witness(
     k1: int,
     k2: int,
     kind: AllianceKind | str,
-    *,
-    verify: bool = True,
 ) -> ProductWitness:
     """S1 x S2 from free sets of both factors (defensive or powerful)."""
     kind = AllianceKind(kind)
@@ -142,7 +135,7 @@ def box_witness(
     k_claim = box_k(k1, k2, g1, g2, kind)
     result = factor_box(s1, s2)
     product = cartesian_product(g1, g2)
-    return _finish("box", (s1, s2), k_claim, kind, product, result, verify)
+    return _finish("box", (s1, s2), k_claim, kind, product, result)
 
 
 def box_plus_diagonal_witness(
@@ -153,8 +146,6 @@ def box_plus_diagonal_witness(
     k1: int,
     k2: int,
     kind: AllianceKind | str,
-    *,
-    verify: bool = True,
 ) -> ProductWitness:
     """S1 x S2 extended by t = min(n1-|s1|, n2-|s2|) isolated diagonal
     vertices; needs k_i >= 1 - min_degree(G_i) so the isolated vertices
@@ -177,7 +168,7 @@ def box_plus_diagonal_witness(
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = k1 + k2 - 1
     product = cartesian_product(g1, g2)
-    return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, product, result, verify)
+    return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, product, result)
 
 
 def union_witness(
@@ -187,8 +178,6 @@ def union_witness(
     s2: VertexSet,
     k1: int,
     k2: int,
-    *,
-    verify: bool = True,
 ) -> ProductWitness:
     """(S1 x V2) u (V1 x S2) from offensive free sets of both factors.
 
@@ -203,7 +192,7 @@ def union_witness(
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = union_k(k1, k2, g1, g2)
     product = cartesian_product(g1, g2)
-    return _finish("union", (s1, s2), k_claim, kind, product, result, verify)
+    return _finish("union", (s1, s2), k_claim, kind, product, result)
 
 
 def build_witness(
@@ -219,21 +208,20 @@ def build_witness(
     k1: int | None = None,
     k2: int | None = None,
     kind: AllianceKind | str = AllianceKind.DEFENSIVE,
-    verify: bool = True,
 ) -> ProductWitness:
     """Name-dispatched front end used by the command-line surface."""
     if construction == "column":
         if s is None or k is None:
             raise ValueError("column needs s and k")
-        return column_witness(g1, g2, s, axis, k, kind, verify=verify)
+        return column_witness(g1, g2, s, axis, k, kind)
     if s1 is None or s2 is None or k1 is None or k2 is None:
         raise ValueError(f"{construction} needs s1, s2, k1, k2")
     if construction == "box":
-        return box_witness(g1, g2, s1, s2, k1, k2, kind, verify=verify)
+        return box_witness(g1, g2, s1, s2, k1, k2, kind)
     if construction == "box_plus_diagonal":
-        return box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind, verify=verify)
+        return box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
     if construction == "union":
-        return union_witness(g1, g2, s1, s2, k1, k2, verify=verify)
+        return union_witness(g1, g2, s1, s2, k1, k2)
     raise ValueError(f"unknown construction {construction!r}")
 
 

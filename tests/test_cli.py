@@ -127,6 +127,15 @@ def test_witness_column(c4_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verified true" in out
     assert "(0,0)" in out  # text mode uses coordinate pairs
+    p4, p6 = tmp_path / "p4.el", tmp_path / "p6.el"
+    write_edge_list(path_graph(4), p4)
+    write_edge_list(path_graph(6), p6)
+    rc = main([
+        "witness", "--construction", "column", "-g1", str(p4), "-g2", str(p6),
+        "-s", "0,1,2,3", "-k", "2", "--kind", "defensive",
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0 and "set of size 24" in out and "verified true" in out
 
 
 def test_witness_json_uses_encoded_ids(c4_file, tmp_path, capsys):

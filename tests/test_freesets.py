@@ -1,6 +1,6 @@
 import importlib
+import math
 import random
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from alliancekit import (
     AllianceKind,
     CanonicalRangeWarning,
-    CapacityError,
     Graph,
     VertexSet,
     canonical_k_range,
@@ -31,6 +30,7 @@ from alliancekit import (
 from alliancekit.alliances import _alliance_ok
 from alliancekit.freesets import (
     _BIAS,
+    _VACUOUS,
     _closed_slack_table,
     _covered_words,
     _free_mask,
@@ -39,7 +39,7 @@ from alliancekit.freesets import (
 )
 from alliancekit.graph import DEFAULT_EXACT_LIMIT
 
-from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset
+from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset, traced_peak
 
 freesets_mod = importlib.import_module("alliancekit.freesets")
 
@@ -186,8 +186,10 @@ def test_capacity_errors():
     big = Graph(25)
     # refused before the 2^25-mask table (32 MiB) is built
     assert refusal_peak(lambda: enumerate_minimal_alliances(big, 0, "defensive")) < 1 << 20
-    with pytest.raises(CapacityError):
-        is_free_set(big, big.vertices, 0, "defensive")
+    # one set needs no table: every singleton of the edgeless graph is a
+    # defensive 0-alliance and none is a 1-alliance
+    assert not is_free_set(big, big.vertices, 0, "defensive")
+    assert is_free_set(big, big.vertices, 1, "defensive")
 
 
 def _rule_family(covered: np.ndarray, n: int) -> list[int]:
@@ -257,11 +259,11 @@ def _free_at(g, x, kind, ks, check):
 @pytest.mark.parametrize("n", range(15, 25))
 def test_free_set_kernel_beyond_the_oracle(n):
     """Orders the oracle cannot reach, for every kind at every canonical k
-    and at extreme k.  From order 21 on, x has 17 to 20 members, so its
-    subsets span several blocks of the kernel.  An alliance at k is one at
-    every smaller k, so freeness only grows with k: once the kernel's
-    answers do too, the scalar twin need only confirm the last k at which
-    x is not free and the first at which it is."""
+    and at extreme k.  From order 21 on, x has 17 to 20 members.  An
+    alliance at k is one at every smaller k, so freeness only grows with k:
+    once the answers of ``is_free_set`` do too, the scalar twin need only
+    confirm the last k at which x is not free and the first at which it
+    is."""
     rng = random.Random(90 + n)
     g = random_graph(n, 0.15, seed=n)  # sparse: the twin's 2^20 sweeps stay near 1 s
     d = g.delta_max
@@ -293,11 +295,11 @@ def test_free_set_kernel_exhaustive_on_small_graphs():
 
 
 def test_free_set_at_the_edge_of_the_kernel_range():
-    """Order 63 with a degree-62 centre is the largest input the kernel
-    takes, and its biased slack stays in range; from order 64 on the scalar
-    enumeration answers."""
+    """Graphs far beyond any 2^n table, with centres of degree 62 and 63 and
+    an order-100 random graph: the peel agrees with the scalar enumeration
+    on sets of up to 10 members."""
     rng = random.Random(93)
-    for g in (star_graph(62), star_graph(63), grid_graph(8, 8)):
+    for g in (star_graph(62), star_graph(63), grid_graph(8, 8), random_graph(100, 0.08, seed=93)):
         sets = [VertexSet.of(s, g.n) for s in ([0], [0, 1], [1, 2, 3], range(6), range(1, 9))]
         sets += [VertexSet.of(rng.sample(range(g.n), 10), g.n) for _ in range(3)]
         for x in sets:
@@ -307,6 +309,43 @@ def test_free_set_at_the_edge_of_the_kernel_range():
                         warnings.simplefilter("ignore", CanonicalRangeWarning)
                         assert is_free_set(g, x, k, kind) == _free_mask(g, x.mask, k, kind), (
                             g, x.to_sorted_list(), kind, k)
+
+
+def _assert_peel_matches_the_closure(g, x, kind, closed):
+    """The peel's largest slack over the non-empty subsets of mask x is the
+    closure's entry at x, unbiased, and infinite where that entry marks a
+    subset with an empty scope."""
+    got = freesets_mod._max_slack(g, x, kind)
+    if closed[x] >= _VACUOUS:
+        assert got == math.inf, (g, x, kind)
+    else:
+        assert got + _BIAS == closed[x], (g, x, kind, got, int(closed[x]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_max_slack_matches_the_closure(n):
+    """Every mask of random graphs, isolated vertices included, every kind;
+    the empty mask has no non-empty subset, so its largest slack is -inf."""
+    rng = random.Random(120 + n)
+    for g in [seeded_graph(rng, n) for _ in range(2 if n > 9 else 4)]:
+        for kind in AllianceKind:
+            closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+            assert freesets_mod._max_slack(g, 0, kind) == -math.inf
+            for x in range(1, 1 << n):
+                _assert_peel_matches_the_closure(g, x, kind, closed)
+
+
+@pytest.mark.parametrize("n", range(21, 25))
+def test_max_slack_matches_the_closure_beyond_the_oracle(n):
+    """Orders 21-24: the whole vertex set and sets of 17 to n members."""
+    rng = random.Random(130 + n)
+    g = random_graph(n, rng.choice((0.1, 0.2, 0.3)), seed=130 + n)
+    sets = [g.full_mask]
+    sets += [VertexSet.of(rng.sample(range(n), rng.randint(17, n)), n).mask for _ in range(12)]
+    for kind in AllianceKind:
+        closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+        for x in sets:
+            _assert_peel_matches_the_closure(g, x, kind, closed)
 
 
 def test_free_set_memo_is_k_independent():
@@ -333,16 +372,13 @@ def test_empty_set_is_free_at_every_k():
 def test_free_set_refusals():
     g = random_graph(24, 0.3, 2)
     x = VertexSet.of(range(21), 24)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CapacityError):
-            is_free_set(g, x, 0, "offensive")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20  # the 2^21 subsets would take 2 MiB per table
-    with pytest.raises(CapacityError):
-        is_free_set(path_graph(6), VertexSet.of(range(6), 6), 0, "defensive", max_bits=5)
+    freesets_mod._max_slack.cache_clear()
+    # answered without a table over the 2^21 subsets of x
+    assert traced_peak(lambda: is_free_set(g, x, 0, "offensive")) < 1 << 20
+    closed = _closed_slack_table(g, AllianceKind.OFFENSIVE, DEFAULT_EXACT_LIMIT)
+    assert is_free_set(g, x, 0, "offensive") == (closed[x.mask] < _threshold(0))
+    p6 = path_graph(6)
+    assert not is_free_set(p6, p6.vertices, 0, "defensive")
     with pytest.raises(ValueError, match="universe"):
         is_free_set(path_graph(3), VertexSet(1, 4), 0, "defensive")
     with pytest.raises(ValueError, match="universe"):
@@ -353,7 +389,7 @@ def test_oracle_never_reaches_the_kernel(monkeypatch):
     def kernel_spy(*args, **kwargs):
         raise AssertionError("the oracle reached the slack kernel")
 
-    monkeypatch.setattr(freesets_mod, "_subset_slack", kernel_spy)
+    monkeypatch.setattr(freesets_mod, "_slack_table", kernel_spy)
     monkeypatch.setattr(freesets_mod, "_max_slack", kernel_spy)
     assert phi_bruteforce(path_graph(4), 0, "defensive") == 2
     rng = random.Random(92)

@@ -25,6 +25,7 @@ from alliancekit import (
     star_graph,
     union_witness,
 )
+from alliancekit.freesets import _closed_slack_table, _threshold
 
 from conftest import seeded_graph, seeded_subset
 
@@ -35,6 +36,14 @@ def test_column_witness_defensive():
     w = column_witness(s3, p3, leaves, axis=1, k_factor=0, kind="defensive")
     assert w.k_claim == 0 + p3.delta_max
     assert len(w.result) == 3 * 3
+    assert w.verified
+    # 24 members: the closure of the product confirms that V(P4) x V(P6) is
+    # free at k_claim, and the witness says so
+    p4, p6 = path_graph(4), path_graph(6)
+    w = column_witness(p4, p6, p4.vertices, axis=1, k_factor=2, kind="defensive")
+    assert len(w.result) == 24 and w.k_claim == 4
+    closed = _closed_slack_table(cartesian_product(p4, p6), AllianceKind.DEFENSIVE, 24)
+    assert closed[w.result.mask] < _threshold(w.k_claim)
     assert w.verified
 
 
