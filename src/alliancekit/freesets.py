@@ -5,18 +5,21 @@ alliance.  Free sets are downward closed, so the inclusion-minimal
 alliances of a graph certify freeness: X is free iff it contains no
 minimal alliance.
 
-Every exact 2^n computation reads one k-independent table per (graph,
-kind).  The slack of a set S is the minimum of 2*d_S(v) - deg(v) over
-the vertices the kind constrains, so S is a kind/k alliance exactly when
-its slack is at least k.  A max subset-sum (zeta) transform then closes
-the table upward: each mask holds the largest k at which it contains a
-k-alliance, and thresholding at k marks the masks that contain one.  That
-closure serves callers that need every k.  For one k the order is
-swapped: thresholding commutes with the max-closure, so the table is
-thresholded first, packed 64 masks to a word, and closed by OR passes
-over the words (``_covered_words``).  A mask is a minimal alliance when
-it is marked and no mask one bit smaller is; the same word passes, with
-AND-NOT, find them.
+Every exact 2^n computation rests on the slack of a set S, the minimum
+of 2*d_S(v) - deg(v) over the vertices the kind constrains: S is a
+kind/k alliance exactly when its slack is at least k.  For callers that
+need every k, one k-independent table per (graph, kind) holds the slack
+of every mask, and a max subset-sum (zeta) transform closes it upward:
+each mask then holds the largest k at which it contains a k-alliance,
+and thresholding at k marks the masks that contain one.  For one k no
+byte table is built.  The slack is a minimum of per-vertex terms, and a
+minimum is at least the threshold iff every term is, so the alliance
+bits come packed 64 masks to a word as an AND of per-term threshold
+tests (``_alliance_words``).  Thresholding commutes with the
+max-closure, so OR passes over the words then mark the masks that
+contain an alliance (``_covered_words``).  A mask is a minimal alliance
+when it is marked and no mask one bit smaller is; the same word passes,
+with AND-NOT, find them.
 
 A single set X needs no table.  The union of two kind/k alliances is again
 one, so X holds one largest kind/k alliance, and greedy peeling finds it,
@@ -124,7 +127,7 @@ def enumerate_minimal_alliances(
 
 
 # ---------------------------------------------------------------------------
-# The slack table and its max-closure
+# The slack: as a table, its max-closure, or packed alliance bits for one k
 #
 # Condition (1) for v against a set S reads 2*d_S(v) - deg(v) >= k.  The
 # slack of S is the minimum of that left side over the scope (S for the
@@ -132,16 +135,18 @@ def enumerate_minimal_alliances(
 # min(defensive, offensive - 2) for the powerful kind), so S is a kind/k
 # alliance exactly when slack(S) >= k, for every k at once.
 
-#: A block of the slack table spans 2^_LOW_BITS masks; of 2^12..2^18,
-#: 2^16 built an order-24 table fastest.
+#: A block holds 2^_LOW_BITS consecutive masks; of 2^12..2^18, 2^16
+#: built an order-24 slack table fastest.
 _LOW_BITS = 16
-#: Added to every finite slack; |slack| <= 31 on uint32 masks, so biased
+#: Added to every finite slack; |slack| <= 31 up to _MAX_ORDER, so biased
 #: values lie in [33, 95] and never reach the high bit.
 _BIAS = 64
 #: The high bit.  A vertex outside the scope contributes its entry with
 #: this bit set, so it never wins the minimum; a set with an empty scope
 #: (a vacuous offensive alliance) keeps a value at or above it.
 _VACUOUS = 128
+#: Masks fit in uint32, and every degree stays below 32.
+_MAX_ORDER = 32
 
 
 def _threshold(k: int) -> int:
@@ -152,12 +157,23 @@ def _threshold(k: int) -> int:
     return min(max(k + _BIAS, 1), _VACUOUS)
 
 
+def _check_order(g: Graph, limit: int) -> None:
+    """Refuse a 2^n table before any of it is allocated: above the caller's
+    limit, and above _MAX_ORDER whatever the limit."""
+    if g.n > limit:
+        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
+    if g.n > _MAX_ORDER:
+        raise CapacityError(
+            f"order {g.n} exceeds {_MAX_ORDER}, the largest order a 2^n table "
+            f"supports; its byte table would take {1 << g.n} bytes"
+        )
+
+
 def _closed_slack_table(g: Graph, kind: AllianceKind, limit: int) -> np.ndarray:
     """Max-closure of the slack table over all 2^n masks: entry m is the
     largest biased k at which m contains a kind/k alliance (0 for the empty
     mask), so m contains a kind/k alliance iff entry >= _threshold(k)."""
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
+    _check_order(g, limit)
     closed = _slack_table(g, kind)
     for b in range(g.n):
         for without, with_b in _bit_pairs(closed, b):
@@ -180,22 +196,19 @@ def _bit_pairs(table: np.ndarray, b: int):
 #: In-word halves for bits 0..5 of a mask: word bit p stands for mask
 #: 64*w + p, and _LOW_HALVES[b] has the positions p whose bit b is clear.
 _LOW_HALVES = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) for b in range(6))
+#: A word with every mask's bit set.
+_ALL_BITS = np.uint64(2**64 - 1)
 
 
 def _covered_words(g: Graph, k: int, kind: AllianceKind, limit: int) -> np.ndarray:
     """The masks that contain a kind/k alliance, one bit each: bit p of word
     w stands for mask 64*w + p (orders below 6 pad the one word with zeros).
-    The slack table is thresholded, packed and closed upward by OR passes:
+    The alliance bits of ``_alliance_words`` are closed upward by OR passes:
     thresholding commutes with the max-closure, since a mask contains a set
     of slack >= t iff its closed entry is >= t, so this equals
     ``_closed_slack_table(g, kind, limit) >= _threshold(k)``."""
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
-    slack = _slack_table(g, kind)
-    covered = np.greater_equal(slack, _threshold(k), out=slack.view(np.bool_))
-    packed = np.packbits(covered, bitorder="little")
-    del slack, covered  # the word passes need only the packed bits
-    words = (np.pad(packed, (0, 8 - packed.size)) if packed.size < 8 else packed).view("<u8")
+    _check_order(g, limit)
+    words = _alliance_words(g, k, kind)
     for b in range(g.n):
         for with_b, without in _word_pairs(words, words, b):
             with_b |= without
@@ -238,37 +251,95 @@ def _minimal_family(
     return MinimalAllianceFamily(kind, k, tuple(VertexSet(m, n) for m in masks.tolist()))
 
 
-def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
-    """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0.
+def _slack_terms(
+    g: Graph, kind: AllianceKind
+) -> tuple[list[np.ndarray], Iterator[list[tuple[int, int]]]]:
+    """The kind slack of every mask as a minimum of per-vertex terms; the
+    scope rules of both builders live here.
 
     Each mask splits into a high part h, fixed within a block of
     2^_LOW_BITS consecutive masks, and a low part l.  Everything a vertex
-    contributes that depends on l is tabulated once (``_low_tables``), so a
-    block costs one add and one minimum per vertex."""
+    contributes that depends on l is tabulated once (``_low_tables``).
+    Returns (rows, blocks): rows holds those tables, for each scope the
+    kind reads the reached row of every vertex and then the unreached one,
+    and blocks yields, block by block, the terms (r, shift) whose minimum
+    of rows[r][l] + shift is the block's biased slack at l.  The shift is
+    2*|N(v) & h| + _BIAS - deg(v), less 2 for the offensive terms of the
+    powerful kind, and no entry reaches 256."""
     low = min(g.n, _LOW_BITS)
-    if kind is not AllianceKind.OFFENSIVE:
-        defensive = _low_tables(g, low, False)
-    if kind is not AllianceKind.DEFENSIVE:
-        offensive = _low_tables(g, low, True)
-    out = np.empty(1 << g.n, dtype=np.uint8)
-    width = 1 << low
     highmask = g.full_mask >> low << low
-    for b in range(1 << (g.n - low)):
-        hmask = b << low
-        block = out[b * width : (b + 1) * width]
-        # a high vertex is in every set of the block or in none: off the
-        # boundary when present, out of a defensive scope when absent
-        if kind is AllianceKind.DEFENSIVE:
-            _block_minimum(g, hmask, highmask & ~hmask, defensive, block)
+    rows: list[np.ndarray] = []
+    scopes = []
+    for boundary in (False, True):
+        if kind is (AllianceKind.DEFENSIVE if boundary else AllianceKind.OFFENSIVE):
             continue
-        _block_minimum(g, hmask, hmask, offensive, block)
-        if kind is AllianceKind.POWERFUL:
-            block -= 2
-            defn = _block_minimum(g, hmask, highmask & ~hmask, defensive, np.empty_like(block))
-            np.minimum(block, defn, out=block)
+        bias = _BIAS - 2 if boundary and kind is AllianceKind.POWERFUL else _BIAS
+        scopes.append((boundary, len(rows), bias))
+        for table in _low_tables(g, low, boundary):  # rows of reached, then unreached
+            rows.extend(table)
+    vertices = list(zip(range(g.n), g.adj_bits, g.degrees))
+
+    def blocks() -> Iterator[list[tuple[int, int]]]:
+        for b in range(1 << (g.n - low)):
+            hmask = b << low
+            terms = []
+            for boundary, first, bias in scopes:
+                # a high vertex is in every set of the block or in none: off
+                # the boundary when present, out of a defensive scope when absent
+                skip = hmask if boundary else highmask & ~hmask
+                for v, adj, degree in vertices:
+                    if skip >> v & 1:
+                        continue
+                    c = (hmask & adj).bit_count()
+                    terms.append((first + v if c else first + g.n + v, 2 * c + bias - degree))
+            yield terms
+
+    return rows, blocks()
+
+
+def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
+    """Biased kind slack of every mask as uint8; index 0 (the empty set,
+    never an alliance) is 0.  A block costs one add and one minimum per
+    term.  At least _VACUOUS where the scope is empty."""
+    rows, blocks = _slack_terms(g, kind)
+    width = rows[0].size
+    out = np.empty(1 << g.n, dtype=np.uint8)
+    for b, terms in enumerate(blocks):
+        block = out[b * width : (b + 1) * width]
+        block.fill(255)
+        for r, shift in terms:
+            np.minimum(block, rows[r] + np.uint8(shift), out=block)
     out[0] = 0
     return out
+
+
+def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
+    """The kind/k alliances, one bit per mask in the word layout of
+    ``_covered_words``, without the byte table: a minimum is at least the
+    threshold iff every term is, so each block's words are the AND of its
+    terms' packed threshold tests, and each distinct term is packed once.
+    Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
+    # allocated before the low tables, so that the space they free lies
+    # above it in the heap, where phi's popcounts can reuse it
+    words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
+    rows, blocks = _slack_terms(g, kind)
+    t = _threshold(k)
+    width = max(1, rows[0].size >> 6)
+    patterns: dict[tuple[int, int], np.ndarray] = {}
+    for b, terms in enumerate(blocks):
+        block = words[b * width : (b + 1) * width]
+        block.fill(_ALL_BITS)
+        for term in terms:
+            pattern = patterns.get(term)
+            if pattern is None:
+                r, shift = term
+                # rows[r] + shift >= t, as one comparison on the uint8 row
+                packed = np.packbits(rows[r] >= max(t - shift, 0), bitorder="little")
+                pattern = patterns[term] = np.zeros(width, dtype="<u8")
+                pattern.view(np.uint8)[: packed.size] = packed
+            block &= pattern
+    words[0] &= ~np.uint64(1)  # the empty mask is never an alliance
+    return words
 
 
 @lru_cache(maxsize=65536)
@@ -338,18 +409,3 @@ def _low_tables(g: Graph, low: int, boundary: bool) -> tuple[np.ndarray, np.ndar
     unreached &= _VACUOUS
     unreached |= table
     return table, unreached
-
-
-def _block_minimum(g: Graph, hmask: int, skip: int, scope, out: np.ndarray) -> np.ndarray:
-    """Biased min over the scope of 2*d_S(v) - deg(v) for the sets S = h | l
-    of one block, whose high part has the vertex mask hmask; vertices in
-    skip are out of the scope throughout the block.  At least _VACUOUS where
-    the scope is empty."""
-    reached, unreached = scope
-    out.fill(255)
-    for v, adj in enumerate(g.adj_bits):
-        if skip >> v & 1:
-            continue
-        table = reached[v] if hmask & adj else unreached[v]
-        np.minimum(out, table + np.uint8(2 * (hmask & adj).bit_count() + _BIAS - g.degrees[v]), out=out)
-    return out

@@ -218,6 +218,11 @@ def test_capacity_error_exit(tmp_path, capsys):
     big.write_text(format_edge_list(parse_edge_list("30\n0 1\n")))
     assert main(["phi", "-g", str(big), "-k", "0", "--kind", "defensive"]) == 2
     assert "capacity" in capsys.readouterr().err
+    # no --limit lifts the order past 32
+    g33 = tmp_path / "g33.el"
+    write_edge_list(Graph(33), g33)
+    assert main(["table", "-g", str(g33), "--kind", "defensive", "--limit", "40"]) == 2
+    assert "capacity" in capsys.readouterr().err
 
 
 def test_table_capacity_error_before_any_allocation(tmp_path, capsys):

@@ -202,25 +202,34 @@ def _rule_family(covered: np.ndarray, n: int) -> list[int]:
     return np.flatnonzero(minimal).tolist()
 
 
-@pytest.mark.parametrize("n", [*range(1, 8), 17])
+#: Largest order at which the closure test also checks the family and phi.
+_FAMILY_CHECK_ORDER = 18
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), *range(17, 25)])
 def test_covered_words_and_family_match_the_closure(n):
     """The packed covered set equals the thresholded max-closure, bit for
     bit, with clear padding below order 6; the family read off the words
     equals the rule computed here on the unpacked closure, and phi picks
-    the largest uncovered mask, lexicographically first on ties."""
+    the largest uncovered mask, lexicographically first on ties.  Orders
+    18-24 span 4 to 256 blocks of the alliance bits; the family and phi
+    checks stop at _FAMILY_CHECK_ORDER."""
     rng = random.Random(110 + n)
     graphs = [seeded_graph(rng, n) for _ in range(4)] if n < 8 else [random_graph(n, 0.3, seed=n)]
     for g in graphs:
         d = g.delta_max
+        extreme = {-1000, -d - 3, d + 1, d + 2, 150, 1000} if n <= 17 else {-1000, d + 2, 150}
         for kind in AllianceKind:
             closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
-            for k in sorted(set(canonical_k_range(g, kind)) | {-1000, -d - 3, d + 1, d + 2, 150, 1000}):
+            for k in sorted(set(canonical_k_range(g, kind)) | extreme):
                 expected = closed >= _threshold(k)
                 words = _covered_words(g, k, kind, DEFAULT_EXACT_LIMIT)
                 assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << n) >> 6)
                 bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
                 assert not bits[1 << n :].any(), (n, kind, k)
                 assert (bits[: 1 << n] == expected).all(), (n, kind, k)
+                if n > _FAMILY_CHECK_ORDER:
+                    continue
                 family = enumerate_minimal_alliances(g, k, kind)
                 assert sorted(family.masks) == _rule_family(expected, n), (n, kind, k)
                 free = np.flatnonzero(~expected)
@@ -248,6 +257,14 @@ def test_slack_table_matches_the_scalar_predicate(n):
         for m in masks:
             for k in canonical_k_range(g, kind):
                 assert (slack[m] >= k + _BIAS) == _alliance_ok(g, m, k, kind), (kind, m, k)
+
+
+@pytest.mark.parametrize("kind", list(AllianceKind))
+def test_minimal_family_memory_at_order_24(kind):
+    """The family is read off packed bits, about 0.125 bytes per mask
+    each for the covered words and their minimal copy; the byte slack
+    table alone would take one byte per mask."""
+    assert traced_peak(lambda: enumerate_minimal_alliances(grid_graph(4, 6), 0, kind)) < 0.75 * (1 << 24)
 
 
 def _free_at(g, x, kind, ks, check):

@@ -37,6 +37,7 @@ from alliancekit.freesets import _free_mask
 from conftest import refusal_peak, seeded_graph, traced_peak
 
 phi_mod = importlib.import_module("alliancekit.phi")
+freesets_mod = importlib.import_module("alliancekit.freesets")
 
 
 def test_phi_p3_offensive():
@@ -237,13 +238,48 @@ def test_capacity_errors():
         phi_powerful_lower(Graph(25), 0)
     with pytest.raises(CapacityError):
         phi_table(Graph(25), "defensive")
+    # limit= cannot lift the order past 32, where masks leave uint32 and
+    # degrees leave the biased slack range: refused before the 8 GiB table
+    g33 = Graph(33)
+    assert refusal_peak(lambda: phi(g33, 0, "defensive", limit=40)) < 1 << 20
+    assert refusal_peak(lambda: phi_table(g33, "defensive", limit=40)) < 1 << 20
+    assert refusal_peak(lambda: enumerate_minimal_alliances(g33, 0, "defensive", limit=40)) < 1 << 20
+
+
+def test_one_k_paths_never_build_the_slack_table(monkeypatch):
+    """phi and the minimal family build packed alliance bits directly; the
+    byte slack table serves only the every-k closure of phi_table and
+    phi_value."""
+    def spy(*args, **kwargs):
+        raise AssertionError("a one-k path built the slack table")
+
+    graphs = [path_graph(4), grid_graph(3, 3), random_graph(17, 0.3, seed=5)]
+    with monkeypatch.context() as patched:
+        patched.setattr(freesets_mod, "_slack_table", spy)
+        for g in graphs:
+            for kind in AllianceKind:
+                assert phi(g, 0, kind).certificate == enumerate_minimal_alliances(g, 0, kind)
+    closures = []
+    closed_slack_table = phi_mod._closed_slack_table
+
+    def counting(*args):
+        closures.append(args[:2])
+        return closed_slack_table(*args)
+
+    monkeypatch.setattr(phi_mod, "_closed_slack_table", counting)
+    phi_mod._level_minima.cache_clear()
+    for kind in AllianceKind:
+        phi_table(graphs[1], kind)
+        phi_value(graphs[1], 0, kind)
+    assert closures == [(graphs[1], kind) for kind in AllianceKind for _ in range(2)]
 
 
 def test_phi_memory_at_order_24():
-    """phi holds about one byte per mask at its peak: the slack table while
-    the covered words are built, the popcounts while the witness is chosen.
-    A byte-per-mask covered set and a copy of it for the minimal pass, next
-    to the closed table, would take three."""
+    """phi holds about one byte per mask at its peak: the popcounts while
+    the witness is chosen, next to the packed covered words.  No byte
+    slack table is built on its path.  A byte-per-mask covered set and a
+    copy of it for the minimal pass, next to the closed table, would take
+    three."""
     assert traced_peak(lambda: phi(grid_graph(4, 6), 0, "defensive")) < 2.5 * (1 << 24)
 
 
