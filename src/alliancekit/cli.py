@@ -2,7 +2,8 @@
 
 Every subcommand is a thin adapter over one library operation.  Exit
 status: 0 for success / a true verdict, 1 for a false verdict or a failed
-audit, 2 for usage, parse, or capacity errors.
+audit, 2 for usage, parse, or capacity errors.  Running out of memory is a
+capacity error too: one ``capacity error:`` line, never a traceback.
 
 Graphs travel as edge-list files (first non-comment line: vertex count;
 then "u v" lines; '#' comments).  Vertex lists on the command line are
@@ -274,8 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     except EdgeListParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        # numpy's allocation errors name the bytes asked for; a bare
+        # MemoryError has no message
+        reason = " ".join(str(exc).split()) or "out of memory"
+        print(f"capacity error: {reason}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

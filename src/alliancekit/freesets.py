@@ -18,8 +18,10 @@ bits come packed 64 masks to a word as an AND of per-term threshold
 tests (``_alliance_words``).  Thresholding commutes with the
 max-closure, so OR passes over the words then mark the masks that
 contain an alliance (``_covered_words``).  A mask is a minimal alliance
-when it is marked and no mask one bit smaller is; the same word passes,
-with AND-NOT, find them.
+when it contains an alliance and no proper subset of it does; the same
+passes, with one OR more per step, mark the masks that strictly contain
+an alliance, so the minimal ones come out of one sweep with the covered
+ones.
 
 A single set X needs no table.  The union of two kind/k alliances is again
 one, so X holds one largest kind/k alliance, and greedy peeling finds it,
@@ -123,7 +125,8 @@ def enumerate_minimal_alliances(
 ) -> MinimalAllianceFamily:
     """Exact inclusion-minimal kind/k alliances via a full 2^n sweep."""
     kind = AllianceKind(kind)
-    return _minimal_family(_covered_words(g, k, kind, limit), g.n, k, kind)
+    _, minimal = _covered_words(g, k, kind, limit)
+    return _minimal_family(minimal, g.n, k, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -200,46 +203,60 @@ _LOW_HALVES = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) 
 _ALL_BITS = np.uint64(2**64 - 1)
 
 
-def _covered_words(g: Graph, k: int, kind: AllianceKind, limit: int) -> np.ndarray:
-    """The masks that contain a kind/k alliance, one bit each: bit p of word
-    w stands for mask 64*w + p (orders below 6 pad the one word with zeros).
+def _covered_words(
+    g: Graph, k: int, kind: AllianceKind, limit: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(covered, minimal): the masks that contain a kind/k alliance, and the
+    inclusion-minimal kind/k alliances, one bit each: bit p of word w stands
+    for mask 64*w + p (orders below 6 pad the one word with zeros).
+
     The alliance bits of ``_alliance_words`` are closed upward by OR passes:
     thresholding commutes with the max-closure, since a mask contains a set
-    of slack >= t iff its closed entry is >= t, so this equals
-    ``_closed_slack_table(g, kind, limit) >= _threshold(k)``."""
+    of slack >= t iff its closed entry is >= t, so covered equals
+    ``_closed_slack_table(g, kind, limit) >= _threshold(k)``.  The same
+    passes mark the masks that strictly contain an alliance: after the pass
+    of bit b, a mask holds an alliance below it that differs from it only
+    in bits 0..b, either with bit b (already marked) or without it (covered
+    before the pass).  A covered mask with no such mark is minimal."""
     _check_order(g, limit)
-    words = _alliance_words(g, k, kind)
+    covered = _alliance_words(g, k, kind)
+    above = np.zeros_like(covered)
+    shifted = np.empty_like(covered)
     for b in range(g.n):
-        for with_b, without in _word_pairs(words, words, b):
-            with_b |= without
+        if b < 6:
+            # bits 0..5 lie inside a word: move the bit-b-clear positions
+            # onto the bit-b-set ones, zeros elsewhere
+            np.bitwise_and(covered, _LOW_HALVES[b], out=shifted)
+            shifted <<= np.uint64(1 << b)
+            above |= shifted
+            covered |= shifted
+        else:
+            # from bit 6 on, bit b selects whole words
+            pairs = zip(_bit_pairs(covered, b - 6), _bit_pairs(above, b - 6))
+            for (without, with_b), (_, above_with_b) in pairs:
+                above_with_b |= without
+                with_b |= without
+    minimal = np.invert(above, out=above)
+    minimal &= covered
+    return covered, minimal
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """A bool array packed one bit per entry, 64 to a <u8 word in the layout
+    of ``_covered_words``; a short array fills one word, padded with zeros."""
+    packed = np.packbits(bits, bitorder="little")
+    words = np.zeros(max(1, packed.size >> 3), dtype="<u8")
+    words.view(np.uint8)[: packed.size] = packed
     return words
 
 
-def _word_pairs(target: np.ndarray, source: np.ndarray, b: int):
-    """Aligned (target's masks with bit b, source's same masks without it)
-    over covered words.  Bits 0..5 lie inside a word: the whole target comes
-    with source's bit-b-clear positions shifted onto the bit-b-set ones, and
-    zeros elsewhere.  From bit 6 on, bit b selects whole words, matched by
-    the word-pair views of ``_bit_pairs``."""
-    if b < 6:
-        yield target, (source & _LOW_HALVES[b]) << np.uint64(1 << b)
-    else:
-        for (_, with_b), (without, _) in zip(_bit_pairs(target, b - 6), _bit_pairs(source, b - 6)):
-            yield with_b, without
-
-
 def _minimal_family(
-    covered: np.ndarray, n: int, k: int, kind: AllianceKind
+    minimal: np.ndarray, n: int, k: int, kind: AllianceKind
 ) -> MinimalAllianceFamily:
-    """Covered masks none of whose one-bit-smaller subsets is covered: such a
-    mask contains an alliance but no proper subset does, so it is one.
-    ``covered`` holds the words of ``_covered_words``.  Members come in
-    order of size, then of sorted vertex list; for sets of one size, that
-    list order is the descending order of the bit-reversed masks."""
-    minimal = covered.copy()
-    for b in range(n):
-        for with_b, without in _word_pairs(minimal, covered, b):
-            with_b &= ~without
+    """The family whose members are the set bits of ``minimal``, the minimal
+    words of ``_covered_words``.  Members come in order of size, then of
+    sorted vertex list; for sets of one size, that list order is the
+    descending order of the bit-reversed masks."""
     nonzero = np.flatnonzero(minimal)
     bits = np.unpackbits(minimal[nonzero].view(np.uint8), bitorder="little")
     rows, cols = np.nonzero(bits.reshape(-1, 64))
@@ -320,7 +337,7 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     terms' packed threshold tests, and each distinct term is packed once.
     Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
     # allocated before the low tables, so that the space they free lies
-    # above it in the heap, where phi's popcounts can reuse it
+    # above it in the heap, where the closure's second array can reuse it
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     rows, blocks = _slack_terms(g, kind)
     t = _threshold(k)
@@ -334,9 +351,7 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
             if pattern is None:
                 r, shift = term
                 # rows[r] + shift >= t, as one comparison on the uint8 row
-                packed = np.packbits(rows[r] >= max(t - shift, 0), bitorder="little")
-                pattern = patterns[term] = np.zeros(width, dtype="<u8")
-                pattern.view(np.uint8)[: packed.size] = packed
+                pattern = patterns[term] = _pack_words(rows[r] >= max(t - shift, 0))
             block &= pattern
     words[0] &= ~np.uint64(1)  # the empty mask is never an alliance
     return words

@@ -1,16 +1,20 @@
 """Exact maximum alliance-free set sizes with witnesses and certificates.
 
-``phi`` reads the covered set of one k (see ``freesets``): one bit per
-mask, set where the mask contains a kind/k alliance.  Free sets are
-closed under taking subsets, so the uncovered masks are exactly the free
-ones; phi is the largest popcount among them, and the witness is the
-lexicographically smallest free mask of that size.  ``phi_table`` and
-``phi_value`` answer every k, so they read the k-independent max-closure
-of the slack table instead, whose entry for a mask is the largest k at
-which the mask contains a kind/k alliance; ``phi_value`` keeps only the
-smallest entry of each popcount level.  The certificate is the
-inclusion-minimal alliance family: X is free iff its complement meets
-every member, so
+``phi`` reads the covered and minimal words of one k (see ``freesets``):
+one bit per mask, set where the mask contains a kind/k alliance, and where
+it is one of the inclusion-minimal ones.  Free sets are closed under
+taking subsets, so the uncovered masks are exactly the free ones; phi is
+the largest popcount among them, and the witness is the lexicographically
+smallest free mask of that size.  Both are chosen on the words
+themselves: mask 64*w + p has popcount pc(w) + pc(p), so a popcount per
+word index and seven in-word level masks find them (``_select``).
+``phi_table`` and ``phi_value`` answer every k, so they read the
+k-independent max-closure of the slack table instead, whose entry for a
+mask is the largest k at which the mask contains a kind/k alliance;
+``phi_table`` packs each k's free masks into words for ``_select``, and
+``phi_value`` keeps only the smallest entry of each popcount level.  The
+certificate is the inclusion-minimal alliance family: X is free iff its
+complement meets every member, so
 
     phi = n - (minimum transversal of the minimal-alliance family).
 
@@ -30,11 +34,13 @@ import numpy as np
 
 from .alliances import AllianceKind
 from .freesets import (
+    _LOW_HALVES,
     MinimalAllianceFamily,
     _closed_slack_table,
     _covered_words,
     _free_mask,
     _minimal_family,
+    _pack_words,
     _threshold,
 )
 from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet
@@ -71,9 +77,9 @@ def phi(g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXAC
     smallest sorted vertex list.
     """
     kind = AllianceKind(kind)
-    covered = _covered_words(g, k, kind, limit)
-    family = _minimal_family(covered, g.n, k, kind)
-    value, witness = _select(_free_sizes(covered, g.n), g.n)
+    covered, minimal = _covered_words(g, k, kind, limit)
+    value, witness = _select(np.invert(covered, out=covered), g.n)
+    family = _minimal_family(minimal, g.n, k, kind)
     return PhiResult(kind, k, value, VertexSet(witness, g.n), family)
 
 
@@ -84,10 +90,10 @@ def phi_table(
     each row equals the value and witness of ``phi(g, k, kind)``."""
     kind = AllianceKind(kind)
     closed = _closed_slack_table(g, kind, limit)
-    sizes = _popcounts(g.n)
+    free = np.empty(closed.size, dtype=np.bool_)
     rows = []
     for k in kind.canonical_k_range(g):
-        value, witness = _select(np.where(closed >= _threshold(k), np.uint8(0), sizes), g.n)
+        value, witness = _select(_pack_words(np.less(closed, _threshold(k), out=free)), g.n)
         rows.append((k, value, VertexSet(witness, g.n)))
     return rows
 
@@ -144,50 +150,58 @@ def phi_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# Selection over the free masks
+# Selection over the free words
 
 
 def _popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask below 2^n, as uint8."""
+    """Popcount of every mask (or word index) below 2^n, as uint8."""
     sizes = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
         np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
     return sizes
 
 
-#: Masks unpacked at a time by ``_free_sizes``.
-_UNPACK_BLOCK = 1 << 16
+#: In-word positions by popcount: bit p of _LEVELS[c] is set iff p has c
+#: bits, for c = 0..6.
+_LEVELS = np.array(
+    [sum(1 << p for p in range(64) if p.bit_count() == c) for c in range(7)], dtype=np.uint64
+)
+#: In-word positions whose mask holds vertex v, for v = 0..5.
+_HOLDS = tuple(~half for half in _LOW_HALVES)
+#: Below every word's size plus level, for words with no free position.
+_NONE_FREE = -64
 
 
-def _free_sizes(covered: np.ndarray, n: int) -> np.ndarray:
-    """Popcounts zeroed where the mask is covered, from the covered words.
-    Unpacking one block at a time keeps a single byte per mask alive."""
-    sizes = _popcounts(n)
-    free = ~covered.view(np.uint8)
-    for start in range(0, sizes.size, _UNPACK_BLOCK):
-        block = sizes[start : start + _UNPACK_BLOCK]
-        free_bits = free[start >> 3 : (start + _UNPACK_BLOCK) >> 3]
-        block *= np.unpackbits(free_bits, count=block.size, bitorder="little")
-    return sizes
+def _select(free: np.ndarray, n: int) -> tuple[int, int]:
+    """(phi, witness mask) from the free words: bit p of word w is set where
+    mask 64*w + p contains no alliance (padding below order 6 is ignored).
+    Free sets are downward closed and the empty mask is free, so phi is the
+    largest popcount of a free mask, and the witness is the free mask of
+    that popcount with the lexicographically smallest sorted vertex list.
 
-
-def _select(free_sizes: np.ndarray, n: int) -> tuple[int, int]:
-    """(phi, witness mask) from popcounts zeroed where the mask contains an
-    alliance; the empty mask never does, so the maximum is phi.  The
-    comparison with phi overwrites free_sizes, which no caller reads again."""
-    value = int(free_sizes.max())
-    if not value:
-        return 0, 0
-    at_value = np.equal(free_sizes, value, out=free_sizes.view(np.bool_))
-    return value, _lex_smallest(np.flatnonzero(at_value), n)
-
-
-def _lex_smallest(masks: np.ndarray, n: int) -> int:
-    """The mask, among equal-size candidates, with the lexicographically
-    smallest sorted vertex list: from vertex 0 upward, keep the candidates
-    containing the vertex whenever any do."""
-    for v in range(n):
-        has = masks[(masks >> v) & 1 == 1]
-        if has.size:
-            masks = has
-    return int(masks[0])
+    Mask 64*w + p has popcount pc(w) + pc(p), so each word reaches pc(w)
+    plus the highest level c at which it has a free position; the words
+    that reach phi hold the candidates at level phi - pc(w).  The tie-break
+    keeps, from vertex 0 upward, the candidates containing the vertex
+    whenever any do: for v < 6 by an in-word mask, and from vertex 6 on by
+    bit v - 6 of the word index.  ``free`` is overwritten where the
+    padding lies."""
+    if n < 6:
+        free[0] &= np.uint64((1 << (1 << n)) - 1)
+    level = np.full(free.size, _NONE_FREE, dtype=np.int8)
+    for c, positions in enumerate(_LEVELS):
+        level[(free & positions) != 0] = c
+    reached = level + _popcounts(max(n - 6, 0)).view(np.int8)
+    value = int(reached.max())
+    words = np.flatnonzero(reached == value)
+    bits = free[words] & _LEVELS[level[words]]
+    for v in range(min(n, 6)):
+        has = bits & _HOLDS[v]
+        if has.any():
+            keep = has != 0
+            words, bits = words[keep], has[keep]
+    for v in range(6, n):
+        has = (words >> (v - 6)) & 1 == 1
+        if has.any():
+            words, bits = words[has], bits[has]
+    return value, int(words[0]) << 6 | int(bits[0]).bit_length() - 1

@@ -5,6 +5,7 @@ every subcommand; regenerate it (only when a help change is intended) with
 """
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -26,6 +27,8 @@ from alliancekit import (
     write_edge_list,
 )
 from alliancekit.cli import build_parser, main
+
+cli_mod = importlib.import_module("alliancekit.cli")
 
 HELP_GOLDENS = Path(__file__).parent / "data" / "cli_help.json"
 SUBCOMMANDS = ("check", "minimal", "phi", "table", "product", "witness", "audit", "family")
@@ -223,6 +226,28 @@ def test_capacity_error_exit(tmp_path, capsys):
     write_edge_list(Graph(33), g33)
     assert main(["table", "-g", str(g33), "--kind", "defensive", "--limit", "40"]) == 2
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 16.0 MiB for an array with shape (16777216,) and data type uint8"),
+    MemoryError(),
+])
+def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch, error):
+    """An allocation that fails mid-solve exits 2 with one stderr line, as
+    a refused capacity does, and prints no partial document."""
+    def out_of_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "phi_table", out_of_memory)
+    path = tmp_path / "p4.el"
+    write_edge_list(path_graph(4), path)
+    for extra in ([], ["--json"]):
+        assert main(["table", "-g", str(path), "--kind", "defensive", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("capacity error: ")
+        assert (str(error) or "out of memory") in lines[0]
 
 
 def test_table_capacity_error_before_any_allocation(tmp_path, capsys):

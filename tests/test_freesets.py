@@ -24,6 +24,7 @@ from alliancekit import (
     path_graph,
     phi,
     phi_bruteforce,
+    phi_table,
     random_graph,
     star_graph,
 )
@@ -192,52 +193,84 @@ def test_capacity_errors():
     assert is_free_set(big, big.vertices, 1, "defensive")
 
 
-def _rule_family(covered: np.ndarray, n: int) -> list[int]:
-    """Masks that are covered while no one-bit-smaller mask is, ascending."""
+def _rule_family(covered: np.ndarray, n: int) -> np.ndarray:
+    """Masks that are covered while no one-bit-smaller mask is, as bools."""
     masks = np.arange(1 << n)
     minimal = covered.copy()
     for b in range(n):
         has_b = masks[masks >> b & 1 == 1]
         minimal[has_b] &= ~covered[has_b ^ (1 << b)]
-    return np.flatnonzero(minimal).tolist()
+    return minimal
 
 
-#: Largest order at which the closure test also checks the family and phi.
+def _first_largest(free: np.ndarray, n: int) -> tuple[int, int]:
+    """Largest popcount among the masks marked free, and the marked mask of
+    that popcount with the lexicographically smallest sorted vertex list;
+    read 2^16 masks at a time."""
+    best, found = -1, []
+    for start in range(0, free.size, 1 << 16):
+        masks = start + np.flatnonzero(free[start : start + (1 << 16)])
+        sizes = np.bitwise_count(masks)
+        if masks.size and sizes.max() >= best:
+            if sizes.max() > best:
+                best, found = int(sizes.max()), []
+            found += masks[sizes == best].tolist()
+    return best, min(found, key=lambda m: VertexSet(m, n).to_sorted_list())
+
+
+def _unpacked(words: np.ndarray, n: int) -> np.ndarray:
+    """Bits of the packed words as bools; the padding below order 6 must
+    be clear."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
+    assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << n) >> 6)
+    assert not bits[1 << n :].any()
+    return bits[: 1 << n]
+
+
+#: Largest order at which the closure test also checks the minimal words,
+#: the family, and phi at every k.
 _FAMILY_CHECK_ORDER = 18
 
 
 @pytest.mark.parametrize("n", [*range(1, 8), *range(17, 25)])
 def test_covered_words_and_family_match_the_closure(n):
-    """The packed covered set equals the thresholded max-closure, bit for
-    bit, with clear padding below order 6; the family read off the words
-    equals the rule computed here on the unpacked closure, and phi picks
-    the largest uncovered mask, lexicographically first on ties.  Orders
-    18-24 span 4 to 256 blocks of the alliance bits; the family and phi
-    checks stop at _FAMILY_CHECK_ORDER."""
+    """The packed covered and minimal words equal the thresholded
+    max-closure and the minimal rule computed here on it, bit for bit,
+    with clear padding below order 6; the family is read off the minimal
+    words; phi, and the phi_table row of each canonical k, pick the
+    largest uncovered mask, lexicographically first on ties.  Orders 18-24
+    span 4 to 256 blocks of the alliance bits; above _FAMILY_CHECK_ORDER,
+    phi is checked at k = 0 and one extreme k per kind, and phi_table at
+    k = 0."""
     rng = random.Random(110 + n)
     graphs = [seeded_graph(rng, n) for _ in range(4)] if n < 8 else [random_graph(n, 0.3, seed=n)]
     for g in graphs:
         d = g.delta_max
         extreme = {-1000, -d - 3, d + 1, d + 2, 150, 1000} if n <= 17 else {-1000, d + 2, 150}
+        beyond = {AllianceKind.DEFENSIVE: -1000, AllianceKind.OFFENSIVE: d + 2, AllianceKind.POWERFUL: 150}
         for kind in AllianceKind:
             closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+            table = {k: (value, witness.mask) for k, value, witness in phi_table(g, kind)}
             for k in sorted(set(canonical_k_range(g, kind)) | extreme):
                 expected = closed >= _threshold(k)
-                words = _covered_words(g, k, kind, DEFAULT_EXACT_LIMIT)
-                assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << n) >> 6)
-                bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(np.bool_)
-                assert not bits[1 << n :].any(), (n, kind, k)
-                assert (bits[: 1 << n] == expected).all(), (n, kind, k)
+                words, minimal = _covered_words(g, k, kind, DEFAULT_EXACT_LIMIT)
+                assert (_unpacked(words, n) == expected).all(), (n, kind, k)
                 if n > _FAMILY_CHECK_ORDER:
+                    if k in (0, beyond[kind]):
+                        best = _first_largest(~expected, n)
+                        r = phi(g, k, kind)
+                        assert (r.value, r.witness.mask) == best, (n, kind, k)
+                        assert k not in table or table[k] == best, (n, kind, k)
                     continue
+                rule = _rule_family(expected, n)
+                assert (_unpacked(minimal, n) == rule).all(), (n, kind, k)
                 family = enumerate_minimal_alliances(g, k, kind)
-                assert sorted(family.masks) == _rule_family(expected, n), (n, kind, k)
-                free = np.flatnonzero(~expected)
-                sizes = np.bitwise_count(free)
-                largest = free[sizes == sizes.max()].tolist()
-                first = min(largest, key=lambda m: VertexSet(m, n).to_sorted_list())
+                assert sorted(family.masks) == np.flatnonzero(rule).tolist(), (n, kind, k)
+                best = _first_largest(~expected, n)
                 r = phi(g, k, kind)
-                assert (r.value, r.witness.mask) == (sizes.max(), first), (n, kind, k)
+                assert (r.value, r.witness.mask) == best, (n, kind, k)
+                assert r.certificate == family
+                assert k not in table or table[k] == best, (n, kind, k)
 
 
 @pytest.mark.parametrize("n", range(15, 25))

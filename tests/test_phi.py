@@ -112,6 +112,42 @@ def test_phi_matches_oracle_small():
                 assert phi(g, k, kind).value == phi_bruteforce(g, k, kind)
 
 
+def _labelled_graphs(n: int):
+    """Every graph on vertices 0..n-1, one per edge subset."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield Graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+
+
+def _oracle_first_largest(g: Graph, k: int, kind: AllianceKind) -> tuple[int, int]:
+    """phi_bruteforce's value, with the free mask of that size whose sorted
+    vertex list is lexicographically smallest, by the scalar check."""
+    value = phi_bruteforce(g, k, kind)
+    for combo in itertools.combinations(range(g.n), value):
+        mask = VertexSet.of(combo, g.n).mask
+        if _free_mask(g, mask, k, kind):
+            return value, mask
+    raise AssertionError("phi_bruteforce's size has no free set")
+
+
+def test_padded_single_word_orders_match_the_oracle():
+    """Orders 1-5 fit in one padded word: phi and every phi_table row give
+    the oracle's value and its lexicographically first free set, on every
+    labelled graph of order <= 4 and on seeded order-5 graphs, at every
+    canonical k and at k values beyond the range on both sides."""
+    rng = random.Random(37)
+    graphs = [g for n in range(1, 5) for g in _labelled_graphs(n)]
+    graphs += [seeded_graph(rng, 5) for _ in range(24)]
+    for g in graphs:
+        d = g.delta_max
+        for kind in AllianceKind:
+            for k, value, witness in phi_table(g, kind):
+                assert (value, witness.mask) == _oracle_first_largest(g, k, kind), (g, kind, k)
+            for k in sorted(set(canonical_k_range(g, kind)) | {-1000, -d - 3, d + 1, d + 2, 1000}):
+                r = phi(g, k, kind)
+                assert (r.value, r.witness.mask) == _oracle_first_largest(g, k, kind), (g, kind, k)
+
+
 def test_witness_is_free_and_maximal():
     rng = random.Random(33)
     for _ in range(10):
@@ -275,12 +311,28 @@ def test_one_k_paths_never_build_the_slack_table(monkeypatch):
 
 
 def test_phi_memory_at_order_24():
-    """phi holds about one byte per mask at its peak: the popcounts while
-    the witness is chosen, next to the packed covered words.  No byte
-    slack table is built on its path.  A byte-per-mask covered set and a
-    copy of it for the minimal pass, next to the closed table, would take
-    three."""
+    """No byte-per-mask array lies on phi's path: the covered and minimal
+    words take an eighth of a byte per mask each, and the witness is chosen
+    on the covered words, inverted in place.  A byte-per-mask covered set and a copy of it for
+    the minimal pass, next to the closed table, would take three."""
     assert traced_peak(lambda: phi(grid_graph(4, 6), 0, "defensive")) < 2.5 * (1 << 24)
+
+
+@pytest.mark.parametrize("kind", list(AllianceKind))
+def test_phi_memory_at_order_24_by_kind(kind):
+    """The words-only peak, for every kind: about 0.41-0.46 bytes per mask,
+    against 1.26-1.29 when the witness was chosen on a popcount byte per
+    mask."""
+    assert traced_peak(lambda: phi(grid_graph(4, 6), 0, kind)) < 0.75 * (1 << 24)
+
+
+def test_phi_table_memory_at_order_20():
+    """phi_table holds the closed byte table and, per k, one reused bool
+    per mask, packed to words before the witness is chosen: about 2.3
+    bytes per mask, against 4.0 when every k built its own popcount
+    array.  (The offensive and powerful peaks are set earlier, by the low
+    tables of the slack build.)"""
+    assert traced_peak(lambda: phi_table(grid_graph(4, 5), "defensive")) < 2.5 * (1 << 20)
 
 
 def _min_transversal(family, n: int) -> int:
