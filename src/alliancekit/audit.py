@@ -31,7 +31,6 @@ from typing import Callable, Iterable
 from .alliances import AllianceKind, is_defensive_alliance
 from .freesets import is_free_set
 from .graph import (
-    DEFAULT_EXACT_LIMIT,
     Graph,
     VertexSet,
     _gnp,
@@ -48,7 +47,7 @@ from .graph import (
     vizing_alpha_bound,
     wheel_graph,
 )
-from .phi import phi_value
+from .phi import phi_powerful_lower, phi_value
 from .products import box_k, column_k, union_k
 
 DEF = AllianceKind.DEFENSIVE
@@ -56,6 +55,9 @@ OFF = AllianceKind.OFFENSIVE
 POW = AllianceKind.POWERFUL
 
 _EDGE_PROBS = (0.3, 0.5, 0.7)
+
+#: Cap on the order of the products an audit draws.
+DEFAULT_EXACT_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -236,12 +238,6 @@ def _pair_instances(
 @lru_cache(maxsize=2048)
 def _product(g1: Graph, g2: Graph) -> Graph:
     return cartesian_product(g1, g2)
-
-
-@lru_cache(maxsize=2048)
-def _free(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> bool:
-    # verdicts re-test their hypotheses per case; the memo keeps that cheap
-    return is_free_set(g, s, k, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +428,9 @@ def _projection_transfer_audit(
 
     def verdict(a, b, sets, axis, ki):
         own, other = (a, b) if axis == 1 else (b, a)
-        if not _free(own, projections(sets["s"], a.n, b.n)[axis - 1], ki, kind):
+        if not is_free_set(own, projections(sets["s"], a.n, b.n)[axis - 1], ki, kind):
             return None
-        got = _free(_product(a, b), sets["s"], column_k(ki, other, kind), kind)
+        got = is_free_set(_product(a, b), sets["s"], column_k(ki, other, kind), kind)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -482,12 +478,12 @@ def _both_projection_audit(
 
     def verdict(a, b, sets, k1, k2):
         q1, q2 = projections(sets["s"], a.n, b.n)
-        if not (_free(a, q1, k1, kind) and _free(b, q2, k2, kind)):
+        if not (is_free_set(a, q1, k1, kind) and is_free_set(b, q2, k2, kind)):
             return None
         kc = box_k(k1, k2, a, b, kind)
         if kind is POW and kc > a.delta_max + b.delta_max - 2:
             return None  # stated range is empty
-        got = _free(_product(a, b), sets["s"], kc, kind)
+        got = is_free_set(_product(a, b), sets["s"], kc, kind)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -730,9 +726,9 @@ def _audit_th_factor_recovery(config, rng, tally):
         s1, s2 = sets["s1"], sets["s2"]
         if s2.mask == 0 or not is_defensive_alliance(b, s2, kp):
             return None
-        if not _free(_product(a, b), factor_box(s1, s2), k, DEF):
+        if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
             return None
-        got = _free(a, s1, k - kp, DEF)
+        got = is_free_set(a, s1, k - kp, DEF)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -754,9 +750,9 @@ def _audit_cor_otrocoro(config, rng, tally):
     """If S1 x V2 is def k-free in the product, S1 is def (k-d2)-free."""
 
     def verdict(a, b, sets, k):
-        if not _free(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
+        if not is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
             return None
-        got = _free(a, sets["s1"], k - b.delta_min, DEF)
+        got = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -781,8 +777,8 @@ def _audit_prop_iff_regular(config, rng, tally):
     def verdict(a, b, sets, k):
         if not b.is_regular or k not in k_range(a, b):
             return None
-        left = _free(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
-        right = _free(a, sets["s1"], k - b.delta_min, DEF)
+        left = is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
+        right = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
         return left == right, [left, right], "equal"
 
     for _ in range(config.trials_per_theorem):
@@ -801,12 +797,12 @@ def _audit_th_union(config, rng, tally):
 
     def verdict(a, b, sets, k1, k2):
         s1, s2 = sets["s1"], sets["s2"]
-        if not (_free(a, s1, k1, OFF) and _free(b, s2, k2, OFF)):
+        if not (is_free_set(a, s1, k1, OFF) and is_free_set(b, s2, k2, OFF)):
             return None
         union = VertexSet(
             factor_box(s1, b.vertices).mask | factor_box(a.vertices, s2).mask, a.n * b.n
         )
-        got = _free(_product(a, b), union, union_k(k1, k2, a, b), OFF)
+        got = is_free_set(_product(a, b), union, union_k(k1, k2, a, b), OFF)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -830,7 +826,7 @@ def _audit_phi_p_lower(config, rng, tally):
         if k not in POW.canonical_k_range(a):
             return None
         lhs = phi_value(a, k, POW)
-        rhs = max(phi_value(a, k, DEF), phi_value(a, k + 2, OFF))
+        rhs = phi_powerful_lower(a, k)
         return lhs >= rhs, lhs, rhs
 
     top = min(9, config.max_product_order)

@@ -23,7 +23,6 @@ from .audit import THEOREM_IDS, AuditConfig, audit, audit_all
 from .freesets import enumerate_minimal_alliances
 from .graph import (
     _FAMILY_ARITY,
-    DEFAULT_EXACT_LIMIT,
     CapacityError,
     EdgeListParseError,
     Graph,
@@ -82,7 +81,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_minimal(args) -> int:
     g = read_edge_list(args.graph)
-    fam = enumerate_minimal_alliances(g, args.k, args.kind, limit=args.limit)
+    fam = enumerate_minimal_alliances(g, args.k, args.kind)
     record = {
         "command": "minimal",
         "kind": args.kind,
@@ -98,7 +97,7 @@ def _cmd_minimal(args) -> int:
 
 def _cmd_phi(args) -> int:
     g = read_edge_list(args.graph)
-    result = phi(g, args.k, args.kind, limit=args.limit)
+    result = phi(g, args.k, args.kind)
     record = {"command": "phi", **result.to_record()}
     lines = [
         f"phi_{args.kind}({args.k}) = {result.value}",
@@ -112,7 +111,7 @@ def _cmd_phi(args) -> int:
 def _cmd_table(args) -> int:
     g = read_edge_list(args.graph)
     rows = [{"k": k, "value": value, "witness": witness.to_sorted_list()}
-            for k, value, witness in phi_table(g, args.kind, limit=args.limit)]
+            for k, value, witness in phi_table(g, args.kind)]
     record = {"command": "table", "kind": args.kind, "rows": rows}
     lines = [f"k\tphi_{args.kind}"]
     lines += [f"{row['k']}\t{row['value']}" for row in rows]
@@ -123,7 +122,7 @@ def _cmd_table(args) -> int:
 def _cmd_product(args) -> int:
     g1 = read_edge_list(args.graph1)
     g2 = read_edge_list(args.graph2)
-    product = cartesian_product(g1, g2, limit=args.limit)
+    product = cartesian_product(g1, g2)
     write_edge_list(product, args.output)
     record = {"command": "product", "n": product.n, "m": product.edge_count, "output": args.output}
     line = f"wrote product with {product.n} vertices, {product.edge_count} edges to {args.output}"
@@ -191,19 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kinds=True, limit=True):
+    def add_common(p, kinds=True):
         p.add_argument("--json", action="store_true", help="structured output")
         if kinds:
             p.add_argument("--kind", choices=_KINDS, required=True)
-        if limit:
-            p.add_argument("--limit", type=int, default=DEFAULT_EXACT_LIMIT,
-                           help=f"exact-enumeration order cap (default {DEFAULT_EXACT_LIMIT})")
 
     p = sub.add_parser("check", help="alliance predicate on a vertex set")
     p.add_argument("-g", "--graph", required=True)
     p.add_argument("-s", "--set", required=True, help="comma-separated vertex ids")
     p.add_argument("-k", type=int, required=True)
-    add_common(p, limit=False)
+    add_common(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("minimal", help="inclusion-minimal alliances")
@@ -241,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, help="k for the column construction")
     p.add_argument("-k1", type=int)
     p.add_argument("-k2", type=int)
-    add_common(p, limit=False)
+    add_common(p)
     p.set_defaults(fn=_cmd_witness)
 
     defaults = AuditConfig()
@@ -253,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max factor order")
     p.add_argument("--product", type=int, default=defaults.max_product_order,
                    help="max product order")
-    add_common(p, kinds=False, limit=False)
+    add_common(p, kinds=False)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("family", help="write a generated family graph")
@@ -261,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=None, help="seed for random_tree")
-    add_common(p, kinds=False, limit=False)
+    add_common(p, kinds=False)
     p.set_defaults(fn=_cmd_family)
 
     return parser

@@ -21,7 +21,9 @@ contain an alliance (``_covered_words``).  A mask is a minimal alliance
 when it contains an alliance and no proper subset of it does; the same
 passes, with one OR more per step, mark the masks that strictly contain
 an alliance, so the minimal ones come out of one sweep with the covered
-ones.
+ones.  Both refuse up front (``_check_order``): above order 32, and
+wherever their estimated peak, measured bytes per mask plus the low
+tables, exceeds physical memory (``graph._refuse_bytes``).
 
 A single set X needs no table.  The union of two kind/k alliances is again
 one, so X holds one largest kind/k alliance, and greedy peeling finds it,
@@ -48,7 +50,7 @@ from typing import Iterator
 import numpy as np
 
 from .alliances import AllianceKind, _alliance_ok
-from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet, _bits, _check_universe
+from .graph import CapacityError, Graph, VertexSet, _bits, _check_universe, _refuse_bytes
 
 
 def is_free_set(g: Graph, x: VertexSet, k: int, kind: AllianceKind | str) -> bool:
@@ -120,12 +122,10 @@ class MinimalAllianceFamily:
         return iter(self.sets)
 
 
-def enumerate_minimal_alliances(
-    g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXACT_LIMIT
-) -> MinimalAllianceFamily:
+def enumerate_minimal_alliances(g: Graph, k: int, kind: AllianceKind | str) -> MinimalAllianceFamily:
     """Exact inclusion-minimal kind/k alliances via a full 2^n sweep."""
     kind = AllianceKind(kind)
-    _, minimal = _covered_words(g, k, kind, limit)
+    _, minimal = _covered_words(g, k, kind)
     return _minimal_family(minimal, g.n, k, kind)
 
 
@@ -150,6 +150,12 @@ _BIAS = 64
 _VACUOUS = 128
 #: Masks fit in uint32, and every degree stays below 32.
 _MAX_ORDER = 32
+#: Peak bytes per mask of the packed-word paths (``phi``, the minimal
+#: family); tracemalloc read 0.38-0.46 at orders 24 and 25.
+_WORD_BYTES = 0.5
+#: Peak bytes per mask of the closed byte table (``phi_table``,
+#: ``phi_value``); tracemalloc read 2.00-2.28 at orders 24 and 25.
+_TABLE_BYTES = 2.5
 
 
 def _threshold(k: int) -> int:
@@ -160,23 +166,25 @@ def _threshold(k: int) -> int:
     return min(max(k + _BIAS, 1), _VACUOUS)
 
 
-def _check_order(g: Graph, limit: int) -> None:
-    """Refuse a 2^n table before any of it is allocated: above the caller's
-    limit, and above _MAX_ORDER whatever the limit."""
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds enumeration limit {limit}")
+def _check_order(g: Graph, bytes_per_mask: float) -> None:
+    """Refuse a 2^n table before any of it is allocated: above _MAX_ORDER,
+    and where its estimated peak exceeds physical memory."""
     if g.n > _MAX_ORDER:
         raise CapacityError(
             f"order {g.n} exceeds {_MAX_ORDER}, the largest order a 2^n table "
             f"supports; its byte table would take {1 << g.n} bytes"
         )
+    # the low tables of _slack_terms come on top: up to four rows of
+    # 2^_LOW_BITS bytes per vertex, which set the peak below order 22
+    low_tables = 4 * g.n << min(g.n, _LOW_BITS)
+    _refuse_bytes(f"an order-{g.n} table", int(bytes_per_mask * (1 << g.n)) + low_tables)
 
 
-def _closed_slack_table(g: Graph, kind: AllianceKind, limit: int) -> np.ndarray:
+def _closed_slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Max-closure of the slack table over all 2^n masks: entry m is the
     largest biased k at which m contains a kind/k alliance (0 for the empty
     mask), so m contains a kind/k alliance iff entry >= _threshold(k)."""
-    _check_order(g, limit)
+    _check_order(g, _TABLE_BYTES)
     closed = _slack_table(g, kind)
     for b in range(g.n):
         for without, with_b in _bit_pairs(closed, b):
@@ -203,9 +211,7 @@ _LOW_HALVES = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) 
 _ALL_BITS = np.uint64(2**64 - 1)
 
 
-def _covered_words(
-    g: Graph, k: int, kind: AllianceKind, limit: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np.ndarray]:
     """(covered, minimal): the masks that contain a kind/k alliance, and the
     inclusion-minimal kind/k alliances, one bit each: bit p of word w stands
     for mask 64*w + p (orders below 6 pad the one word with zeros).
@@ -213,12 +219,12 @@ def _covered_words(
     The alliance bits of ``_alliance_words`` are closed upward by OR passes:
     thresholding commutes with the max-closure, since a mask contains a set
     of slack >= t iff its closed entry is >= t, so covered equals
-    ``_closed_slack_table(g, kind, limit) >= _threshold(k)``.  The same
+    ``_closed_slack_table(g, kind) >= _threshold(k)``.  The same
     passes mark the masks that strictly contain an alliance: after the pass
     of bit b, a mask holds an alliance below it that differs from it only
     in bits 0..b, either with bit b (already marked) or without it (covered
     before the pass).  A covered mask with no such mark is minimal."""
-    _check_order(g, limit)
+    _check_order(g, _WORD_BYTES)
     covered = _alliance_words(g, k, kind)
     above = np.zeros_like(covered)
     shifted = np.empty_like(covered)

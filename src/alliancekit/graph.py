@@ -4,21 +4,40 @@ Vertices are the integers 0..n-1.  Subsets are backed by int bitmasks so
 that exhaustive subset searches stay cheap; the wrapper types below keep
 the set-of-ints view for callers.  A product vertex (a, b) of G1 x G2 is
 encoded as ``a * n2 + b`` everywhere (projections, fibers, witnesses).
+
+One rule says how big is too big: work that would allocate more than the
+machine's physical memory is refused up front with ``CapacityError``, by a
+byte estimate checked before any allocation (``_refuse_bytes``).  The
+product and the 2^n tables of ``freesets`` go through it.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-#: Default cap on the order of graphs fed to exact 2^n enumerations.
-DEFAULT_EXACT_LIMIT = 24
-
 
 class CapacityError(Exception):
-    """An exact enumeration would exceed its configured budget."""
+    """Exact work refused before it starts: its estimated memory exceeds the
+    machine's, or its order exceeds what a 2^n table supports."""
+
+
+#: Physical memory in bytes, read once at import; the one bound on how much
+#: memory exact work may ask for.
+_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _refuse_bytes(what: str, nbytes: int) -> None:
+    """Raise CapacityError when an estimate of the bytes ``what`` needs
+    exceeds physical memory; callers check before they allocate."""
+    if nbytes > _MEMORY:
+        raise CapacityError(
+            f"{what} needs about {nbytes} bytes, more than the {_MEMORY} bytes "
+            "of physical memory"
+        )
 
 
 class EdgeListParseError(ValueError):
@@ -105,6 +124,8 @@ class Graph:
 
 
 def _bits(mask: int) -> Iterator[int]:
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -222,14 +243,18 @@ def product_coords(v: int, n2: int) -> tuple[int, int]:
     return divmod(v, n2)
 
 
-def cartesian_product(g1: Graph, g2: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> Graph:
+def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: (a,b) ~ (c,d) iff a=c and b~d, or b=d and a~c.
 
     The degree of (a,b) is deg(a) + deg(b).  Vertex (a,b) gets id a*n2+b.
+    Refused with CapacityError when the edge list and adjacency would not
+    fit in memory.
     """
     n1, n2 = g1.n, g2.n
-    if n1 * n2 > limit:
-        raise CapacityError(f"product order {n1 * n2} exceeds limit {limit}")
+    n, m = n1 * n2, n1 * g2.edge_count + n2 * g1.edge_count
+    # tracemalloc peaks: up to about 130 bytes per edge-list entry, and up
+    # to n bits per vertex for the adjacency ints
+    _refuse_bytes(f"the order-{n} product", 160 * m + n * (n // 8 + 100))
     edges = []
     for a in range(n1):
         for (b, d) in g2.edges():
@@ -242,7 +267,7 @@ def cartesian_product(g1: Graph, g2: Graph, *, limit: int = DEFAULT_EXACT_LIMIT)
         planar = g2.planar
     elif n2 == 1:
         planar = g1.planar
-    return Graph(n1 * n2, edges, planar=planar)
+    return Graph(n, edges, planar=planar)
 
 
 def projections(a: VertexSet, n1: int, n2: int) -> tuple[VertexSet, VertexSet]:
@@ -297,10 +322,9 @@ class FactorInvariants:
     independence: int
 
 
-def independence_number(g: Graph, *, limit: int = DEFAULT_EXACT_LIMIT) -> FactorInvariants:
-    """Exact independence number by branch and bound over vertex bitmasks."""
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds exact-solver limit {limit}")
+def independence_number(g: Graph) -> FactorInvariants:
+    """Exact independence number by branch and bound over vertex bitmasks;
+    its time, not its memory, grows exponentially with the order."""
     adj = g.adj_bits
     best = 0
 

@@ -43,7 +43,7 @@ from .freesets import (
     _pack_words,
     _threshold,
 )
-from .graph import DEFAULT_EXACT_LIMIT, CapacityError, Graph, VertexSet
+from .graph import CapacityError, Graph, VertexSet
 
 #: phi_bruteforce walks up to 3^n subset pairs; keep it on small graphs.
 DEFAULT_ORACLE_LIMIT = 14
@@ -70,26 +70,24 @@ class PhiResult:
         }
 
 
-def phi(g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_EXACT_LIMIT) -> PhiResult:
+def phi(g: Graph, k: int, kind: AllianceKind | str) -> PhiResult:
     """Exact phi for the given kind and k, with witness and certificate.
 
     Ties between maximum witnesses are broken toward the lexicographically
     smallest sorted vertex list.
     """
     kind = AllianceKind(kind)
-    covered, minimal = _covered_words(g, k, kind, limit)
+    covered, minimal = _covered_words(g, k, kind)
     value, witness = _select(np.invert(covered, out=covered), g.n)
     family = _minimal_family(minimal, g.n, k, kind)
     return PhiResult(kind, k, value, VertexSet(witness, g.n), family)
 
 
-def phi_table(
-    g: Graph, kind: AllianceKind | str, *, limit: int = DEFAULT_EXACT_LIMIT
-) -> list[tuple[int, int, VertexSet]]:
+def phi_table(g: Graph, kind: AllianceKind | str) -> list[tuple[int, int, VertexSet]]:
     """(k, phi value, witness) for every canonical k, from one closed table;
     each row equals the value and witness of ``phi(g, k, kind)``."""
     kind = AllianceKind(kind)
-    closed = _closed_slack_table(g, kind, limit)
+    closed = _closed_slack_table(g, kind)
     free = np.empty(closed.size, dtype=np.bool_)
     rows = []
     for k in kind.canonical_k_range(g):
@@ -99,46 +97,44 @@ def phi_table(
 
 
 @lru_cache(maxsize=65536)
-def _level_minima(g: Graph, kind: AllianceKind, limit: int) -> tuple[int, ...]:
+def _level_minima(g: Graph, kind: AllianceKind) -> tuple[int, ...]:
     """Smallest closure entry among the masks of each popcount 0..n.  The
     closure grows along inclusion, so the tuple is non-decreasing."""
-    closed = _closed_slack_table(g, kind, limit)
+    closed = _closed_slack_table(g, kind)
     minima = np.full(g.n + 1, 255, dtype=np.uint8)
     np.minimum.at(minima, _popcounts(g.n), closed)
     return tuple(minima.tolist())
 
 
-def _value(g: Graph, k: int, kind: AllianceKind, limit: int) -> int:
+def _value(g: Graph, k: int, kind: AllianceKind) -> int:
     # the levels whose smallest entry is below the threshold are 0..phi:
     # the minima are non-decreasing and level 0 (the empty mask) holds 0
-    return bisect_left(_level_minima(g, kind, limit), _threshold(k)) - 1
+    return bisect_left(_level_minima(g, kind), _threshold(k)) - 1
 
 
 def phi_value(g: Graph, k: int, kind: AllianceKind | str) -> int:
     """phi without witness extraction; memoised per (graph, kind), for audit
     sweeps."""
-    return _value(g, k, AllianceKind(kind), DEFAULT_EXACT_LIMIT)
+    return _value(g, k, AllianceKind(kind))
 
 
-def phi_powerful_lower(g: Graph, k: int, *, limit: int = DEFAULT_EXACT_LIMIT) -> int:
+def phi_powerful_lower(g: Graph, k: int) -> int:
     """max(phi_defensive(k), phi_offensive(k+2)): every defensive-k-free or
     offensive-(k+2)-free set is powerful-k free, so phi_powerful dominates."""
-    d = _value(g, k, AllianceKind.DEFENSIVE, limit)
-    o = _value(g, k + 2, AllianceKind.OFFENSIVE, limit)
+    d = _value(g, k, AllianceKind.DEFENSIVE)
+    o = _value(g, k + 2, AllianceKind.OFFENSIVE)
     return max(d, o)
 
 
-def phi_bruteforce(
-    g: Graph, k: int, kind: AllianceKind | str, *, limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
+def phi_bruteforce(g: Graph, k: int, kind: AllianceKind | str) -> int:
     """Independent oracle: first free subset in decreasing cardinality.
 
     Freeness of each candidate X is decided by enumerating the subsets of
     X directly; the minimal-alliance family is never consulted.
     """
     kind = AllianceKind(kind)
-    if g.n > limit:
-        raise CapacityError(f"order {g.n} exceeds oracle limit {limit}")
+    if g.n > DEFAULT_ORACLE_LIMIT:
+        raise CapacityError(f"order {g.n} exceeds oracle limit {DEFAULT_ORACLE_LIMIT}")
     for size in range(g.n, 0, -1):
         for combo in combinations(range(g.n), size):
             xmask = 0

@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from alliancekit import (
 from alliancekit.cli import build_parser, main
 
 cli_mod = importlib.import_module("alliancekit.cli")
+graph_mod = importlib.import_module("alliancekit.graph")
 
 HELP_GOLDENS = Path(__file__).parent / "data" / "cli_help.json"
 SUBCOMMANDS = ("check", "minimal", "phi", "table", "product", "witness", "audit", "family")
@@ -216,16 +218,24 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_capacity_error_exit(tmp_path, capsys):
-    big = tmp_path / "big.el"
-    big.write_text(format_edge_list(parse_edge_list("30\n0 1\n")))
-    assert main(["phi", "-g", str(big), "-k", "0", "--kind", "defensive"]) == 2
-    assert "capacity" in capsys.readouterr().err
-    # no --limit lifts the order past 32
+def test_capacity_error_exit(tmp_path, capsys, monkeypatch):
+    # order 33 is refused whatever the memory
     g33 = tmp_path / "g33.el"
     write_edge_list(Graph(33), g33)
-    assert main(["table", "-g", str(g33), "--kind", "defensive", "--limit", "40"]) == 2
+    assert main(["phi", "-g", str(g33), "-k", "0", "--kind", "defensive"]) == 2
     assert "capacity" in capsys.readouterr().err
+    assert main(["table", "-g", str(g33), "--kind", "defensive"]) == 2
+    assert "capacity" in capsys.readouterr().err
+    # below it, by the byte estimate against physical memory
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 16)
+    big = tmp_path / "big.el"
+    big.write_text(format_edge_list(parse_edge_list("30\n0 1\n")))
+    for argv in (["phi", "-g", str(big), "-k", "0", "--kind", "defensive"],
+                 ["minimal", "-g", str(big), "-k", "0", "--kind", "defensive"],
+                 ["product", "-g1", str(big), "-g2", str(big), "-o", str(tmp_path / "p.el")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert re.fullmatch(r"capacity error: .* needs about \d+ bytes, .*", err)
 
 
 @pytest.mark.parametrize("error", [
@@ -250,7 +260,8 @@ def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch, error):
         assert (str(error) or "out of memory") in lines[0]
 
 
-def test_table_capacity_error_before_any_allocation(tmp_path, capsys):
+def test_table_capacity_error_before_any_allocation(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
     big = tmp_path / "g25.el"
     write_edge_list(Graph(25), big)
     tracemalloc.start()

@@ -38,7 +38,6 @@ from alliancekit.freesets import (
     _slack_table,
     _threshold,
 )
-from alliancekit.graph import DEFAULT_EXACT_LIMIT
 
 from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset, traced_peak
 
@@ -184,9 +183,9 @@ def test_every_member_is_a_minimal_alliance():
 
 
 def test_capacity_errors():
+    # order 33 leaves uint32 masks: refused before its 2^33-mask sweep
+    assert refusal_peak(lambda: enumerate_minimal_alliances(Graph(33), 0, "defensive")) < 1 << 20
     big = Graph(25)
-    # refused before the 2^25-mask table (32 MiB) is built
-    assert refusal_peak(lambda: enumerate_minimal_alliances(big, 0, "defensive")) < 1 << 20
     # one set needs no table: every singleton of the edgeless graph is a
     # defensive 0-alliance and none is a 1-alliance
     assert not is_free_set(big, big.vertices, 0, "defensive")
@@ -249,11 +248,11 @@ def test_covered_words_and_family_match_the_closure(n):
         extreme = {-1000, -d - 3, d + 1, d + 2, 150, 1000} if n <= 17 else {-1000, d + 2, 150}
         beyond = {AllianceKind.DEFENSIVE: -1000, AllianceKind.OFFENSIVE: d + 2, AllianceKind.POWERFUL: 150}
         for kind in AllianceKind:
-            closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+            closed = _closed_slack_table(g, kind)
             table = {k: (value, witness.mask) for k, value, witness in phi_table(g, kind)}
             for k in sorted(set(canonical_k_range(g, kind)) | extreme):
                 expected = closed >= _threshold(k)
-                words, minimal = _covered_words(g, k, kind, DEFAULT_EXACT_LIMIT)
+                words, minimal = _covered_words(g, k, kind)
                 assert (_unpacked(words, n) == expected).all(), (n, kind, k)
                 if n > _FAMILY_CHECK_ORDER:
                     if k in (0, beyond[kind]):
@@ -379,7 +378,7 @@ def test_max_slack_matches_the_closure(n):
     rng = random.Random(120 + n)
     for g in [seeded_graph(rng, n) for _ in range(2 if n > 9 else 4)]:
         for kind in AllianceKind:
-            closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+            closed = _closed_slack_table(g, kind)
             assert freesets_mod._max_slack(g, 0, kind) == -math.inf
             for x in range(1, 1 << n):
                 _assert_peel_matches_the_closure(g, x, kind, closed)
@@ -393,7 +392,7 @@ def test_max_slack_matches_the_closure_beyond_the_oracle(n):
     sets = [g.full_mask]
     sets += [VertexSet.of(rng.sample(range(n), rng.randint(17, n)), n).mask for _ in range(12)]
     for kind in AllianceKind:
-        closed = _closed_slack_table(g, kind, DEFAULT_EXACT_LIMIT)
+        closed = _closed_slack_table(g, kind)
         for x in sets:
             _assert_peel_matches_the_closure(g, x, kind, closed)
 
@@ -425,7 +424,7 @@ def test_free_set_refusals():
     freesets_mod._max_slack.cache_clear()
     # answered without a table over the 2^21 subsets of x
     assert traced_peak(lambda: is_free_set(g, x, 0, "offensive")) < 1 << 20
-    closed = _closed_slack_table(g, AllianceKind.OFFENSIVE, DEFAULT_EXACT_LIMIT)
+    closed = _closed_slack_table(g, AllianceKind.OFFENSIVE)
     assert is_free_set(g, x, 0, "offensive") == (closed[x.mask] < _threshold(0))
     p6 = path_graph(6)
     assert not is_free_set(p6, p6.vertices, 0, "defensive")

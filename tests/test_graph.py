@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -32,7 +33,17 @@ from alliancekit import (
     wheel_graph,
 )
 
-from conftest import graph_and_set, graphs
+from alliancekit.graph import _bits
+
+from conftest import graph_and_set, graphs, refusal_peak
+
+graph_mod = importlib.import_module("alliancekit.graph")
+
+
+def test_bits_refuses_a_negative_mask():
+    # a negative int has infinitely many set bits in two's complement
+    with pytest.raises(ValueError):
+        list(itertools.islice(_bits(-1), 100))
 
 
 def test_graph_basic_invariants():
@@ -153,9 +164,15 @@ def test_product_symmetry_under_swap(g1, g2):
             assert image == right.neighbors(w)
 
 
-def test_product_capacity():
-    with pytest.raises(CapacityError):
-        cartesian_product(complete_graph(5), complete_graph(5))
+def test_product_capacity(monkeypatch):
+    # past order 24 the product is built while it fits in memory
+    assert cartesian_product(star_graph(3), path_graph(7)).n == 28
+    # and refused before its edge list is built when it does not
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
+    k20 = complete_graph(20)
+    assert refusal_peak(lambda: cartesian_product(k20, k20)) < 1 << 20
+    with pytest.raises(CapacityError, match=r"order-400 product needs about \d+ bytes"):
+        cartesian_product(k20, k20)
 
 
 def test_projections_examples():
@@ -225,8 +242,9 @@ def test_independence_matches_brute_force(g):
 
 
 def test_independence_capacity():
-    with pytest.raises(CapacityError):
-        independence_number(Graph(25))
+    # no order cap: branch and bound needs no 2^n table
+    assert independence_number(Graph(40)).independence == 40
+    assert independence_number(cycle_graph(33)).independence == 16
 
 
 def test_vizing_bound_examples():

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from conftest import refusal_peak, seeded_graph, traced_peak
 
 phi_mod = importlib.import_module("alliancekit.phi")
 freesets_mod = importlib.import_module("alliancekit.freesets")
+graph_mod = importlib.import_module("alliancekit.graph")
 
 
 def test_phi_p3_offensive():
@@ -264,22 +266,82 @@ def test_phi_record():
 
 
 def test_capacity_errors():
-    # refused before the 2^25-mask table (32 MiB) is built
-    assert refusal_peak(lambda: phi(Graph(25), 0, "defensive")) < 1 << 20
+    # order 33 leaves uint32 masks and the biased slack range: refused
+    # before the 8 GiB table, however much memory there is
+    g33 = Graph(33)
+    assert refusal_peak(lambda: phi(g33, 0, "defensive")) < 1 << 20
+    assert refusal_peak(lambda: phi_table(g33, "defensive")) < 1 << 20
+    assert refusal_peak(lambda: phi_value(g33, 0, "defensive")) < 1 << 20
+    assert refusal_peak(lambda: phi_powerful_lower(g33, 0)) < 1 << 20
+    assert refusal_peak(lambda: enumerate_minimal_alliances(g33, 0, "defensive")) < 1 << 20
+    # the oracle keeps its fixed cap
     with pytest.raises(CapacityError):
         phi_bruteforce(Graph(15), 0, "defensive")
-    with pytest.raises(CapacityError):
-        phi_value(Graph(25), 0, "defensive")
-    with pytest.raises(CapacityError):
-        phi_powerful_lower(Graph(25), 0)
-    with pytest.raises(CapacityError):
-        phi_table(Graph(25), "defensive")
-    # limit= cannot lift the order past 32, where masks leave uint32 and
-    # degrees leave the biased slack range: refused before the 8 GiB table
-    g33 = Graph(33)
-    assert refusal_peak(lambda: phi(g33, 0, "defensive", limit=40)) < 1 << 20
-    assert refusal_peak(lambda: phi_table(g33, "defensive", limit=40)) < 1 << 20
-    assert refusal_peak(lambda: enumerate_minimal_alliances(g33, 0, "defensive", limit=40)) < 1 << 20
+
+
+_PATHS = {
+    "phi": lambda g, kind: phi(g, 0, kind),
+    "minimal": lambda g, kind: enumerate_minimal_alliances(g, 0, kind),
+    "table": phi_table,
+    "value": lambda g, kind: phi_value(g, 0, kind),
+}
+
+
+@pytest.mark.parametrize("kind", list(AllianceKind))
+@pytest.mark.parametrize("path", sorted(_PATHS))
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_estimate_covers_the_peak(monkeypatch, n, path, kind):
+    """The byte estimate a 2^n path checks before it allocates is at least
+    the path's traced peak: the low tables set the peak at the smaller
+    orders, the per-mask arrays from order 22 on."""
+    estimates = []
+    refuse_bytes = freesets_mod._refuse_bytes
+
+    def recording(what, nbytes):
+        estimates.append(nbytes)
+        refuse_bytes(what, nbytes)
+
+    monkeypatch.setattr(freesets_mod, "_refuse_bytes", recording)
+    phi_mod._level_minima.cache_clear()
+    g = grid_graph(4, n // 4)
+    peak = traced_peak(lambda: _PATHS[path](g, kind))
+    assert len(estimates) == 1 and estimates[0] >= peak
+
+
+def test_memory_rule_refuses_before_allocation(monkeypatch):
+    """With physical memory read as 1 MiB, every 2^n path refuses an
+    order-24 graph before it allocates, and says how many bytes it needs."""
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
+    phi_mod._level_minima.cache_clear()
+    g = grid_graph(4, 6)
+    calls = [lambda: phi_powerful_lower(g, 0)]
+    calls += [partial(call, g, kind) for call in _PATHS.values() for kind in AllianceKind]
+    for call in calls:
+        assert refusal_peak(call) < 1 << 20
+        with pytest.raises(CapacityError, match=r"needs about \d+ bytes"):
+            call()
+
+
+def test_order_25_is_solved_and_the_paths_agree():
+    """Past order 24 every path answers while its estimate fits in memory,
+    and the one-k words and the every-k table agree."""
+    g = grid_graph(5, 5)
+    result = phi(g, 0, "defensive")
+    rows = {k: (value, witness) for k, value, witness in phi_table(g, "defensive")}
+    assert result.value == 18
+    assert phi_value(g, 0, "defensive") == 18
+    assert rows[0] == (18, result.witness)
+    assert result.certificate == enumerate_minimal_alliances(g, 0, "defensive")
+
+
+@pytest.mark.parametrize("n, values", [
+    (4, (11, 10, 14)), (5, (14, 14, 18)), (6, (17, 18, 22)), (7, (21, 22, 26)),
+])
+def test_star_path_products_up_to_order_28(n, values):
+    """phi at k = 0 of star(3) x path(n), defensive, offensive and powerful,
+    as tabled in the README; order 28 needs no option."""
+    g = cartesian_product(star_graph(3), path_graph(n))
+    assert tuple(phi(g, 0, kind).value for kind in AllianceKind) == values
 
 
 def test_one_k_paths_never_build_the_slack_table(monkeypatch):

@@ -42,7 +42,7 @@ def test_column_witness_defensive():
     p4, p6 = path_graph(4), path_graph(6)
     w = column_witness(p4, p6, p4.vertices, axis=1, k_factor=2, kind="defensive")
     assert len(w.result) == 24 and w.k_claim == 4
-    closed = _closed_slack_table(cartesian_product(p4, p6), AllianceKind.DEFENSIVE, 24)
+    closed = _closed_slack_table(cartesian_product(p4, p6), AllianceKind.DEFENSIVE)
     assert closed[w.result.mask] < _threshold(w.k_claim)
     assert w.verified
 
