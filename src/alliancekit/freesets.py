@@ -23,7 +23,9 @@ passes, with one OR more per step, mark the masks that strictly contain
 an alliance, so the minimal ones come out of one sweep with the covered
 ones.  Both refuse up front (``_check_order``): above order 32, and
 wherever their estimated peak, measured bytes per mask plus the low
-tables, exceeds physical memory (``graph._refuse_bytes``).
+tables, exceeds the memory budget (``graph._refuse_bytes``).  A minimal
+family can hold close to 2^n/sqrt(n) members, so its size, known only
+after the sweep, is checked the same way before it is decoded.
 
 A single set X needs no table.  The union of two kind/k alliances is again
 one, so X holds one largest kind/k alliance, and greedy peeling finds it,
@@ -156,6 +158,9 @@ _WORD_BYTES = 0.5
 #: Peak bytes per mask of the closed byte table (``phi_table``,
 #: ``phi_value``); tracemalloc read 2.00-2.28 at orders 24 and 25.
 _TABLE_BYTES = 2.5
+#: Peak bytes per member of decoding a minimal family; tracemalloc read
+#: 169-176 on complete graphs and 247 with one member per word.
+_MEMBER_BYTES = 256
 
 
 def _threshold(k: int) -> int:
@@ -168,7 +173,7 @@ def _threshold(k: int) -> int:
 
 def _check_order(g: Graph, bytes_per_mask: float) -> None:
     """Refuse a 2^n table before any of it is allocated: above _MAX_ORDER,
-    and where its estimated peak exceeds physical memory."""
+    and where its estimated peak exceeds the memory budget."""
     if g.n > _MAX_ORDER:
         raise CapacityError(
             f"order {g.n} exceeds {_MAX_ORDER}, the largest order a 2^n table "
@@ -262,7 +267,13 @@ def _minimal_family(
     """The family whose members are the set bits of ``minimal``, the minimal
     words of ``_covered_words``.  Members come in order of size, then of
     sorted vertex list; for sets of one size, that list order is the
-    descending order of the bit-reversed masks."""
+    descending order of the bit-reversed masks.  Refused before decoding
+    when the members, with both word arrays still held, would not fit."""
+    members = int(np.bitwise_count(minimal).sum())
+    _refuse_bytes(
+        f"a family of {members} minimal alliances",
+        2 * minimal.nbytes + _MEMBER_BYTES * members,
+    )
     nonzero = np.flatnonzero(minimal)
     bits = np.unpackbits(minimal[nonzero].view(np.uint8), bitorder="little")
     rows, cols = np.nonzero(bits.reshape(-1, 64))

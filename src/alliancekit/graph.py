@@ -5,10 +5,11 @@ that exhaustive subset searches stay cheap; the wrapper types below keep
 the set-of-ints view for callers.  A product vertex (a, b) of G1 x G2 is
 encoded as ``a * n2 + b`` everywhere (projections, fibers, witnesses).
 
-One rule says how big is too big: work that would allocate more than the
-machine's physical memory is refused up front with ``CapacityError``, by a
-byte estimate checked before any allocation (``_refuse_bytes``).  The
-product and the 2^n tables of ``freesets`` go through it.
+One rule says how big is too big: work whose estimated peak is more than
+half the memory the process may use is refused up front with
+``CapacityError``, by a byte estimate checked before the allocation it
+covers (``_refuse_bytes``).  The product, the 2^n tables of ``freesets``
+and the decoding of a minimal-alliance family go through it.
 """
 
 from __future__ import annotations
@@ -22,21 +23,43 @@ from typing import Iterable, Iterator
 
 class CapacityError(Exception):
     """Exact work refused before it starts: its estimated memory exceeds the
-    machine's, or its order exceeds what a 2^n table supports."""
+    budget of ``_refuse_bytes``, or its order exceeds what a 2^n table
+    supports."""
 
 
-#: Physical memory in bytes, read once at import; the one bound on how much
-#: memory exact work may ask for.
-_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _memory_limit() -> int | None:
+    """The memory the process may use, in bytes: physical memory, or the
+    cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``) where one
+    is set and smaller.  None where ``os.sysconf`` cannot report physical
+    memory (it is POSIX only)."""
+    try:
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            with open(path) as f:
+                text = f.read().strip()
+        except OSError:
+            continue
+        if text.isdigit():  # v2 writes "max" when no limit is set
+            limit = min(limit, int(text))
+    return limit
+
+
+#: The memory limit, read once at import; None leaves work unchecked.
+_MEMORY = _memory_limit()
 
 
 def _refuse_bytes(what: str, nbytes: int) -> None:
     """Raise CapacityError when an estimate of the bytes ``what`` needs
-    exceeds physical memory; callers check before they allocate."""
-    if nbytes > _MEMORY:
+    exceeds half of _MEMORY; callers check before they allocate.  The other
+    half is headroom for the interpreter, memory other processes hold, and
+    the estimates' error."""
+    if _MEMORY is not None and 2 * nbytes > _MEMORY:
         raise CapacityError(
-            f"{what} needs about {nbytes} bytes, more than the {_MEMORY} bytes "
-            "of physical memory"
+            f"{what} needs about {nbytes} bytes, more than half the {_MEMORY} "
+            "bytes of memory"
         )
 
 

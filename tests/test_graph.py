@@ -1,4 +1,5 @@
 import importlib
+import io
 import itertools
 import random
 
@@ -173,6 +174,31 @@ def test_product_capacity(monkeypatch):
     assert refusal_peak(lambda: cartesian_product(k20, k20)) < 1 << 20
     with pytest.raises(CapacityError, match=r"order-400 product needs about \d+ bytes"):
         cartesian_product(k20, k20)
+
+
+def test_memory_limit(monkeypatch):
+    """The limit is at most physical memory, and a smaller cgroup limit
+    takes its place; where os.sysconf is missing (it is POSIX only) there
+    is none, and the rule refuses nothing."""
+    physical = graph_mod.os.sysconf("SC_PHYS_PAGES") * graph_mod.os.sysconf("SC_PAGE_SIZE")
+    assert 0 < graph_mod._memory_limit() <= physical
+    # a smaller cgroup v2 limit wins; "max" means none is set
+    for text, limit in (("1048576\n", 1 << 20), ("max\n", physical)):
+        def cgroup_v2(path, text=text):
+            if path != "/sys/fs/cgroup/memory.max":
+                raise FileNotFoundError(path)
+            return io.StringIO(text)
+
+        monkeypatch.setattr(graph_mod, "open", cgroup_v2, raising=False)
+        assert graph_mod._memory_limit() == limit
+    monkeypatch.delattr(graph_mod.os, "sysconf")
+    assert graph_mod._memory_limit() is None
+    monkeypatch.setattr(graph_mod, "_MEMORY", None)
+    graph_mod._refuse_bytes("anything", 1 << 62)
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
+    graph_mod._refuse_bytes("half the memory", 1 << 19)
+    with pytest.raises(CapacityError, match=r"^more than half needs about 524289 bytes"):
+        graph_mod._refuse_bytes("more than half", (1 << 19) + 1)
 
 
 def test_projections_examples():

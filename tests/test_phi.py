@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import warnings
 from functools import partial
@@ -287,13 +288,9 @@ _PATHS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(AllianceKind))
-@pytest.mark.parametrize("path", sorted(_PATHS))
-@pytest.mark.parametrize("n", [16, 20, 24])
-def test_estimate_covers_the_peak(monkeypatch, n, path, kind):
-    """The byte estimate a 2^n path checks before it allocates is at least
-    the path's traced peak: the low tables set the peak at the smaller
-    orders, the per-mask arrays from order 22 on."""
+def _recorded_estimates(monkeypatch) -> list[int]:
+    """The byte estimates that freesets passes to the memory rule, in the
+    order it checks them, while the rule still decides as before."""
     estimates = []
     refuse_bytes = freesets_mod._refuse_bytes
 
@@ -302,14 +299,66 @@ def test_estimate_covers_the_peak(monkeypatch, n, path, kind):
         refuse_bytes(what, nbytes)
 
     monkeypatch.setattr(freesets_mod, "_refuse_bytes", recording)
+    return estimates
+
+
+@pytest.mark.parametrize("kind", list(AllianceKind))
+@pytest.mark.parametrize("path", sorted(_PATHS))
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_estimate_covers_the_peak(monkeypatch, n, path, kind):
+    """The byte estimates a 2^n path checks before it allocates cover the
+    path's traced peak: the low tables set the peak at the smaller orders,
+    the per-mask arrays from order 22 on."""
+    estimates = _recorded_estimates(monkeypatch)
     phi_mod._level_minima.cache_clear()
     g = grid_graph(4, n // 4)
     peak = traced_peak(lambda: _PATHS[path](g, kind))
-    assert len(estimates) == 1 and estimates[0] >= peak
+    # the word paths check the sweep, then the family before decoding it
+    assert len(estimates) == (2 if path in ("phi", "minimal") else 1)
+    assert max(estimates) >= peak
+
+
+#: The k at which K_n, for even n, has the most minimal alliances: every
+#: set of n/2 vertices, and no other.
+_DENSEST_K = {AllianceKind.DEFENSIVE: -1, AllianceKind.OFFENSIVE: 0, AllianceKind.POWERFUL: -1}
+
+
+@pytest.mark.parametrize("kind", list(AllianceKind))
+@pytest.mark.parametrize("path", ["phi", "minimal"])
+@pytest.mark.parametrize("n", [18, 20])
+def test_family_estimate_covers_the_decoding_peak(monkeypatch, n, path, kind):
+    """On a complete graph, decoding C(n, n/2) minimal alliances, not the
+    sweep, sets the peak, and the family's estimate covers it."""
+    estimates = _recorded_estimates(monkeypatch)
+    g, k = complete_graph(n), _DENSEST_K[kind]
+    family = []
+    peak = traced_peak(
+        lambda: family.append(
+            phi(g, k, kind).certificate if path == "phi" else enumerate_minimal_alliances(g, k, kind)
+        )
+    )
+    assert len(family[0]) == math.comb(n, n // 2)
+    sweep, decode = estimates
+    assert sweep < peak <= decode
+
+
+def test_family_is_refused_before_decoding(monkeypatch):
+    """With the sweep of K_20 admitted but not its 184,756 minimal
+    alliances, phi and the minimal family refuse after the sweep, naming
+    the family's bytes, and allocate no more than the sweep did."""
+    estimates = _recorded_estimates(monkeypatch)
+    g = complete_graph(20)
+    enumerate_minimal_alliances(g, 0, "defensive")  # 2 minimal alliances
+    sweep = estimates[0]
+    monkeypatch.setattr(graph_mod, "_MEMORY", 2 * sweep)
+    for call in (lambda: phi(g, -1, "defensive"), lambda: enumerate_minimal_alliances(g, -1, "defensive")):
+        assert refusal_peak(call) <= sweep
+        with pytest.raises(CapacityError, match=r"family of 184756 minimal alliances needs about \d+ bytes"):
+            call()
 
 
 def test_memory_rule_refuses_before_allocation(monkeypatch):
-    """With physical memory read as 1 MiB, every 2^n path refuses an
+    """With the memory limit read as 1 MiB, every 2^n path refuses an
     order-24 graph before it allocates, and says how many bytes it needs."""
     monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
     phi_mod._level_minima.cache_clear()
