@@ -6,7 +6,9 @@ checked on them with the exact solvers.  An auditor states its claim once,
 as a list of cases ``(k values, verdict)``.  A verdict takes
 ``(g1, g2, sets)`` and returns ``None`` when the claim's hypothesis or
 k-range does not hold on that instance, and ``(ok, observed, expected)``
-otherwise.
+otherwise.  Claims of one shape share a driver (``_column_bound_audit``
+and the like), and their rows in ``_AUDITS`` bind its parameters with
+``functools.partial``.
 
 One driver, ``_check``, runs every case of a drawn instance.  Each
 non-``None`` verdict counts as a check; an instance without checks is
@@ -64,8 +66,11 @@ DEFAULT_EXACT_LIMIT = 24
 class AuditConfig:
     """Knobs for the audit harness.
 
-    Each auditor sweeps k over the canonical range intersected with the
-    claim's stated range; the sweep is not configurable.
+    Products may not pass the audit's product-order cap,
+    ``DEFAULT_EXACT_LIMIT``, so ``max_factor_order**2`` and
+    ``max_product_order`` stay at or below it.  Each auditor sweeps k over
+    the canonical range intersected with the claim's stated range; the
+    sweep is not configurable.
     """
 
     seed: int = 987620
@@ -78,10 +83,10 @@ class AuditConfig:
             raise ValueError("max_factor_order must be at least 2")
         if self.max_factor_order**2 > DEFAULT_EXACT_LIMIT:
             raise ValueError(
-                f"max_factor_order**2 exceeds the exact-solver limit {DEFAULT_EXACT_LIMIT}"
+                f"max_factor_order**2 exceeds the audit's product-order cap {DEFAULT_EXACT_LIMIT}"
             )
         if not 4 <= self.max_product_order <= DEFAULT_EXACT_LIMIT:
-            raise ValueError("max_product_order must lie in [4, exact-solver limit]")
+            raise ValueError("max_product_order must lie in [4, the audit's product-order cap]")
         if self.trials_per_theorem < 0:
             raise ValueError("trials_per_theorem must be non-negative")
 
@@ -256,8 +261,7 @@ def _delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     keep = [u for u in range(g.n) if u != v]
     index = {u: i for i, u in enumerate(keep)}
     edges = [(index[a], index[b]) for a, b in g.edges() if a != v and b != v]
-    planar = True if g.planar else None  # vertex deletion preserves planarity
-    return Graph(g.n - 1, edges, planar=planar), index
+    return Graph(g.n - 1, edges), index
 
 
 def _remap_sets(
@@ -445,27 +449,6 @@ def _projection_transfer_audit(
         _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
 
 
-def _audit_th1_i(config, rng, tally):
-    _projection_transfer_audit(
-        config, rng, tally, DEF,
-        "free projection at k makes S (k+D_other)-def-free in the product",
-    )
-
-
-def _audit_th1of(config, rng, tally):
-    _projection_transfer_audit(
-        config, rng, tally, OFF,
-        "free projection at k makes S (k-d_other)-off-free in the product",
-    )
-
-
-def _audit_th1p_i(config, rng, tally):
-    _projection_transfer_audit(
-        config, rng, tally, POW,
-        "free projection at k makes S (k+D_other)-pow-free in the product",
-    )
-
-
 def _both_projection_audit(
     config: AuditConfig,
     rng: random.Random,
@@ -498,20 +481,6 @@ def _both_projection_audit(
         _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
 
 
-def _audit_th1_ii(config, rng, tally):
-    _both_projection_audit(
-        config, rng, tally, DEF,
-        "both projections free make S (k1+k2-1)-def-free in the product",
-    )
-
-
-def _audit_th1p_ii(config, rng, tally):
-    _both_projection_audit(
-        config, rng, tally, POW,
-        "both projections free make S k'-pow-free in the product",
-    )
-
-
 def _column_bound_audit(
     config: AuditConfig,
     rng: random.Random,
@@ -541,40 +510,6 @@ def _column_bound_audit(
             for k in k_range(own, other)
         ]
         _check(tally, g1, g2, {}, {}, cases, check)
-
-
-def _audit_cor_CoroTh1def_i(config, rng, tally):
-    """phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor."""
-    _column_bound_audit(
-        config, rng, tally, DEF, None,
-        lambda own, other: range(
-            other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
-        ),
-        "column bound for phi_def on the product",
-    )
-
-
-def _audit_cor_coronofensive(config, rng, tally):
-    """phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor."""
-    _column_bound_audit(
-        config, rng, tally, OFF, _has_edge,
-        lambda own, other: range(
-            2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
-        ),
-        "column bound for phi_off on the product",
-    )
-
-
-def _audit_cor_coroproductpowerful_i(config, rng, tally):
-    """phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor."""
-    _column_bound_audit(
-        config, rng, tally, POW, _degree_sum_3,
-        lambda own, other: range(
-            max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
-            own.delta_max + other.delta_max - 1,
-        ),
-        "column bound for phi_pow on the product",
-    )
 
 
 def _factor_phi_bound_audit(
@@ -619,42 +554,6 @@ def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
     return p1 * p2 + min(a.n - p1, b.n - p2)
 
 
-def _audit_cor_CoroTh1def_ii(config, rng, tally):
-    """phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)."""
-    _factor_phi_bound_audit(
-        config, rng, tally, DEF, _has_edge,
-        lambda g: range(1 - g.delta_min, g.delta_max + 1),
-        lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
-        _box_plus_diagonal_bound,
-        "box-plus-diagonal bound for phi_def on the product",
-        report_k=False,
-    )
-
-
-def _audit_cor_coroproductpowerful_ii(config, rng, tally):
-    """phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for
-    k from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i."""
-    _factor_phi_bound_audit(
-        config, rng, tally, POW, _degree_sum_3,
-        lambda g: range(1 - g.delta_min, g.delta_max - 1),
-        lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
-        _box_plus_diagonal_bound,
-        "box-plus-diagonal bound for phi_pow on the product",
-    )
-
-
-def _audit_cor_union(config, rng, tally):
-    """phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for
-    every k from k' up to D1+D2."""
-    _factor_phi_bound_audit(
-        config, rng, tally, OFF, _has_edge,
-        OFF.canonical_k_range,
-        lambda k1, k2, a, b: range(union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1),
-        lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
-        "union bound for phi_off on the product",
-    )
-
-
 def _is_connected(g: Graph) -> bool:
     seen = 1
     frontier = 1
@@ -674,13 +573,11 @@ def _is_tree(g: Graph) -> bool:
     return g.edge_count == g.n - 1 and _is_connected(g)
 
 
-def _triangle_free(g: Graph) -> bool:
-    return all(g.adj_bits[u] & g.adj_bits[v] == 0 for u, v in g.edges())
-
-
 def _audit_prop_remarktree(config, rng, tally):
     """phi_def(k) = n on trees (k >= 2), planar graphs (k >= 6), and planar
-    triangle-free graphs (k >= 4), up to the maximum degree."""
+    triangle-free graphs (k >= 4), up to the maximum degree.  The wheels and
+    grids are planar as built, the grids triangle free, and deleting a
+    vertex keeps both, so only the tree case is tested on the graph."""
     instances: list[tuple[Graph, str]] = []
     for n in range(3, 9):
         instances.append((path_graph(n), "tree"))
@@ -695,17 +592,8 @@ def _audit_prop_remarktree(config, rng, tally):
 
     lows = {"tree": 2, "planar6": 6, "planar4_trianglefree": 4}
 
-    def applicable(g: Graph, case: str, k: int) -> bool:
-        if not lows[case] <= k <= g.delta_max:
-            return False
-        if case == "tree":
-            return _is_tree(g)
-        if case == "planar6":
-            return bool(g.planar) and g.delta_max >= 6
-        return bool(g.planar) and g.delta_max >= 4 and _triangle_free(g)
-
     def verdict(a, b, sets, case, k):
-        if not applicable(a, case, k):
+        if not lows[case] <= k <= a.delta_max or (case == "tree" and not _is_tree(a)):
             return None
         val = phi_value(a, k, DEF)
         return val == a.n, val, a.n
@@ -852,25 +740,90 @@ def _audit_vizing_alpha(config, rng, tally):
         _check(tally, g1, g2, {}, {}, [({}, verdict)], "independence bound on the product")
 
 
+# One row per claim, in report order.  A row that binds a shared driver
+# states its claim in its check string, or in a comment above it.
 _AUDITS: dict[str, Callable[[AuditConfig, random.Random, AuditReport], None]] = {
     "remark1": _audit_remark1,
-    "th1_i": _audit_th1_i,
-    "th1_ii": _audit_th1_ii,
-    "cor_CoroTh1def_i": _audit_cor_CoroTh1def_i,
-    "cor_CoroTh1def_ii": _audit_cor_CoroTh1def_ii,
+    "th1_i": partial(
+        _projection_transfer_audit, kind=DEF,
+        check="free projection at k makes S (k+D_other)-def-free in the product",
+    ),
+    "th1_ii": partial(
+        _both_projection_audit, kind=DEF,
+        check="both projections free make S (k1+k2-1)-def-free in the product",
+    ),
+    # phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor
+    "cor_CoroTh1def_i": partial(
+        _column_bound_audit, kind=DEF, accept=None,
+        k_range=lambda own, other: range(
+            other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
+        ),
+        check="column bound for phi_def on the product",
+    ),
+    # phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)
+    "cor_CoroTh1def_ii": partial(
+        _factor_phi_bound_audit, kind=DEF, accept=_has_edge,
+        factor_range=lambda g: range(1 - g.delta_min, g.delta_max + 1),
+        claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
+        bound=_box_plus_diagonal_bound,
+        check="box-plus-diagonal bound for phi_def on the product",
+        report_k=False,
+    ),
     "prop_remarktree": _audit_prop_remarktree,
     "th_factor_recovery": _audit_th_factor_recovery,
     "cor_otrocoro": _audit_cor_otrocoro,
     "prop_iff_regular": _audit_prop_iff_regular,
-    "th1of": _audit_th1of,
-    "cor_coronofensive": _audit_cor_coronofensive,
+    "th1of": partial(
+        _projection_transfer_audit, kind=OFF,
+        check="free projection at k makes S (k-d_other)-off-free in the product",
+    ),
+    # phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor
+    "cor_coronofensive": partial(
+        _column_bound_audit, kind=OFF, accept=_has_edge,
+        k_range=lambda own, other: range(
+            2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
+        ),
+        check="column bound for phi_off on the product",
+    ),
     "th_union": _audit_th_union,
-    "cor_union": _audit_cor_union,
+    # phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for every
+    # k from k' up to D1+D2
+    "cor_union": partial(
+        _factor_phi_bound_audit, kind=OFF, accept=_has_edge,
+        factor_range=OFF.canonical_k_range,
+        claim_range=lambda k1, k2, a, b: range(
+            union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1
+        ),
+        bound=lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
+        check="union bound for phi_off on the product",
+    ),
     "phi_p_lower": _audit_phi_p_lower,
-    "th1p_i": _audit_th1p_i,
-    "th1p_ii": _audit_th1p_ii,
-    "cor_coroproductpowerful_i": _audit_cor_coroproductpowerful_i,
-    "cor_coroproductpowerful_ii": _audit_cor_coroproductpowerful_ii,
+    "th1p_i": partial(
+        _projection_transfer_audit, kind=POW,
+        check="free projection at k makes S (k+D_other)-pow-free in the product",
+    ),
+    "th1p_ii": partial(
+        _both_projection_audit, kind=POW,
+        check="both projections free make S k'-pow-free in the product",
+    ),
+    # phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor
+    "cor_coroproductpowerful_i": partial(
+        _column_bound_audit, kind=POW, accept=_degree_sum_3,
+        k_range=lambda own, other: range(
+            max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
+            own.delta_max + other.delta_max - 1,
+        ),
+        check="column bound for phi_pow on the product",
+    ),
+    # phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for k
+    # from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i
+    "cor_coroproductpowerful_ii": partial(
+        _factor_phi_bound_audit, kind=POW, accept=_degree_sum_3,
+        factor_range=lambda g: range(1 - g.delta_min, g.delta_max - 1),
+        claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
+        bound=_box_plus_diagonal_bound,
+        check="box-plus-diagonal bound for phi_pow on the product",
+    ),
     "vizing_alpha": _audit_vizing_alpha,
 }
 
@@ -931,14 +884,14 @@ class StrictGapInstance:
         }
 
 
-def find_strict_gap_instance(
-    seed: int = 987620, k: int = 2, max_order: int = 9, attempts: int = 4000
-) -> StrictGapInstance | None:
+def find_strict_gap_instance() -> StrictGapInstance | None:
     """Seeded search for a graph with phi_pow(k) strictly above
-    max(phi_def(k), phi_off(k+2)); the two lower bounds are not tight."""
-    rng = random.Random(f"{seed}/strict-gap/{k}")
-    for _ in range(attempts):
-        n = rng.randint(6, max_order)
+    max(phi_def(k), phi_off(k+2)) at k = 2, among up to 4000 random graphs
+    of order 6 to 9; the two lower bounds are not tight."""
+    k = 2
+    rng = random.Random(f"987620/strict-gap/{k}")
+    for _ in range(4000):
+        n = rng.randint(6, 9)
         g = _gnp(rng, n, rng.choice((0.4, 0.5, 0.6, 0.7)))
         if g.delta_max < k:
             continue

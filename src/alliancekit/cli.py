@@ -22,7 +22,7 @@ from .alliances import AllianceKind, canonical_k_range, is_alliance
 from .audit import THEOREM_IDS, AuditConfig, audit, audit_all
 from .freesets import enumerate_minimal_alliances
 from .graph import (
-    _FAMILY_ARITY,
+    _FAMILIES,
     CapacityError,
     EdgeListParseError,
     Graph,
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("family", help="write a generated family graph")
-    p.add_argument("kind", choices=tuple(_FAMILY_ARITY))
+    p.add_argument("kind", choices=tuple(_FAMILIES))
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--seed", type=int, default=None, help="seed for random_tree")

@@ -8,8 +8,9 @@ encoded as ``a * n2 + b`` everywhere (projections, fibers, witnesses).
 One rule says how big is too big: work whose estimated peak is more than
 half the memory the process may use is refused up front with
 ``CapacityError``, by a byte estimate checked before the allocation it
-covers (``_refuse_bytes``).  The product, the 2^n tables of ``freesets``
-and the decoding of a minimal-alliance family go through it.
+covers (``_refuse_bytes``).  An edge list's vertex count, the product, the
+2^n tables of ``freesets`` and the decoding of a minimal-alliance family go
+through it.
 """
 
 from __future__ import annotations
@@ -74,15 +75,14 @@ class EdgeListParseError(ValueError):
 class Graph:
     """Immutable simple undirected graph.
 
-    ``adj_bits[v]`` is the neighbourhood of v as a bitmask.  Minimum and
-    maximum degree are computed once at construction.  ``planar`` is a
-    constructor-supplied flag (trees, grids, wheels, cycles set it True);
-    planarity is never tested.
+    ``adj_bits[v]`` is the neighbourhood of v as a bitmask.  Degrees,
+    minimum and maximum degree, and the hash are computed once at
+    construction.  Equal order and edges make equal graphs.
     """
 
-    __slots__ = ("n", "adj_bits", "degrees", "delta_min", "delta_max", "planar", "_hash")
+    __slots__ = ("n", "adj_bits", "degrees", "delta_min", "delta_max", "_hash")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), planar: bool | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graph order must be at least 1")
         adj = [0] * n
@@ -98,7 +98,6 @@ class Graph:
         self.degrees = tuple(a.bit_count() for a in adj)
         self.delta_min = min(self.degrees)
         self.delta_max = max(self.degrees)
-        self.planar = planar
         self._hash = hash((n, self.adj_bits))
 
     @property
@@ -285,12 +284,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     for (a, c) in g1.edges():
         for b in range(n2):
             edges.append((a * n2 + b, c * n2 + b))
-    planar = None
-    if n1 == 1:
-        planar = g2.planar
-    elif n2 == 1:
-        planar = g1.planar
-    return Graph(n, edges, planar=planar)
+    return Graph(n, edges)
 
 
 def projections(a: VertexSet, n1: int, n2: int) -> tuple[VertexSet, VertexSet]:
@@ -394,28 +388,28 @@ def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)], planar=True)
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0; needs n >= 3."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)], planar=True)
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(t: int) -> Graph:
     """Star with t leaves (order t+1); the center is vertex 0."""
     if t < 1:
         raise ValueError("star needs at least 1 leaf")
-    return Graph(t + 1, [(0, i) for i in range(1, t + 1)], planar=True)
+    return Graph(t + 1, [(0, i) for i in range(1, t + 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, edges, planar=(n <= 4))
+    return Graph(n, edges)
 
 
 def wheel_graph(t: int) -> Graph:
@@ -424,7 +418,7 @@ def wheel_graph(t: int) -> Graph:
         raise ValueError("wheel rim needs at least 3 vertices")
     edges = [(0, i) for i in range(1, t + 1)]
     edges += [(i, i % t + 1) for i in range(1, t + 1)]
-    return Graph(t + 1, edges, planar=True)
+    return Graph(t + 1, edges)
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
@@ -438,7 +432,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((i * cols + j, i * cols + j + 1))
             if i + 1 < rows:
                 edges.append((i * cols + j, (i + 1) * cols + j))
-    return Graph(rows * cols, edges, planar=True)
+    return Graph(rows * cols, edges)
 
 
 def random_tree(n: int, seed: int) -> Graph:
@@ -446,9 +440,9 @@ def random_tree(n: int, seed: int) -> Graph:
     if n < 1:
         raise ValueError("tree needs at least 1 vertex")
     if n == 1:
-        return Graph(1, [], planar=True)
+        return Graph(1, [])
     if n == 2:
-        return Graph(2, [(0, 1)], planar=True)
+        return Graph(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     deg = [1] * n
@@ -466,7 +460,7 @@ def random_tree(n: int, seed: int) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
-    return Graph(n, edges, planar=True)
+    return Graph(n, edges)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -485,38 +479,30 @@ def _gnp(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "star": 1,
-    "complete": 1,
-    "wheel": 1,
-    "grid": 2,
-    "random_tree": 1,
+#: family name -> (generator, number of integer parameters)
+_FAMILIES = {
+    "path": (path_graph, 1),
+    "cycle": (cycle_graph, 1),
+    "star": (star_graph, 1),
+    "complete": (complete_graph, 1),
+    "wheel": (wheel_graph, 1),
+    "grid": (grid_graph, 2),
+    "random_tree": (random_tree, 1),
 }
 
 
 def family(kind: str, *params: int, seed: int | None = None) -> Graph:
     """Dispatch to a named family generator; ``random_tree`` needs ``seed``."""
-    if kind not in _FAMILY_ARITY:
-        raise ValueError(f"unknown family {kind!r}; choose from {sorted(_FAMILY_ARITY)}")
-    if len(params) != _FAMILY_ARITY[kind]:
-        raise ValueError(f"family {kind!r} takes {_FAMILY_ARITY[kind]} parameter(s)")
-    if kind == "path":
-        return path_graph(params[0])
-    if kind == "cycle":
-        return cycle_graph(params[0])
-    if kind == "star":
-        return star_graph(params[0])
-    if kind == "complete":
-        return complete_graph(params[0])
-    if kind == "wheel":
-        return wheel_graph(params[0])
-    if kind == "grid":
-        return grid_graph(params[0], params[1])
-    if seed is None:
-        raise ValueError("random_tree requires a seed")
-    return random_tree(params[0], seed)
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family {kind!r}; choose from {sorted(_FAMILIES)}")
+    generator, arity = _FAMILIES[kind]
+    if len(params) != arity:
+        raise ValueError(f"family {kind!r} takes {arity} parameter(s)")
+    if kind == "random_tree":
+        if seed is None:
+            raise ValueError("random_tree requires a seed")
+        params += (seed,)
+    return generator(*params)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +511,11 @@ def family(kind: str, *params: int, seed: int | None = None) -> Graph:
 # Format: first non-comment line is the vertex count; each following line is
 # "u v" with 0-based ids; lines starting with '#' are comments.  Duplicate
 # and self-loop edges are rejected.
+
+
+#: Bytes a Graph takes per vertex, its edges aside: tracemalloc read 24-26
+#: for edgeless graphs of order 10^3 to 2*10^6.
+_VERTEX_BYTES = 32
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -545,6 +536,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(f"bad vertex count {parts[0]!r}", lineno) from None
             if n < 1:
                 raise EdgeListParseError("vertex count must be positive", lineno)
+            _refuse_bytes(f"a graph of order {n}", _VERTEX_BYTES * n)
             continue
         if len(parts) != 2:
             raise EdgeListParseError("expected 'u v'", lineno)

@@ -79,10 +79,11 @@ def _finish(
     sources: tuple[VertexSet, ...],
     k_claim: int,
     kind: AllianceKind,
-    product: Graph,
+    g1: Graph,
+    g2: Graph,
     result: VertexSet,
 ) -> ProductWitness:
-    verified = is_free_set(product, result, k_claim, kind)
+    verified = is_free_set(cartesian_product(g1, g2), result, k_claim, kind)
     return ProductWitness(construction, sources, k_claim, kind, result, verified)
 
 
@@ -104,15 +105,13 @@ def column_witness(
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     own, other = (g1, g2) if axis == 1 else (g2, g1)
-    _check_universe(own, s)
     _require_free(own, s, k_factor, kind, "s")
     k_claim = column_k(k_factor, other, kind)
     if axis == 1:
         result = factor_box(s, g2.vertices)
     else:
         result = factor_box(g1.vertices, s)
-    product = cartesian_product(g1, g2)
-    return _finish("column", (s,), k_claim, kind, product, result)
+    return _finish("column", (s,), k_claim, kind, g1, g2, result)
 
 
 def box_witness(
@@ -128,14 +127,11 @@ def box_witness(
     kind = AllianceKind(kind)
     if kind is AllianceKind.OFFENSIVE:
         raise ValueError("box construction covers the defensive and powerful kinds")
-    _check_universe(g1, s1)
-    _check_universe(g2, s2)
     _require_free(g1, s1, k1, kind, "s1")
     _require_free(g2, s2, k2, kind, "s2")
     k_claim = box_k(k1, k2, g1, g2, kind)
     result = factor_box(s1, s2)
-    product = cartesian_product(g1, g2)
-    return _finish("box", (s1, s2), k_claim, kind, product, result)
+    return _finish("box", (s1, s2), k_claim, kind, g1, g2, result)
 
 
 def box_plus_diagonal_witness(
@@ -167,8 +163,7 @@ def box_plus_diagonal_witness(
         mask |= 1 << (a * g2.n + b)
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = k1 + k2 - 1
-    product = cartesian_product(g1, g2)
-    return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, product, result)
+    return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, g1, g2, result)
 
 
 def union_witness(
@@ -184,15 +179,12 @@ def union_witness(
     The size is |s1|*n2 + |s2|*n1 - |s1|*|s2| by inclusion-exclusion.
     """
     kind = AllianceKind.OFFENSIVE
-    _check_universe(g1, s1)
-    _check_universe(g2, s2)
     _require_free(g1, s1, k1, kind, "s1")
     _require_free(g2, s2, k2, kind, "s2")
     mask = factor_box(s1, g2.vertices).mask | factor_box(g1.vertices, s2).mask
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = union_k(k1, k2, g1, g2)
-    product = cartesian_product(g1, g2)
-    return _finish("union", (s1, s2), k_claim, kind, product, result)
+    return _finish("union", (s1, s2), k_claim, kind, g1, g2, result)
 
 
 def build_witness(

@@ -34,7 +34,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AuditConfig(max_factor_order=1)
     with pytest.raises(ValueError):
-        AuditConfig(max_factor_order=5)  # 25 > exact-solver limit
+        AuditConfig(max_factor_order=5)  # 25 > the product-order cap
     with pytest.raises(ValueError):
         AuditConfig(max_product_order=3)
     with pytest.raises(ValueError):

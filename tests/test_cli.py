@@ -238,6 +238,18 @@ def test_capacity_error_exit(tmp_path, capsys, monkeypatch):
         assert re.fullmatch(r"capacity error: .* needs about \d+ bytes, .*", err)
 
 
+def test_check_refuses_a_vertex_count_that_will_not_fit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
+    path = tmp_path / "big.el"
+    path.write_text("100000\n")
+    assert main(["check", "-g", str(path), "-s", "0", "-k", "0", "--kind", "defensive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("capacity error: a graph of order 100000 needs about ")
+
+
 @pytest.mark.parametrize("error", [
     MemoryError("Unable to allocate 16.0 MiB for an array with shape (16777216,) and data type uint8"),
     MemoryError(),

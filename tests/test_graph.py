@@ -36,7 +36,7 @@ from alliancekit import (
 
 from alliancekit.graph import _bits
 
-from conftest import graph_and_set, graphs, refusal_peak
+from conftest import graph_and_set, graphs, refusal_peak, traced_peak
 
 graph_mod = importlib.import_module("alliancekit.graph")
 
@@ -307,9 +307,9 @@ def test_family_shapes():
     star = star_graph(3)
     assert star.n == 4 and star.degree(0) == 3 and star.delta_max == 3
     wheel = wheel_graph(7)
-    assert wheel.n == 8 and wheel.degree(0) == 7 and wheel.planar
+    assert wheel.n == 8 and wheel.degree(0) == 7
     grid = grid_graph(3, 4)
-    assert grid.n == 12 and grid.delta_max == 4 and grid.planar
+    assert grid.n == 12 and grid.delta_max == 4
     assert cycle_graph(5).degrees == (2,) * 5
     assert complete_graph(4).degrees == (3,) * 4
 
@@ -343,7 +343,6 @@ def test_random_tree_is_reproducible_tree():
         t2 = random_tree(n, seed=123)
         assert t1 == t2
         assert t1.edge_count == n - 1
-        assert t1.planar
     assert random_tree(8, seed=1) != random_tree(8, seed=2)
 
 
@@ -353,6 +352,17 @@ def test_random_graph_seeded():
 
 # ---------------------------------------------------------------------------
 # Edge-list I/O
+
+
+def test_edge_list_vertex_count_is_refused_before_allocating(monkeypatch):
+    """The per-vertex estimate covers an edgeless graph's traced peak, and a
+    count whose graph would not fit is refused as soon as it is read."""
+    n = 100_000
+    assert traced_peak(lambda: parse_edge_list(f"{n}\n")) <= graph_mod._VERTEX_BYTES * n
+    monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
+    assert refusal_peak(lambda: parse_edge_list(f"{n}\n")) < 1 << 20
+    with pytest.raises(CapacityError, match=r"^a graph of order 100000 needs about \d+ bytes"):
+        parse_edge_list(f"# header\n{n}\n0 1\n")
 
 
 def test_edge_list_round_trip(tmp_path):
