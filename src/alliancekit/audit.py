@@ -15,7 +15,10 @@ non-``None`` verdict counts as a check; an instance without checks is
 skipped and counted.  All claims are proved facts, so a false verdict is
 evidence of an implementation bug: it is reported with a greedily minimized
 counterexample, found by re-running the same verdict on vertex-deleted
-instances (``None`` there counts as not failing).
+instances (``None`` there counts as not failing).  A set's name says where
+it lives: ``s`` on G1 x G2, ``s1`` on G1 and ``s2`` on G2.  Deleting vertex
+v of G1 drops row v, and deleting v of G2 drops column v, from every set
+that lives on that factor.
 
 An audit that never saw a hypothesis-satisfying trial is flagged
 inconclusive rather than passed.  Reports are deterministic functions of
@@ -113,16 +116,7 @@ class AuditReport:
         return not self.failures and not self.inconclusive
 
     def to_record(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "checks": self.checks,
-            "inconclusive": self.inconclusive,
-            "config": self.config.to_record(),
-        }
+        return {**asdict(self), "inconclusive": self.inconclusive}
 
     def to_lines(self) -> list[str]:
         c = self.config
@@ -257,44 +251,31 @@ def _graph_record(g: Graph | None) -> dict | None:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def _delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    keep = [u for u in range(g.n) if u != v]
-    index = {u: i for i, u in enumerate(keep)}
-    edges = [(index[a], index[b]) for a, b in g.edges() if a != v and b != v]
-    return Graph(g.n - 1, edges), index
+def _delete_vertex(g: Graph, v: int) -> Graph:
+    """g without vertex v: ids above v move down by one."""
+    return Graph(g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
+
+
+#: Where a verdict's set lives, by its name: ``s`` on G1 x G2, ``s1`` on G1
+#: and ``s2`` on G2.  A factor set is read as a set on a product whose other
+#: factor has one vertex.
+_SET_FACTORS = {"s": (True, True), "s1": (True, False), "s2": (False, True)}
 
 
 def _remap_sets(
-    sets: dict[str, VertexSet],
-    bindings: dict[str, str],
-    which: str,
-    v: int,
-    index: dict[int, int],
-    n1: int,
-    n2: int,
+    sets: dict[str, VertexSet], axis: int, v: int, n1: int, n2: int
 ) -> dict[str, VertexSet]:
-    new_n1 = n1 - 1 if which == "g1" else n1
-    new_n2 = n2 - 1 if which == "g2" else n2
+    """The sets once vertex v of factor ``axis`` (0 for G1, 1 for G2) is
+    deleted.  A set's cells are a*cols + b over its rows and columns; every
+    set that lives on that factor loses row v (G1) or column v (G2), and the
+    cells left keep their order."""
     out = {}
     for name, vs in sets.items():
-        binding = bindings[name]
-        if binding == which:
-            out[name] = VertexSet.of([index[u] for u in vs if u != v], len(index))
-        elif binding == "product":
-            members = []
-            for pv in vs:
-                a, b = divmod(pv, n2)
-                if which == "g1":
-                    if a == v:
-                        continue
-                    members.append(index[a] * new_n2 + b)
-                else:
-                    if b == v:
-                        continue
-                    members.append(a * new_n2 + index[b])
-            out[name] = VertexSet.of(members, new_n1 * new_n2)
-        else:
-            out[name] = vs
+        lives = _SET_FACTORS[name]
+        rows, cols = range(n1 if lives[0] else 1), range(n2 if lives[1] else 1)
+        cells = [a * len(cols) + b for a in rows for b in cols
+                 if not (lives[axis] and (a, b)[axis] == v)]
+        out[name] = VertexSet.of([i for i, p in enumerate(cells) if p in vs], len(cells))
     return out
 
 
@@ -303,7 +284,6 @@ def _shrink(
     g1: Graph,
     g2: Graph | None,
     sets: dict[str, VertexSet],
-    bindings: dict[str, str],
 ) -> tuple[Graph, Graph | None, dict[str, VertexSet]]:
     """Greedy vertex deletion preserving failure of the verdict."""
 
@@ -317,13 +297,13 @@ def _shrink(
     def deletions():
         # one vertex deleted: vertices of g1 first, then of g2
         n2 = g2.n if g2 is not None else 1
-        for which, g in (("g1", g1), ("g2", g2)):
+        for axis, g in enumerate((g1, g2)):
             if g is None or g.n <= 1:
                 continue
             for v in range(g.n):
-                shrunk, index = _delete_vertex(g, v)
-                new_sets = _remap_sets(sets, bindings, which, v, index, g1.n, n2)
-                yield (shrunk, g2, new_sets) if which == "g1" else (g1, shrunk, new_sets)
+                shrunk = _delete_vertex(g, v)
+                new_sets = _remap_sets(sets, axis, v, g1.n, n2)
+                yield (shrunk, g2, new_sets) if axis == 0 else (g1, shrunk, new_sets)
 
     while True:
         for a, b, ss in deletions():
@@ -339,12 +319,11 @@ def _failure(
     g1: Graph,
     g2: Graph | None,
     sets: dict[str, VertexSet],
-    bindings: dict[str, str],
     ks: dict[str, int],
     check: str,
 ) -> dict:
     try:
-        g1m, g2m, setsm = _shrink(verdict, g1, g2, sets, bindings)
+        g1m, g2m, setsm = _shrink(verdict, g1, g2, sets)
     except Exception:
         g1m, g2m, setsm = g1, g2, sets
     ok, observed, expected = verdict(g1m, g2m, setsm)
@@ -365,7 +344,6 @@ def _check(
     g1: Graph,
     g2: Graph | None,
     sets: dict[str, VertexSet],
-    bindings: dict[str, str],
     cases: Iterable[tuple[dict, _Verdict]],
     check: str,
 ) -> None:
@@ -380,7 +358,7 @@ def _check(
             continue
         checks += 1
         if not outcome[0]:
-            fails.append(_failure(verdict, g1, g2, sets, bindings, ks, check))
+            fails.append(_failure(verdict, g1, g2, sets, ks, check))
     if checks == 0:
         tally.skipped += 1
         return
@@ -416,7 +394,7 @@ def _audit_remark1(config: AuditConfig, rng: random.Random, tally: AuditReport) 
 
     for g1, g2 in _pair_instances(rng, config, _has_edge):
         cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
-        _check(tally, g1, g2, {}, {}, cases, "phi_def >= alpha bound")
+        _check(tally, g1, g2, {}, cases, "phi_def >= alpha bound")
 
 
 def _projection_transfer_audit(
@@ -446,7 +424,7 @@ def _projection_transfer_audit(
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
             for ki in kind.canonical_k_range(own)
         ]
-        _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
+        _check(tally, g1, g2, {"s": s}, cases, check)
 
 
 def _both_projection_audit(
@@ -478,7 +456,7 @@ def _both_projection_audit(
             for k1 in kind.canonical_k_range(g1)
             for k2 in kind.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s": s}, {"s": "product"}, cases, check)
+        _check(tally, g1, g2, {"s": s}, cases, check)
 
 
 def _column_bound_audit(
@@ -509,7 +487,7 @@ def _column_bound_audit(
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
             for k in k_range(own, other)
         ]
-        _check(tally, g1, g2, {}, {}, cases, check)
+        _check(tally, g1, g2, {}, cases, check)
 
 
 def _factor_phi_bound_audit(
@@ -547,7 +525,7 @@ def _factor_phi_bound_audit(
             for k2 in factor_range(g2)
             for k in claim_range(k1, k2, g1, g2)
         ]
-        _check(tally, g1, g2, {}, {}, cases, check)
+        _check(tally, g1, g2, {}, cases, check)
 
 
 def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
@@ -603,7 +581,7 @@ def _audit_prop_remarktree(config, rng, tally):
             ({"k": k, "case": case}, partial(verdict, case=case, k=k))
             for k in range(lows[case], g.delta_max + 1)
         ]
-        _check(tally, g, None, {}, {}, cases, "phi_def equals the order")
+        _check(tally, g, None, {}, cases, "phi_def equals the order")
 
 
 def _audit_th_factor_recovery(config, rng, tally):
@@ -630,8 +608,7 @@ def _audit_th_factor_recovery(config, rng, tally):
             for k in DEF.canonical_k_range(_product(g1, g2))
             for kp in DEF.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s1": s1, "s2": s2}, {"s1": "g1", "s2": "g2"}, cases,
-               "factor recovery of a def-free set")
+        _check(tally, g1, g2, {"s1": s1, "s2": s2}, cases, "factor recovery of a def-free set")
 
 
 def _audit_cor_otrocoro(config, rng, tally):
@@ -647,7 +624,7 @@ def _audit_cor_otrocoro(config, rng, tally):
         g1, g2 = _draw_pair(rng, config, _has_edge)
         s1 = _draw_subset(rng, g1.n)
         cases = [({"k": k}, partial(verdict, k=k)) for k in DEF.canonical_k_range(_product(g1, g2))]
-        _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases, "column recovery of a def-free set")
+        _check(tally, g1, g2, {"s1": s1}, cases, "column recovery of a def-free set")
 
 
 _REGULAR_POOL = (
@@ -675,8 +652,7 @@ def _audit_prop_iff_regular(config, rng, tally):
         g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
         cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
-        _check(tally, g1, g2, {"s1": s1}, {"s1": "g1"}, cases,
-               "column freeness iff factor freeness (regular G2)")
+        _check(tally, g1, g2, {"s1": s1}, cases, "column freeness iff factor freeness (regular G2)")
 
 
 def _audit_th_union(config, rng, tally):
@@ -703,8 +679,7 @@ def _audit_th_union(config, rng, tally):
             for k1 in OFF.canonical_k_range(g1)
             for k2 in OFF.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s1": s1, "s2": s2}, {"s1": "g1", "s2": "g2"}, cases,
-               "union of columns is off k'-free")
+        _check(tally, g1, g2, {"s1": s1, "s2": s2}, cases, "union of columns is off k'-free")
 
 
 def _audit_phi_p_lower(config, rng, tally):
@@ -721,7 +696,7 @@ def _audit_phi_p_lower(config, rng, tally):
     for _ in range(config.trials_per_theorem):
         g = _draw_graph(rng, top, _has_edge)
         cases = [({"k": k}, partial(verdict, k=k)) for k in POW.canonical_k_range(g)]
-        _check(tally, g, None, {}, {}, cases, "phi_pow dominates phi_def and shifted phi_off")
+        _check(tally, g, None, {}, cases, "phi_pow dominates phi_def and shifted phi_off")
 
 
 def _audit_vizing_alpha(config, rng, tally):
@@ -737,7 +712,7 @@ def _audit_vizing_alpha(config, rng, tally):
         g1, g2 = _draw_pair(rng, config)
         while g1.n * g2.n > cap:
             g1, g2 = _draw_pair(rng, config)
-        _check(tally, g1, g2, {}, {}, [({}, verdict)], "independence bound on the product")
+        _check(tally, g1, g2, {}, [({}, verdict)], "independence bound on the product")
 
 
 # One row per claim, in report order.  A row that binds a shared driver
@@ -875,8 +850,7 @@ class StrictGapInstance:
 
     def to_record(self) -> dict:
         return {
-            "n": self.graph.n,
-            "edges": [list(e) for e in self.graph.edges()],
+            **_graph_record(self.graph),
             "k": self.k,
             "phi_powerful": self.phi_powerful,
             "phi_defensive": self.phi_defensive,

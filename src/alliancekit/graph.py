@@ -8,9 +8,10 @@ encoded as ``a * n2 + b`` everywhere (projections, fibers, witnesses).
 One rule says how big is too big: work whose estimated peak is more than
 half the memory the process may use is refused up front with
 ``CapacityError``, by a byte estimate checked before the allocation it
-covers (``_refuse_bytes``).  An edge list's vertex count, the product, the
-2^n tables of ``freesets`` and the decoding of a minimal-alliance family go
-through it.
+covers (``_refuse_bytes``).  An edge list's vertex count, a graph's
+neighbourhood ints, the edge lists of the product and the family generators,
+the 2^n tables of ``freesets`` and the decoding of a minimal-alliance family
+go through it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,21 @@ def _refuse_bytes(what: str, nbytes: int) -> None:
         )
 
 
+#: Bytes a Graph takes per vertex, its edges aside: tracemalloc read 24-26
+#: for edgeless graphs of order 10^3 to 2*10^6.
+_VERTEX_BYTES = 32
+
+#: Bytes an edge list takes per edge while a Graph is built from it:
+#: tracemalloc peaks reached about 130.
+_EDGE_BYTES = 160
+
+
+def _int_bytes(top: int) -> int:
+    """Bytes of a neighbourhood int whose highest bit is top: a 32-byte head
+    and 4 bytes per 30 bits."""
+    return 32 + top // 7
+
+
 class EdgeListParseError(ValueError):
     """Malformed edge-list input; carries the offending line number."""
 
@@ -77,7 +93,10 @@ class Graph:
 
     ``adj_bits[v]`` is the neighbourhood of v as a bitmask.  Degrees,
     minimum and maximum degree, and the hash are computed once at
-    construction.  Equal order and edges make equal graphs.
+    construction.  Equal order and edges make equal graphs.  Each
+    neighbourhood int grows with the highest neighbour id, so where even
+    ``_int_bytes(n)`` per vertex might not fit, the graph is refused by an
+    estimate from each vertex's highest neighbour before any int is built.
     """
 
     __slots__ = ("n", "adj_bits", "degrees", "delta_min", "delta_max", "_hash")
@@ -85,6 +104,13 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError("graph order must be at least 1")
+        if _MEMORY is not None and 2 * n * (_VERTEX_BYTES + _int_bytes(n)) > _MEMORY:
+            edges = list(edges)
+            top: dict[int, int] = {}
+            for u, v in edges:
+                top[u], top[v] = max(top.get(u, 0), v), max(top.get(v, 0), u)
+            ints = sum(_int_bytes(min(t, n)) for t in top.values())
+            _refuse_bytes(f"a graph of order {n}", _VERTEX_BYTES * n + ints)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -218,20 +244,9 @@ class SetDegreeView:
 
 def degree_view(g: Graph, s: VertexSet) -> SetDegreeView:
     _check_universe(g, s)
-    mask = s.mask
-    in_deg = {}
-    out_deg = {}
-    boundary = 0
-    inner_sum = 0
-    for v in range(g.n):
-        inside = (g.adj_bits[v] & mask).bit_count()
-        in_deg[v] = inside
-        out_deg[v] = g.degrees[v] - inside
-        if inside and not (mask >> v & 1):
-            boundary |= 1 << v
-        if mask >> v & 1:
-            inner_sum += inside
-    return SetDegreeView(in_deg, out_deg, VertexSet(boundary, g.n), inner_sum // 2)
+    in_deg = {v: (g.adj_bits[v] & s.mask).bit_count() for v in range(g.n)}
+    out_deg = {v: g.degrees[v] - in_deg[v] for v in range(g.n)}
+    return SetDegreeView(in_deg, out_deg, boundary_set(g, s), induced_edge_count(g, s))
 
 
 def induced_edge_count(g: Graph, s: VertexSet) -> int:
@@ -274,9 +289,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """
     n1, n2 = g1.n, g2.n
     n, m = n1 * n2, n1 * g2.edge_count + n2 * g1.edge_count
-    # tracemalloc peaks: up to about 130 bytes per edge-list entry, and up
-    # to n bits per vertex for the adjacency ints
-    _refuse_bytes(f"the order-{n} product", 160 * m + n * (n // 8 + 100))
+    _refuse_bytes(f"the order-{n} product", _EDGE_BYTES * m + n * (_VERTEX_BYTES + _int_bytes(n)))
     edges = []
     for a in range(n1):
         for (b, d) in g2.edges():
@@ -381,13 +394,19 @@ def vizing_alpha_bound(f1: FactorInvariants, f2: FactorInvariants) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Graph families (canonical labelings documented per family)
+# Graph families (canonical labelings documented per family).  Each generator
+# is refused before its edge list is built when the list would not fit.
+
+
+def _refuse_family(name: str, n: int, m: int) -> None:
+    _refuse_bytes(f"a {name} graph of order {n}", _EDGE_BYTES * m + _VERTEX_BYTES * n)
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 1:
         raise ValueError("path needs at least 1 vertex")
+    _refuse_family("path", n, n - 1)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -395,6 +414,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle 0-1-...-(n-1)-0; needs n >= 3."""
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _refuse_family("cycle", n, n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -402,12 +422,14 @@ def star_graph(t: int) -> Graph:
     """Star with t leaves (order t+1); the center is vertex 0."""
     if t < 1:
         raise ValueError("star needs at least 1 leaf")
+    _refuse_family("star", t + 1, t)
     return Graph(t + 1, [(0, i) for i in range(1, t + 1)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
+    _refuse_family("complete", n, n * (n - 1) // 2)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, edges)
 
@@ -416,6 +438,7 @@ def wheel_graph(t: int) -> Graph:
     """Wheel with t rim vertices (order t+1); the hub is vertex 0."""
     if t < 3:
         raise ValueError("wheel rim needs at least 3 vertices")
+    _refuse_family("wheel", t + 1, 2 * t)
     edges = [(0, i) for i in range(1, t + 1)]
     edges += [(i, i % t + 1) for i in range(1, t + 1)]
     return Graph(t + 1, edges)
@@ -425,6 +448,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols grid; vertex (i,j) is i*cols+j.  Planar and triangle-free."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
+    _refuse_family("grid", rows * cols, rows * (cols - 1) + cols * (rows - 1))
     edges = []
     for i in range(rows):
         for j in range(cols):
@@ -439,6 +463,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree via a seeded Pruefer sequence."""
     if n < 1:
         raise ValueError("tree needs at least 1 vertex")
+    _refuse_family("random tree", n, n - 1)
     if n == 1:
         return Graph(1, [])
     if n == 2:
@@ -511,11 +536,6 @@ def family(kind: str, *params: int, seed: int | None = None) -> Graph:
 # Format: first non-comment line is the vertex count; each following line is
 # "u v" with 0-based ids; lines starting with '#' are comments.  Duplicate
 # and self-loop edges are rejected.
-
-
-#: Bytes a Graph takes per vertex, its edges aside: tracemalloc read 24-26
-#: for edgeless graphs of order 10^3 to 2*10^6.
-_VERTEX_BYTES = 32
 
 
 def parse_edge_list(text: str) -> Graph:

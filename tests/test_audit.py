@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from alliancekit import (
     path_graph,
     phi,
 )
-from alliancekit.audit import _failure, _shrink
+from alliancekit.audit import _failure, _remap_sets, _shrink
 from alliancekit.phi import phi_value
 
 FAST = AuditConfig(trials_per_theorem=4)
@@ -128,7 +129,7 @@ def test_shrinker_minimizes_a_false_claim():
         val = phi_value(g, 0, "defensive")
         return val == g.n, val, g.n
 
-    g1, g2, sets = _shrink(verdict, path_graph(6), None, {}, {})
+    g1, g2, sets = _shrink(verdict, path_graph(6), None, {})
     assert g1.n == 1  # K1: the singleton is a defensive 0-alliance, phi=0
     assert g2 is None
     ok, val, expected = verdict(g1, None, {})
@@ -143,13 +144,34 @@ def test_shrinker_remaps_bound_sets():
     g1 = path_graph(3)
     g2 = path_graph(3)
     s = VertexSet.of(range(6), 9)
-    payload = _failure(verdict, g1, g2, {"s": s}, {"s": "product"}, {"k": 0}, "synthetic")
+    payload = _failure(verdict, g1, g2, {"s": s}, {"k": 0}, "synthetic")
     assert payload["still_fails"]
     assert payload["check"] == "synthetic"
     assert payload["k"] == {"k": 0}
     # shrunken instance is no larger than the original
     assert payload["g1"]["n"] <= 3 and payload["g2"]["n"] <= 3
     json.dumps(payload)
+
+
+def test_remap_sets_drops_the_deleted_row_or_column():
+    # s lives on G1 x G2 (cell a*n2+b), s1 on G1 and s2 on G2
+    n1, n2 = 3, 4
+    rng = random.Random(3)
+    sets = {"s": VertexSet(rng.getrandbits(12), 12), "s1": VertexSet(0b101, 3),
+            "s2": VertexSet(0b1011, 4)}
+    for axis, n in ((0, n1), (1, n2)):
+        for v in range(n):
+            out = _remap_sets(sets, axis, v, n1, n2)
+            m1, m2 = (n1 - 1, n2) if axis == 0 else (n1, n2 - 1)
+            cells = [(a, b) for a in range(n1) for b in range(n2) if (a, b)[axis] != v]
+            assert out["s"] == VertexSet.of(
+                [i for i, (a, b) in enumerate(cells) if a * n2 + b in sets["s"]], m1 * m2)
+            for name, own, m in (("s1", 0, m1), ("s2", 1, m2)):
+                if own != axis:
+                    assert out[name] == sets[name]
+                else:
+                    kept = [u for u in sets[name] if u != v]
+                    assert out[name] == VertexSet.of([u - (u > v) for u in kept], m)
 
 
 def test_strict_gap_instance_found_and_verified():

@@ -272,6 +272,17 @@ def test_memory_error_is_a_capacity_error(tmp_path, capsys, monkeypatch, error):
         assert (str(error) or "out of memory") in lines[0]
 
 
+def test_family_that_will_not_fit_is_refused(tmp_path, capsys):
+    out = tmp_path / "x.el"
+    assert main(["family", "complete", "100000", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("capacity error: a complete graph of order 100000 needs about ")
+    assert not out.exists()
+
+
 def test_table_capacity_error_before_any_allocation(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
     big = tmp_path / "g25.el"

@@ -365,6 +365,29 @@ def test_edge_list_vertex_count_is_refused_before_allocating(monkeypatch):
         parse_edge_list(f"# header\n{n}\n0 1\n")
 
 
+def test_edge_list_is_refused_by_its_adjacency_ints(monkeypatch):
+    """A neighbourhood int grows with the highest neighbour id: a path of
+    order 3*10^4 needs about n^2/15 bytes of ints and is refused before
+    they are built, while a star of the same order fits."""
+    n = 30_000
+    path = f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    star = f"{n}\n" + "".join(f"0 {i}\n" for i in range(1, n))
+    monkeypatch.setattr(graph_mod, "_MEMORY", 64 << 20)
+    assert refusal_peak(lambda: parse_edge_list(path)) < 32 << 20
+    with pytest.raises(CapacityError, match=r"^a graph of order 30000 needs about \d+ bytes"):
+        parse_edge_list(path)
+    assert parse_edge_list(star).degrees[0] == n - 1
+
+
+def test_family_generators_are_refused_before_their_edge_list(monkeypatch):
+    monkeypatch.setattr(graph_mod, "_MEMORY", 64 << 20)
+    assert refusal_peak(lambda: complete_graph(2000)) < 1 << 20
+    with pytest.raises(CapacityError, match=r"^a complete graph of order 2000 needs about "):
+        complete_graph(2000)
+    assert star_graph(29999).n == 30_000
+    assert path_graph(2000).edge_count == 1999
+
+
 def test_edge_list_round_trip(tmp_path):
     for g in (path_graph(5), wheel_graph(5), grid_graph(2, 3), random_tree(7, seed=2)):
         assert parse_edge_list(format_edge_list(g)) == g
