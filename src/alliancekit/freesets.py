@@ -179,8 +179,9 @@ def _check_order(g: Graph, bytes_per_mask: float) -> None:
             f"order {g.n} exceeds {_MAX_ORDER}, the largest order a 2^n table "
             f"supports; its byte table would take {1 << g.n} bytes"
         )
-    # the low tables of _slack_terms come on top: up to four rows of
-    # 2^_LOW_BITS bytes per vertex, which set the peak below order 22
+    # the low rows of _slack_terms come on top, 2^_LOW_BITS bytes each: n
+    # defensive, 2n offensive or 3n powerful, and one scratch row; four per
+    # vertex bound them all, and they set the peak below order 22
     low_tables = 4 * g.n << min(g.n, _LOW_BITS)
     _refuse_bytes(f"an order-{g.n} table", int(bytes_per_mask * (1 << g.n)) + low_tables)
 
@@ -199,10 +200,12 @@ def _closed_slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
 
 def _bit_pairs(table: np.ndarray, b: int):
     """Matching views (masks without bit b, the same masks with bit b).
-    Narrow blocks (b <= 3) come as 1-D strided columns, which numpy sweeps
-    several times faster than a reshaped view with a short inner axis."""
+    On tables above 2^10 entries, narrow blocks (b <= 3) come as 1-D
+    strided columns, which numpy sweeps several times faster than a
+    reshaped view with a short inner axis; on smaller ones the fixed cost
+    of each call outweighs that, so every bit comes as one pair."""
     view = table.reshape(-1, 2, 1 << b)
-    if b > 3:
+    if b > 3 or table.size <= 1 << 10:
         yield view[:, 0], view[:, 1]
     else:
         for j in range(1 << b):
@@ -287,37 +290,47 @@ def _minimal_family(
 
 def _slack_terms(
     g: Graph, kind: AllianceKind
-) -> tuple[list[np.ndarray], Iterator[list[tuple[int, int]]]]:
+) -> tuple[np.ndarray, Iterator[list[tuple[int, int]]]]:
     """The kind slack of every mask as a minimum of per-vertex terms; the
     scope rules of both builders live here.
 
     Each mask splits into a high part h, fixed within a block of
     2^_LOW_BITS consecutive masks, and a low part l.  Everything a vertex
     contributes that depends on l is tabulated once (``_low_tables``).
-    Returns (rows, blocks): rows holds those tables, for each scope the
-    kind reads the reached row of every vertex and then the unreached one,
-    and blocks yields, block by block, the terms (r, shift) whose minimum
-    of rows[r][l] + shift is the block's biased slack at l.  The shift is
-    2*|N(v) & h| + _BIAS - deg(v), less 2 for the offensive terms of the
-    powerful kind, and no entry reaches 256."""
+    Returns (rows, blocks): rows is one uint8 array with a row per vertex
+    and table, n rows for the defensive scope and 2n (reached, then
+    unreached) for a boundary scope, and blocks yields, block by block,
+    the terms (r, shift) whose minimum of rows[r][l] + shift is the
+    block's biased slack at l.  The shift is 2*|N(v) & h| + _BIAS -
+    deg(v), less 2 for the offensive terms of the powerful kind, and no
+    entry reaches 256.
+
+    All rows come from one allocation, filled in place: as separate 1 MiB
+    tables, an order-16 offensive or powerful build took about 480 fresh
+    page faults, most of an audit round's 22,000, and with one array the
+    whole round takes under 100."""
     low = min(g.n, _LOW_BITS)
     highmask = g.full_mask >> low << low
-    rows: list[np.ndarray] = []
     scopes = []
+    count = 0
     for boundary in (False, True):
         if kind is (AllianceKind.DEFENSIVE if boundary else AllianceKind.OFFENSIVE):
             continue
         bias = _BIAS - 2 if boundary and kind is AllianceKind.POWERFUL else _BIAS
-        scopes.append((boundary, len(rows), bias))
-        for table in _low_tables(g, low, boundary):  # rows of reached, then unreached
-            rows.extend(table)
+        # a defensive row serves blocks whether or not h reaches its vertex
+        unreached = count + g.n if boundary else count
+        scopes.append((boundary, count, unreached, bias))
+        count = unreached + g.n
+    rows = np.empty((count, 1 << low), dtype=np.uint8)
+    for boundary, first, unreached, _ in scopes:
+        _low_tables(g, low, boundary, rows[first : unreached + g.n])
     vertices = list(zip(range(g.n), g.adj_bits, g.degrees))
 
     def blocks() -> Iterator[list[tuple[int, int]]]:
         for b in range(1 << (g.n - low)):
             hmask = b << low
             terms = []
-            for boundary, first, bias in scopes:
+            for boundary, first, unreached, bias in scopes:
                 # a high vertex is in every set of the block or in none: off
                 # the boundary when present, out of a defensive scope when absent
                 skip = hmask if boundary else highmask & ~hmask
@@ -325,7 +338,7 @@ def _slack_terms(
                     if skip >> v & 1:
                         continue
                     c = (hmask & adj).bit_count()
-                    terms.append((first + v if c else first + g.n + v, 2 * c + bias - degree))
+                    terms.append((first + v if c else unreached + v, 2 * c + bias - degree))
             yield terms
 
     return rows, blocks()
@@ -333,16 +346,19 @@ def _slack_terms(
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0.  A block costs one add and one minimum per
-    term.  At least _VACUOUS where the scope is empty."""
+    never an alliance) is 0.  A block costs one add into a scratch row and
+    one minimum per term, with no temporary array.  At least _VACUOUS
+    where the scope is empty."""
     rows, blocks = _slack_terms(g, kind)
-    width = rows[0].size
+    width = rows.shape[1]
     out = np.empty(1 << g.n, dtype=np.uint8)
+    scratch = np.empty(width, dtype=np.uint8)
     for b, terms in enumerate(blocks):
         block = out[b * width : (b + 1) * width]
         block.fill(255)
         for r, shift in terms:
-            np.minimum(block, rows[r] + np.uint8(shift), out=block)
+            np.add(rows[r], np.uint8(shift), out=scratch)
+            np.minimum(block, scratch, out=block)
     out[0] = 0
     return out
 
@@ -358,7 +374,7 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     rows, blocks = _slack_terms(g, kind)
     t = _threshold(k)
-    width = max(1, rows[0].size >> 6)
+    width = max(1, rows.shape[1] >> 6)
     patterns: dict[tuple[int, int], np.ndarray] = {}
     for b, terms in enumerate(blocks):
         block = words[b * width : (b + 1) * width]
@@ -411,14 +427,14 @@ def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> float:
     return best
 
 
-def _low_tables(g: Graph, low: int, boundary: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex tables over the low parts l < 2^low: the table of vertex v
-    holds 2*|N(v) & l|, with _VACUOUS set where v is outside the scope.
-    Returns (reached, unreached): the tables for blocks whose high part has
-    a neighbour of v and for those whose high part has none.  Defensive:
-    one table for both, flagged where v is a low vertex absent from l.
-    Offensive: flagged where v is in l (reached), and where v is in l or
-    has no neighbour in l (unreached)."""
+def _low_tables(g: Graph, low: int, boundary: bool, out: np.ndarray) -> None:
+    """Per-vertex tables over the low parts l < 2^low, written into the rows
+    of ``out``: the row of vertex v holds 2*|N(v) & l|, with _VACUOUS set
+    where v is outside the scope.  Defensive: n rows, for blocks whose high
+    part reaches v and for those whose high part does not, flagged where v
+    is a low vertex absent from l.  Boundary: n reached rows, flagged where
+    v is in l, then n unreached rows, flagged where v is in l or has no
+    neighbour in l, computed in place from the reached ones."""
     # adding vertex j < low to l adds 2 to row v when j is a neighbour of
     # v, and toggles the high bit (adds 128 mod 256) when j is v
     cols = np.arange(low, dtype=np.int64)
@@ -426,18 +442,16 @@ def _low_tables(g: Graph, low: int, boundary: bool) -> tuple[np.ndarray, np.ndar
     step = ((adj[:, None] >> cols) & 1).astype(np.uint8) << 1
     is_v = np.arange(g.n, dtype=np.int64)[:, None] == cols
     step[is_v] = _VACUOUS
-    table = np.empty((g.n, 1 << low), dtype=np.uint8)
+    table = out[: g.n]
     # a defensive low row starts flagged (v is absent from l = 0), so its
     # toggle clears the flag where v joins l
     table[:, 0] = 0 if boundary else is_v.any(axis=1) * np.uint8(_VACUOUS)
     for j in range(low):
         np.add(table[:, : 1 << j], step[:, j : j + 1], out=table[:, 1 << j : 2 << j])
-    if not boundary:
-        return table, table
-    # no neighbour of v in l: the count is 0, and (count - 1) wraps to 255,
-    # whose high bit is the flag; counts 2..126 leave it clear
-    unreached = table & ~np.uint8(_VACUOUS)
-    unreached -= 1
-    unreached &= _VACUOUS
-    unreached |= table
-    return table, unreached
+    if boundary:
+        # no neighbour of v in l: the count is 0, and (count - 1) wraps to
+        # 255, whose high bit is the flag; counts 2..126 leave it clear
+        unreached = np.bitwise_and(table, ~np.uint8(_VACUOUS), out=out[g.n :])
+        unreached -= 1
+        unreached &= _VACUOUS
+        unreached |= table

@@ -499,7 +499,9 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 def _gnp(rng: random.Random, n: int, p: float) -> Graph:
     """G(n, p) drawn from ``rng``: one ``rng.random()`` per vertex pair, in
-    lexicographic pair order."""
+    lexicographic pair order.  Refused by its expected edge count before
+    the first draw."""
+    _refuse_family("random", n, round(p * n * (n - 1) / 2))
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)
 

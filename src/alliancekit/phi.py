@@ -149,12 +149,18 @@ def phi_bruteforce(g: Graph, k: int, kind: AllianceKind | str) -> int:
 # Selection over the free words
 
 
+#: Popcount of every mask below 2^16, read-only.
+_POPCOUNTS = np.bitwise_count(np.arange(1 << 16, dtype=np.uint16))
+_POPCOUNTS.flags.writeable = False
+
+
 def _popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask (or word index) below 2^n, as uint8."""
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        np.add(sizes[: 1 << b], 1, out=sizes[1 << b : 2 << b])
-    return sizes
+    """Popcount of every mask (or word index) below 2^n, as uint8, for n up
+    to 32; read-only up to order 16.  Not memoised, since an order-24 copy
+    would keep 16 MiB alive."""
+    if n <= 16:
+        return _POPCOUNTS[: 1 << n]
+    return np.add.outer(_POPCOUNTS[: 1 << (n - 16)], _POPCOUNTS).ravel()
 
 
 #: In-word positions by popcount: bit p of _LEVELS[c] is set iff p has c

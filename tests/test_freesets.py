@@ -31,6 +31,7 @@ from alliancekit import (
 from alliancekit.alliances import _alliance_ok
 from alliancekit.freesets import (
     _BIAS,
+    _LOW_BITS,
     _VACUOUS,
     _closed_slack_table,
     _covered_words,
@@ -289,6 +290,45 @@ def test_slack_table_matches_the_scalar_predicate(n):
         for m in masks:
             for k in canonical_k_range(g, kind):
                 assert (slack[m] >= k + _BIAS) == _alliance_ok(g, m, k, kind), (kind, m, k)
+
+
+def _reference_slack(g: Graph, kind: AllianceKind) -> np.ndarray:
+    """The biased slack of every mask, vertex by vertex: vertex v gives
+    2*|N(v) & S| - deg(v) + _BIAS, less 2 as a powerful boundary term, plus
+    _VACUOUS where v is outside the scope, and the entry is the least term.
+    As in the builder, a vertex above the low bits gives no term where the
+    block fixes it outside the scope: absent from S for the defensive
+    scope, in S for the boundary scope.  The empty mask is 0."""
+    masks = np.arange(1 << g.n, dtype=np.int64)
+    out = np.full(1 << g.n, 255, dtype=np.int64)
+    for v, (adj, degree) in enumerate(zip(g.adj_bits, g.degrees)):
+        count = np.bitwise_count(masks & adj).astype(np.int64)
+        present = (masks >> v & 1) == 1
+        value = 2 * count - degree + _BIAS
+        low = v < _LOW_BITS
+        if kind is not AllianceKind.OFFENSIVE:
+            np.minimum(out, value + _VACUOUS * ~present, out=out, where=present | low)
+        if kind is not AllianceKind.DEFENSIVE:
+            outside = present | (count == 0)
+            offset = 2 if kind is AllianceKind.POWERFUL else 0
+            np.minimum(out, value - offset + _VACUOUS * outside, out=out, where=~present | low)
+    out[0] = 0
+    return out.astype(np.uint8)
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_slack_table_matches_a_per_vertex_reference(n):
+    """Every mask, byte for byte, for every kind: orders 1-16 fill one
+    block, 17 and 18 two and four.  Each graph has isolated vertices, the
+    highest one among them, so empty scopes and the vertices above the
+    low bits are both reached."""
+    rng = random.Random(140 + n)
+    for _ in range(2):
+        isolated = {n - 1, rng.randrange(n)}
+        edges = [e for e in seeded_graph(rng, n).edges() if not isolated & set(e)]
+        g = Graph(n, edges)
+        for kind in AllianceKind:
+            assert (_slack_table(g, kind) == _reference_slack(g, kind)).all(), (n, kind)
 
 
 @pytest.mark.parametrize("kind", list(AllianceKind))

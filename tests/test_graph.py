@@ -388,6 +388,16 @@ def test_family_generators_are_refused_before_their_edge_list(monkeypatch):
     assert path_graph(2000).edge_count == 1999
 
 
+def test_random_graph_is_refused_before_it_draws(monkeypatch):
+    """G(n, p) is sized by its expected edge count before the first draw:
+    about 2*10^6 edges at p = 1 do not fit in 64 MiB, 2*10^3 do."""
+    monkeypatch.setattr(graph_mod, "_MEMORY", 64 << 20)
+    assert refusal_peak(lambda: random_graph(2000, 1.0, 1)) < 1 << 20
+    with pytest.raises(CapacityError, match=r"^a random graph of order 2000 needs about "):
+        random_graph(2000, 1.0, 1)
+    assert random_graph(2000, 0.001, 1).n == 2000
+
+
 def test_edge_list_round_trip(tmp_path):
     for g in (path_graph(5), wheel_graph(5), grid_graph(2, 3), random_tree(7, seed=2)):
         assert parse_edge_list(format_edge_list(g)) == g

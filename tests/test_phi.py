@@ -442,8 +442,23 @@ def test_phi_table_memory_at_order_20():
     per mask, packed to words before the witness is chosen: about 2.3
     bytes per mask, against 4.0 when every k built its own popcount
     array.  (The offensive and powerful peaks are set earlier, by the low
-    tables of the slack build.)"""
+    rows of the slack build.)"""
     assert traced_peak(lambda: phi_table(grid_graph(4, 5), "defensive")) < 2.5 * (1 << 20)
+
+
+@pytest.mark.parametrize("kind, bound", [("offensive", 3.75), ("powerful", 5.0)])
+def test_phi_table_memory_at_order_20_with_a_boundary_scope(kind, bound):
+    """Here the slack build sets the peak: its 2n or 3n low rows of 2^16
+    bytes, one scratch row and the byte table, about 3.57 and 4.83 bytes
+    per mask."""
+    assert traced_peak(lambda: phi_table(grid_graph(4, 5), kind)) < bound * (1 << 20)
+
+
+def test_small_popcounts_are_a_read_only_shared_table():
+    sizes = phi_mod._popcounts(12)
+    assert sizes.tolist() == [m.bit_count() for m in range(1 << 12)]
+    with pytest.raises(ValueError):
+        sizes[0] = 1
 
 
 def _min_transversal(family, n: int) -> int:
