@@ -135,10 +135,18 @@ def enumerate_minimal_alliances(g: Graph, k: int, kind: AllianceKind | str) -> M
 # The slack: as a table, its max-closure, or packed alliance bits for one k
 #
 # Condition (1) for v against a set S reads 2*d_S(v) - deg(v) >= k.  The
-# slack of S is the minimum of that left side over the scope (S for the
-# defensive kind, the boundary of S for the offensive kind, and
-# min(defensive, offensive - 2) for the powerful kind), so S is a kind/k
-# alliance exactly when slack(S) >= k, for every k at once.
+# slack of S is the minimum of that left side over the vertices the kind
+# constrains, its scope, so S is a kind/k alliance exactly when
+# slack(S) >= k, for every k at once.
+
+#: The scope of each kind: (the members of S, the boundary of S, the amount
+#: taken off a boundary vertex's value).  A powerful k-alliance is a
+#: defensive k-alliance that is also an offensive (k+2)-alliance.
+_SCOPES = {
+    AllianceKind.DEFENSIVE: (True, False, 0),
+    AllianceKind.OFFENSIVE: (False, True, 0),
+    AllianceKind.POWERFUL: (True, True, 2),
+}
 
 #: A block holds 2^_LOW_BITS consecutive masks; of 2^12..2^18, 2^16
 #: built an order-24 slack table fastest.
@@ -291,54 +299,60 @@ def _minimal_family(
 def _slack_terms(
     g: Graph, kind: AllianceKind
 ) -> tuple[np.ndarray, Iterator[list[tuple[int, int]]]]:
-    """The kind slack of every mask as a minimum of per-vertex terms; the
-    scope rules of both builders live here.
+    """The kind slack of every mask as a minimum of per-vertex terms, for
+    both builders.
 
     Each mask splits into a high part h, fixed within a block of
-    2^_LOW_BITS consecutive masks, and a low part l.  Everything a vertex
-    contributes that depends on l is tabulated once (``_low_tables``).
-    Returns (rows, blocks): rows is one uint8 array with a row per vertex
-    and table, n rows for the defensive scope and 2n (reached, then
-    unreached) for a boundary scope, and blocks yields, block by block,
-    the terms (r, shift) whose minimum of rows[r][l] + shift is the
-    block's biased slack at l.  The shift is 2*|N(v) & h| + _BIAS -
-    deg(v), less 2 for the offensive terms of the powerful kind, and no
-    entry reaches 256.
+    2^_LOW_BITS consecutive masks, and a low part l.  What a vertex
+    contributes that depends on l is tabulated once, in one uint8 array of
+    n rows per table: member rows, then reached rows, then unreached rows,
+    as the kind's scope needs them.  One count doubling builds the reached
+    rows (``_reached_rows``); a member row toggles their flag on the low
+    vertices, so it is flagged where v is low and absent from l, and an
+    unreached row is flagged also where v has no neighbour in l.
 
-    All rows come from one allocation, filled in place: as separate 1 MiB
-    tables, an order-16 offensive or powerful build took about 480 fresh
-    page faults, most of an audit round's 22,000, and with one array the
-    whole round takes under 100."""
-    low = min(g.n, _LOW_BITS)
-    highmask = g.full_mask >> low << low
-    scopes = []
-    count = 0
-    for boundary in (False, True):
-        if kind is (AllianceKind.DEFENSIVE if boundary else AllianceKind.OFFENSIVE):
-            continue
-        bias = _BIAS - 2 if boundary and kind is AllianceKind.POWERFUL else _BIAS
-        # a defensive row serves blocks whether or not h reaches its vertex
-        unreached = count + g.n if boundary else count
-        scopes.append((boundary, count, unreached, bias))
-        count = unreached + g.n
-    rows = np.empty((count, 1 << low), dtype=np.uint8)
-    for boundary, first, unreached, _ in scopes:
-        _low_tables(g, low, boundary, rows[first : unreached + g.n])
-    vertices = list(zip(range(g.n), g.adj_bits, g.degrees))
+    Returns (rows, blocks): blocks yields, block by block, the terms
+    (r, shift) whose minimum of rows[r][l] + shift is the block's biased
+    slack at l: a member term for each vertex low or in h, and a boundary
+    term for each vertex outside h, on its reached row when h reaches it.
+    The shift is 2*|N(v) & h| + _BIAS - deg(v), less the kind's offset for
+    a boundary term, and no entry reaches 256.  One allocation holds all
+    rows: as separate 1 MiB tables, an order-16 offensive or powerful
+    build took about 480 fresh page faults, most of an audit round's
+    22,000; with one array the round takes under 100."""
+    members, boundary, offset = _SCOPES[kind]
+    n, low = g.n, min(g.n, _LOW_BITS)
+    # a defensive build turns its reached rows into member rows in place
+    reached = n if members and boundary else 0
+    unreached = reached + n
+    rows = np.empty(((members + 2 * boundary) * n, 1 << low), dtype=np.uint8)
+    table = rows[reached:unreached]
+    _reached_rows(g, low, table)
+    if boundary:
+        # no neighbour of v in l: the count is 0, and (count - 1) wraps to
+        # 255, whose high bit is the flag; counts 2..126 leave it clear
+        flags = np.bitwise_and(table, ~np.uint8(_VACUOUS), out=rows[unreached:])
+        flags -= 1
+        flags &= _VACUOUS
+        flags |= table
+    if members:
+        np.bitwise_xor(table[:low], np.uint8(_VACUOUS), out=rows[:low])
+        rows[low:n] = table[low:]  # a high vertex is never in l
+    vertices = list(zip(range(n), g.adj_bits, g.degrees))
 
     def blocks() -> Iterator[list[tuple[int, int]]]:
-        for b in range(1 << (g.n - low)):
+        for b in range(1 << (n - low)):
             hmask = b << low
             terms = []
-            for boundary, first, unreached, bias in scopes:
-                # a high vertex is in every set of the block or in none: off
-                # the boundary when present, out of a defensive scope when absent
-                skip = hmask if boundary else highmask & ~hmask
-                for v, adj, degree in vertices:
-                    if skip >> v & 1:
-                        continue
-                    c = (hmask & adj).bit_count()
-                    terms.append((first + v if c else unreached + v, 2 * c + bias - degree))
+            for v, adj, degree in vertices:
+                # a high vertex is in every set of the block or in none
+                inside = hmask >> v & 1
+                c = (hmask & adj).bit_count()
+                shift = 2 * c + _BIAS - degree
+                if members and (v < low or inside):
+                    terms.append((v, shift))
+                if boundary and not inside:
+                    terms.append((reached + v if c else unreached + v, shift - offset))
             yield terms
 
     return rows, blocks()
@@ -401,9 +415,7 @@ def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> float:
     a member or a boundary vertex, keeps the largest value taken, and
     drops the member, or the boundary vertex's neighbours, from s."""
     adj, degrees = g.adj_bits, g.degrees
-    members = kind is not AllianceKind.OFFENSIVE
-    boundary = kind is not AllianceKind.DEFENSIVE
-    offset = 2 if kind is AllianceKind.POWERFUL else 0
+    members, boundary, offset = _SCOPES[kind]
     best = -math.inf
     s = xmask
     while s:
@@ -427,31 +439,16 @@ def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> float:
     return best
 
 
-def _low_tables(g: Graph, low: int, boundary: bool, out: np.ndarray) -> None:
-    """Per-vertex tables over the low parts l < 2^low, written into the rows
-    of ``out``: the row of vertex v holds 2*|N(v) & l|, with _VACUOUS set
-    where v is outside the scope.  Defensive: n rows, for blocks whose high
-    part reaches v and for those whose high part does not, flagged where v
-    is a low vertex absent from l.  Boundary: n reached rows, flagged where
-    v is in l, then n unreached rows, flagged where v is in l or has no
-    neighbour in l, computed in place from the reached ones."""
-    # adding vertex j < low to l adds 2 to row v when j is a neighbour of
-    # v, and toggles the high bit (adds 128 mod 256) when j is v
+def _reached_rows(g: Graph, low: int, out: np.ndarray) -> None:
+    """The reached rows over the low parts l < 2^low, written into the n
+    rows of ``out``: the row of vertex v holds 2*|N(v) & l|, with _VACUOUS
+    set where v is in l, off the boundary.  Adding vertex j < low to l adds
+    2 to row v when j is a neighbour of v, and toggles the high bit (adds
+    128 mod 256) when j is v, so each low bit doubles the filled columns."""
     cols = np.arange(low, dtype=np.int64)
     adj = np.array(g.adj_bits, dtype=np.int64)
     step = ((adj[:, None] >> cols) & 1).astype(np.uint8) << 1
-    is_v = np.arange(g.n, dtype=np.int64)[:, None] == cols
-    step[is_v] = _VACUOUS
-    table = out[: g.n]
-    # a defensive low row starts flagged (v is absent from l = 0), so its
-    # toggle clears the flag where v joins l
-    table[:, 0] = 0 if boundary else is_v.any(axis=1) * np.uint8(_VACUOUS)
+    step[np.arange(g.n)[:, None] == cols] = _VACUOUS
+    out[:, 0] = 0
     for j in range(low):
-        np.add(table[:, : 1 << j], step[:, j : j + 1], out=table[:, 1 << j : 2 << j])
-    if boundary:
-        # no neighbour of v in l: the count is 0, and (count - 1) wraps to
-        # 255, whose high bit is the flag; counts 2..126 leave it clear
-        unreached = np.bitwise_and(table, ~np.uint8(_VACUOUS), out=out[g.n :])
-        unreached -= 1
-        unreached &= _VACUOUS
-        unreached |= table
+        np.add(out[:, : 1 << j], step[:, j : j + 1], out=out[:, 1 << j : 2 << j])

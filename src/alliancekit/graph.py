@@ -31,14 +31,15 @@ class CapacityError(Exception):
 
 def _memory_limit() -> int | None:
     """The memory the process may use, in bytes: physical memory, or the
-    cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``) where one
-    is set and smaller.  None where ``os.sysconf`` cannot report physical
-    memory (it is POSIX only)."""
+    smallest cgroup limit (v2 ``memory.max``, v1 ``memory.limit_in_bytes``)
+    on the path to the process's own cgroup where one is set and smaller.
+    None where ``os.sysconf`` cannot report physical memory (it is POSIX
+    only)."""
     try:
         limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-    for path in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+    for path in _cgroup_limit_files():
         try:
             with open(path) as f:
                 text = f.read().strip()
@@ -47,6 +48,32 @@ def _memory_limit() -> int | None:
         if text.isdigit():  # v2 writes "max" when no limit is set
             limit = min(limit, int(text))
     return limit
+
+
+def _cgroup_limit_files() -> Iterator[str]:
+    """The memory-limit files of the cgroups from each hierarchy's root down
+    to the process's own cgroup, as /proc/self/cgroup names it: the v2 line
+    ``0::<path>`` and the v1 ``memory`` controller line.  A limit on any
+    ancestor binds the process, and where /sys/fs/cgroup is the host's view
+    (systemd scopes, batch jobs) the root has none.  Without a readable
+    /proc/self/cgroup, the roots only."""
+    own = {"": "", "memory": ""}
+    try:
+        with open("/proc/self/cgroup") as f:
+            for line in f:
+                _, controllers, path = line.rstrip("\n").split(":", 2)
+                for controller in set(controllers.split(",")) & own.keys():
+                    own[controller] = path
+    except (OSError, ValueError):
+        pass
+    for controller, root, leaf in (
+        ("", "/sys/fs/cgroup", "memory.max"),
+        ("memory", "/sys/fs/cgroup/memory", "memory.limit_in_bytes"),
+    ):
+        yield f"{root}/{leaf}"
+        for part in filter(None, own[controller].split("/")):
+            root += "/" + part
+            yield f"{root}/{leaf}"
 
 
 #: The memory limit, read once at import; None leaves work unchecked.

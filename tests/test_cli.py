@@ -10,6 +10,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -75,6 +77,24 @@ def test_check_json_matches_text(p3_file, capsys):
     assert record["alliance"] is True
     assert record["set"] == [0, 2]
     assert record["k_in_canonical_range"] is True
+
+
+def test_check_outside_the_canonical_range_prints_no_warning(tmp_path):
+    """The verdict and its note say that k is outside the canonical range;
+    the library's CanonicalRangeWarning does not reach stderr on top."""
+    k2 = tmp_path / "k2.el"
+    write_edge_list(path_graph(2), k2)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    check = [sys.executable, "-m", "alliancekit.cli", "check", "-g", str(k2), "-s", "0", "-k", "0",
+             "--kind", "offensive"]
+    record = {"alliance": True, "command": "check", "k": 0, "k_in_canonical_range": False,
+              "kind": "offensive", "set": [0]}
+    for flags, out in (([], "true  (k outside the canonical range)\n"),
+                       (["--json"], json.dumps(record, sort_keys=True) + "\n")):
+        done = subprocess.run(check + flags, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), flags
 
 
 def test_check_bad_set_is_usage_error(p3_file, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import math
 import random
@@ -33,6 +34,7 @@ from alliancekit.freesets import (
     _BIAS,
     _LOW_BITS,
     _VACUOUS,
+    _alliance_words,
     _closed_slack_table,
     _covered_words,
     _free_mask,
@@ -43,6 +45,7 @@ from alliancekit.freesets import (
 from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset, traced_peak
 
 freesets_mod = importlib.import_module("alliancekit.freesets")
+phi_mod = importlib.import_module("alliancekit.phi")
 
 
 def test_free_set_examples():
@@ -329,6 +332,55 @@ def test_slack_table_matches_a_per_vertex_reference(n):
         g = Graph(n, edges)
         for kind in AllianceKind:
             assert (_slack_table(g, kind) == _reference_slack(g, kind)).all(), (n, kind)
+
+
+@pytest.mark.parametrize("g", [random_graph(17, 0.3, seed=1), random_graph(20, 0.3, seed=2),
+                               grid_graph(4, 6)], ids=["random17", "random20", "grid4x6"])
+def test_powerful_builds_are_defensive_and_shifted_offensive(g):
+    """Orders above the low bits, on every mask: a powerful k-alliance is a
+    defensive k-alliance that is also an offensive (k+2)-alliance, and the
+    powerful slack is min(defensive, offensive - 2), with 0 for the empty
+    mask; so the row offsets of a three-scope build, block by block, agree
+    with the one-scope builds."""
+    P, D, O = AllianceKind.POWERFUL, AllianceKind.DEFENSIVE, AllianceKind.OFFENSIVE
+    for k in (-1, 0, 2):
+        expected = _alliance_words(g, k, D) & _alliance_words(g, k + 2, O)
+        assert (_alliance_words(g, k, P) == expected).all(), k
+    expected = np.minimum(_slack_table(g, D).astype(np.int16), _slack_table(g, O).astype(np.int16) - 2)
+    expected[0] = 0
+    assert (_slack_table(g, P) == expected).all()
+
+
+#: ``_kernel_digest()`` as recorded from a kernel that passed the per-vertex
+#: reference (orders 1-18) and the scalar predicate (orders 15-24).
+KERNEL_DIGEST = "e6185ddad6548ccdf5c137a4d769ad6170723e8a733880c33c519636070ebaf1"
+
+
+def _kernel_digest() -> str:
+    """One sha256 over the slack table, its closure, the level minima and
+    the alliance words at k = -1, 0 and 2, for every kind, on one seeded
+    graph of each order 1-24; odd orders leave their top vertex isolated."""
+    digest = hashlib.sha256()
+    for n in range(1, 25):
+        rng = random.Random(300 + n)
+        p = (0.2, 0.35, 0.5)[n % 3]
+        top = n - 1 if n % 2 else n
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p and v != top]
+        g = Graph(n, edges)
+        for kind in AllianceKind:
+            digest.update(_slack_table(g, kind).tobytes())
+            digest.update(_closed_slack_table(g, kind).tobytes())
+            digest.update(bytes(phi_mod._level_minima(g, kind)))
+            for k in (-1, 0, 2):
+                digest.update(_alliance_words(g, k, kind).tobytes())
+    return digest.hexdigest()
+
+
+def test_kernel_outputs_are_pinned():
+    """Every byte the slack kernel builds on the seeded graphs of orders
+    1-24: a kernel change that alters any output fails here, also above
+    the orders the per-vertex reference reaches."""
+    assert _kernel_digest() == KERNEL_DIGEST
 
 
 @pytest.mark.parametrize("kind", list(AllianceKind))

@@ -201,6 +201,35 @@ def test_memory_limit(monkeypatch):
         graph_mod._refuse_bytes("more than half", (1 << 19) + 1)
 
 
+def test_memory_limit_of_the_own_cgroup(monkeypatch):
+    """Where /sys/fs/cgroup is the host's view, the limit sits on an
+    ancestor of the process's own cgroup, not on the root: the smallest one
+    on the path from the root counts, in the v2 and the v1 hierarchy, and
+    without /proc/self/cgroup only the roots are read."""
+    physical = graph_mod.os.sysconf("SC_PHYS_PAGES") * graph_mod.os.sysconf("SC_PAGE_SIZE")
+    unlimited = "9223372036854771712\n"
+    v2 = {"/sys/fs/cgroup/memory.max": "max\n", "/sys/fs/cgroup/jobs/memory.max": "3145728\n",
+          "/sys/fs/cgroup/jobs/job7/memory.max": "max\n"}
+    v1 = {"/sys/fs/cgroup/memory/memory.limit_in_bytes": unlimited,
+          "/sys/fs/cgroup/memory/slice/memory.limit_in_bytes": "2097152\n",
+          "/sys/fs/cgroup/memory/slice/task/memory.limit_in_bytes": unlimited}
+    for own, files, limit in (
+        ("0::/jobs/job7\n", v2, 3 << 20),
+        ("5:cpu,cpuacct:/\n4:memory:/slice/task\n1:name=systemd:/slice\n0::/\n", v1, 2 << 20),
+        ("4:memory:/slice/task\n0::/jobs/job7\n", {**v1, **v2}, 2 << 20),
+        (None, {**v1, **v2}, physical),
+    ):
+        files = {**files, "/proc/self/cgroup": own} if own else files
+
+        def cgroups(path, files=files):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+
+        monkeypatch.setattr(graph_mod, "open", cgroups, raising=False)
+        assert graph_mod._memory_limit() == min(limit, physical), own
+
+
 def test_projections_examples():
     a = VertexSet.of([0, 1], 4)  # {(0,0),(0,1)} with n1=n2=2
     p1, p2 = projections(a, 2, 2)
