@@ -2,17 +2,20 @@
 
 Every numbered claim the package relies on gets an auditor: seeded random
 factor graphs (plus scripted family instances) are drawn and the claim is
-checked on them with the exact solvers.  An auditor states its claim once,
-as a list of cases ``(k values, verdict)``.  A verdict takes
-``(g1, g2, sets)`` and returns ``None`` when the claim's hypothesis or
-k-range does not hold on that instance, and ``(ok, observed, expected)``
-otherwise.  Claims of one shape share a driver (``_column_bound_audit``
-and the like), and their rows in ``_AUDITS`` bind its parameters with
-``functools.partial``.
+checked on them with the exact solvers.  An auditor only draws: it yields
+each instance as ``(g1, g2, sets, cases)``, where a case is ``(k values,
+verdict)``.  A verdict takes ``(g1, g2, sets)`` and returns ``None`` when
+the claim's hypothesis or k-range does not hold on that instance, and
+``(ok, observed, expected)`` otherwise.  Claims of one shape share a driver
+(``_column_bound_audit`` and the like); each claim's row in ``_AUDITS``
+pairs its auditor, with the driver's parameters bound by
+``functools.partial``, with its check name.
 
-One driver, ``_check``, runs every case of a drawn instance.  Each
-non-``None`` verdict counts as a check; an instance without checks is
-skipped and counted.  All claims are proved facts, so a false verdict is
+``audit`` runs the one loop and builds the report.  ``_check`` runs the
+cases of one instance and changes nothing: each non-``None`` verdict counts
+as a check, and an instance without checks is skipped and counted.
+Verdicts draw nothing, so the random stream is the auditor's alone.  All
+claims are proved facts, so a false verdict is
 evidence of an implementation bug: it is reported with a greedily minimized
 counterexample, found by re-running the same verdict on vertex-deleted
 instances (``None`` there counts as not failing).  A set's name says where
@@ -31,7 +34,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .alliances import AllianceKind, is_defensive_alliance
 from .freesets import is_free_set
@@ -97,15 +100,19 @@ class AuditConfig:
         return asdict(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
     theorem_id: str
     trials: int
-    passes: int
     failures: list[dict]
     skipped: int
     checks: int
     config: AuditConfig
+
+    @property
+    def passes(self) -> int:
+        # one merged failure per failing trial
+        return self.trials - len(self.failures)
 
     @property
     def inconclusive(self) -> bool:
@@ -116,7 +123,7 @@ class AuditReport:
         return not self.failures and not self.inconclusive
 
     def to_record(self) -> dict:
-        return {**asdict(self), "inconclusive": self.inconclusive}
+        return {**asdict(self), "passes": self.passes, "inconclusive": self.inconclusive}
 
     def to_lines(self) -> list[str]:
         c = self.config
@@ -243,6 +250,8 @@ def _product(g1: Graph, g2: Graph) -> Graph:
 # Counterexample minimization
 
 _Verdict = Callable[[Graph, Graph | None, dict], tuple[bool, object, object] | None]
+#: A drawn instance: (g1, g2, sets, cases), each case (k values, verdict).
+_Instance = tuple[Graph, Graph | None, dict[str, VertexSet], list[tuple[dict, _Verdict]]]
 
 
 def _graph_record(g: Graph | None) -> dict | None:
@@ -322,10 +331,7 @@ def _failure(
     ks: dict[str, int],
     check: str,
 ) -> dict:
-    try:
-        g1m, g2m, setsm = _shrink(verdict, g1, g2, sets)
-    except Exception:
-        g1m, g2m, setsm = g1, g2, sets
+    g1m, g2m, setsm = _shrink(verdict, g1, g2, sets)
     ok, observed, expected = verdict(g1m, g2m, setsm)
     return {
         "check": check,
@@ -340,16 +346,15 @@ def _failure(
 
 
 def _check(
-    tally: AuditReport,
     g1: Graph,
     g2: Graph | None,
     sets: dict[str, VertexSet],
     cases: Iterable[tuple[dict, _Verdict]],
     check: str,
-) -> None:
-    """Run every ``(ks, verdict)`` case on one drawn instance and tally it:
-    each verdict that is not ``None`` is a check, and an instance with no
-    check is skipped."""
+) -> tuple[int, dict | None]:
+    """Run every ``(ks, verdict)`` case on one drawn instance: the number of
+    verdicts that are not ``None`` (the checks), and the first failure's
+    payload, merged with the count of the others, or ``None``."""
     checks = 0
     fails = []
     for ks, verdict in cases:
@@ -359,26 +364,16 @@ def _check(
         checks += 1
         if not outcome[0]:
             fails.append(_failure(verdict, g1, g2, sets, ks, check))
-    if checks == 0:
-        tally.skipped += 1
-        return
-    tally.trials += 1
-    tally.checks += checks
-    if fails:
-        # one merged payload per failing instance keeps passes+failures=trials
-        merged = fails[0]
-        if len(fails) > 1:
-            merged = {**merged, "additional_failing_checks": len(fails) - 1}
-        tally.failures.append(merged)
-    else:
-        tally.passes += 1
+    if len(fails) > 1:
+        fails[0] = {**fails[0], "additional_failing_checks": len(fails) - 1}
+    return checks, (fails[0] if fails else None)
 
 
 # ---------------------------------------------------------------------------
 # The auditors
 
 
-def _audit_remark1(config: AuditConfig, rng: random.Random, tally: AuditReport) -> None:
+def _audit_remark1(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """phi_def(k) over the product is at least the independence-based bound
     a1*a2 + min(n1-a1, n2-a2) for 1-d1-d2 <= k <= D1+D2."""
 
@@ -393,17 +388,12 @@ def _audit_remark1(config: AuditConfig, rng: random.Random, tally: AuditReport) 
         return val >= bound, val, bound
 
     for g1, g2 in _pair_instances(rng, config, _has_edge):
-        cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
-        _check(tally, g1, g2, {}, cases, "phi_def >= alpha bound")
+        yield g1, g2, {}, [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
 
 
 def _projection_transfer_audit(
-    config: AuditConfig,
-    rng: random.Random,
-    tally: AuditReport,
-    kind: AllianceKind,
-    check: str,
-) -> None:
+    config: AuditConfig, rng: random.Random, kind: AllianceKind
+) -> Iterator[_Instance]:
     """Shared driver for the one-projection transfer claims: if the i-th
     projection of S is free at k_i in its factor, S is free at
     column_k(k_i, other factor) in the product."""
@@ -424,16 +414,12 @@ def _projection_transfer_audit(
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
             for ki in kind.canonical_k_range(own)
         ]
-        _check(tally, g1, g2, {"s": s}, cases, check)
+        yield g1, g2, {"s": s}, cases
 
 
 def _both_projection_audit(
-    config: AuditConfig,
-    rng: random.Random,
-    tally: AuditReport,
-    kind: AllianceKind,
-    check: str,
-) -> None:
+    config: AuditConfig, rng: random.Random, kind: AllianceKind
+) -> Iterator[_Instance]:
     """Shared driver for the two-projection transfer claims: if both
     projections of S are free, S is free at box_k in the product."""
 
@@ -456,18 +442,16 @@ def _both_projection_audit(
             for k1 in kind.canonical_k_range(g1)
             for k2 in kind.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s": s}, cases, check)
+        yield g1, g2, {"s": s}, cases
 
 
 def _column_bound_audit(
     config: AuditConfig,
     rng: random.Random,
-    tally: AuditReport,
     kind: AllianceKind,
     accept: Callable[[Graph], bool] | None,
     k_range: Callable[[Graph, Graph], range],
-    check: str,
-) -> None:
+) -> Iterator[_Instance]:
     """Shared driver for the column bounds phi(k) over the product >=
     n_j * phi(k') of factor i, for k in k_range(G_i, G_j), where the column
     over a k'-free set of G_i is free at k = column_k(k', G_j)."""
@@ -487,21 +471,19 @@ def _column_bound_audit(
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
             for k in k_range(own, other)
         ]
-        _check(tally, g1, g2, {}, cases, check)
+        yield g1, g2, {}, cases
 
 
 def _factor_phi_bound_audit(
     config: AuditConfig,
     rng: random.Random,
-    tally: AuditReport,
     kind: AllianceKind,
     accept: Callable[[Graph], bool],
     factor_range: Callable[[Graph], range],
     claim_range: Callable[[int, int, Graph, Graph], range],
     bound: Callable[[int, int, Graph, Graph], int],
-    check: str,
     report_k: bool = True,
-) -> None:
+) -> Iterator[_Instance]:
     """Shared driver for the bounds phi(k) over the product >=
     bound(phi1, phi2, G1, G2), where phi_i = phi(G_i, k_i), for k_i in
     factor_range(G_i) and k in claim_range(k1, k2, G1, G2).  Without
@@ -525,7 +507,7 @@ def _factor_phi_bound_audit(
             for k2 in factor_range(g2)
             for k in claim_range(k1, k2, g1, g2)
         ]
-        _check(tally, g1, g2, {}, cases, check)
+        yield g1, g2, {}, cases
 
 
 def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
@@ -551,7 +533,7 @@ def _is_tree(g: Graph) -> bool:
     return g.edge_count == g.n - 1 and _is_connected(g)
 
 
-def _audit_prop_remarktree(config, rng, tally):
+def _audit_prop_remarktree(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """phi_def(k) = n on trees (k >= 2), planar graphs (k >= 6), and planar
     triangle-free graphs (k >= 4), up to the maximum degree.  The wheels and
     grids are planar as built, the grids triangle free, and deleting a
@@ -581,10 +563,10 @@ def _audit_prop_remarktree(config, rng, tally):
             ({"k": k, "case": case}, partial(verdict, case=case, k=k))
             for k in range(lows[case], g.delta_max + 1)
         ]
-        _check(tally, g, None, {}, cases, "phi_def equals the order")
+        yield g, None, {}, cases
 
 
-def _audit_th_factor_recovery(config, rng, tally):
+def _audit_th_factor_recovery(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """If S1 x S2 is def k-free in the product and S2 is a defensive
     k'-alliance in G2, then S1 is def (k-k')-free in G1."""
 
@@ -608,10 +590,10 @@ def _audit_th_factor_recovery(config, rng, tally):
             for k in DEF.canonical_k_range(_product(g1, g2))
             for kp in DEF.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s1": s1, "s2": s2}, cases, "factor recovery of a def-free set")
+        yield g1, g2, {"s1": s1, "s2": s2}, cases
 
 
-def _audit_cor_otrocoro(config, rng, tally):
+def _audit_cor_otrocoro(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """If S1 x V2 is def k-free in the product, S1 is def (k-d2)-free."""
 
     def verdict(a, b, sets, k):
@@ -624,7 +606,7 @@ def _audit_cor_otrocoro(config, rng, tally):
         g1, g2 = _draw_pair(rng, config, _has_edge)
         s1 = _draw_subset(rng, g1.n)
         cases = [({"k": k}, partial(verdict, k=k)) for k in DEF.canonical_k_range(_product(g1, g2))]
-        _check(tally, g1, g2, {"s1": s1}, cases, "column recovery of a def-free set")
+        yield g1, g2, {"s1": s1}, cases
 
 
 _REGULAR_POOL = (
@@ -632,7 +614,7 @@ _REGULAR_POOL = (
 )
 
 
-def _audit_prop_iff_regular(config, rng, tally):
+def _audit_prop_iff_regular(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """For regular G2: S1 x V2 def k-free in the product iff S1 def
     (k-d2)-free in G1, for d2-D1 <= k <= D1+d2."""
 
@@ -651,11 +633,10 @@ def _audit_prop_iff_regular(config, rng, tally):
         g2 = rng.choice([g for g in _REGULAR_POOL if 2 * g.n <= config.max_product_order])
         g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
-        cases = [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
-        _check(tally, g1, g2, {"s1": s1}, cases, "column freeness iff factor freeness (regular G2)")
+        yield g1, g2, {"s1": s1}, [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
 
 
-def _audit_th_union(config, rng, tally):
+def _audit_th_union(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """If S_i is off k_i-free in G_i, (S1 x V2) u (V1 x S2) is off k'-free
     in the product for k' = max(k1-d2, k2-d1, min(k2+D1, k1+D2))."""
 
@@ -679,10 +660,10 @@ def _audit_th_union(config, rng, tally):
             for k1 in OFF.canonical_k_range(g1)
             for k2 in OFF.canonical_k_range(g2)
         ]
-        _check(tally, g1, g2, {"s1": s1, "s2": s2}, cases, "union of columns is off k'-free")
+        yield g1, g2, {"s1": s1, "s2": s2}, cases
 
 
-def _audit_phi_p_lower(config, rng, tally):
+def _audit_phi_p_lower(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """phi_pow(k) >= max(phi_def(k), phi_off(k+2)) on any graph."""
 
     def verdict(a, b, sets, k):
@@ -695,11 +676,10 @@ def _audit_phi_p_lower(config, rng, tally):
     top = min(9, config.max_product_order)
     for _ in range(config.trials_per_theorem):
         g = _draw_graph(rng, top, _has_edge)
-        cases = [({"k": k}, partial(verdict, k=k)) for k in POW.canonical_k_range(g)]
-        _check(tally, g, None, {}, cases, "phi_pow dominates phi_def and shifted phi_off")
+        yield g, None, {}, [({"k": k}, partial(verdict, k=k)) for k in POW.canonical_k_range(g)]
 
 
-def _audit_vizing_alpha(config, rng, tally):
+def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """alpha(product) >= alpha1*alpha2 + min(n1-alpha1, n2-alpha2)."""
 
     def verdict(a, b, sets):
@@ -712,94 +692,80 @@ def _audit_vizing_alpha(config, rng, tally):
         g1, g2 = _draw_pair(rng, config)
         while g1.n * g2.n > cap:
             g1, g2 = _draw_pair(rng, config)
-        _check(tally, g1, g2, {}, [({}, verdict)], "independence bound on the product")
+        yield g1, g2, {}, [({}, verdict)]
 
 
-# One row per claim, in report order.  A row that binds a shared driver
-# states its claim in its check string, or in a comment above it.
-_AUDITS: dict[str, Callable[[AuditConfig, random.Random, AuditReport], None]] = {
-    "remark1": _audit_remark1,
-    "th1_i": partial(
-        _projection_transfer_audit, kind=DEF,
-        check="free projection at k makes S (k+D_other)-def-free in the product",
-    ),
-    "th1_ii": partial(
-        _both_projection_audit, kind=DEF,
-        check="both projections free make S (k1+k2-1)-def-free in the product",
-    ),
+# One row per claim, in report order: (auditor, check name).  A row that
+# binds a shared driver states its claim in its check name, or in a comment
+# above it.
+_AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instance]], str]] = {
+    "remark1": (_audit_remark1, "phi_def >= alpha bound"),
+    "th1_i": (partial(_projection_transfer_audit, kind=DEF),
+              "free projection at k makes S (k+D_other)-def-free in the product"),
+    "th1_ii": (partial(_both_projection_audit, kind=DEF),
+               "both projections free make S (k1+k2-1)-def-free in the product"),
     # phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor
-    "cor_CoroTh1def_i": partial(
+    "cor_CoroTh1def_i": (partial(
         _column_bound_audit, kind=DEF, accept=None,
         k_range=lambda own, other: range(
             other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
         ),
-        check="column bound for phi_def on the product",
-    ),
+    ), "column bound for phi_def on the product"),
     # phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)
-    "cor_CoroTh1def_ii": partial(
+    "cor_CoroTh1def_ii": (partial(
         _factor_phi_bound_audit, kind=DEF, accept=_has_edge,
         factor_range=lambda g: range(1 - g.delta_min, g.delta_max + 1),
         claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
         bound=_box_plus_diagonal_bound,
-        check="box-plus-diagonal bound for phi_def on the product",
         report_k=False,
-    ),
-    "prop_remarktree": _audit_prop_remarktree,
-    "th_factor_recovery": _audit_th_factor_recovery,
-    "cor_otrocoro": _audit_cor_otrocoro,
-    "prop_iff_regular": _audit_prop_iff_regular,
-    "th1of": partial(
-        _projection_transfer_audit, kind=OFF,
-        check="free projection at k makes S (k-d_other)-off-free in the product",
-    ),
+    ), "box-plus-diagonal bound for phi_def on the product"),
+    "prop_remarktree": (_audit_prop_remarktree, "phi_def equals the order"),
+    "th_factor_recovery": (_audit_th_factor_recovery, "factor recovery of a def-free set"),
+    "cor_otrocoro": (_audit_cor_otrocoro, "column recovery of a def-free set"),
+    "prop_iff_regular": (_audit_prop_iff_regular,
+                         "column freeness iff factor freeness (regular G2)"),
+    "th1of": (partial(_projection_transfer_audit, kind=OFF),
+              "free projection at k makes S (k-d_other)-off-free in the product"),
     # phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor
-    "cor_coronofensive": partial(
+    "cor_coronofensive": (partial(
         _column_bound_audit, kind=OFF, accept=_has_edge,
         k_range=lambda own, other: range(
             2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
         ),
-        check="column bound for phi_off on the product",
-    ),
-    "th_union": _audit_th_union,
+    ), "column bound for phi_off on the product"),
+    "th_union": (_audit_th_union, "union of columns is off k'-free"),
     # phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for every
     # k from k' up to D1+D2
-    "cor_union": partial(
+    "cor_union": (partial(
         _factor_phi_bound_audit, kind=OFF, accept=_has_edge,
         factor_range=OFF.canonical_k_range,
         claim_range=lambda k1, k2, a, b: range(
             union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1
         ),
         bound=lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
-        check="union bound for phi_off on the product",
-    ),
-    "phi_p_lower": _audit_phi_p_lower,
-    "th1p_i": partial(
-        _projection_transfer_audit, kind=POW,
-        check="free projection at k makes S (k+D_other)-pow-free in the product",
-    ),
-    "th1p_ii": partial(
-        _both_projection_audit, kind=POW,
-        check="both projections free make S k'-pow-free in the product",
-    ),
+    ), "union bound for phi_off on the product"),
+    "phi_p_lower": (_audit_phi_p_lower, "phi_pow dominates phi_def and shifted phi_off"),
+    "th1p_i": (partial(_projection_transfer_audit, kind=POW),
+               "free projection at k makes S (k+D_other)-pow-free in the product"),
+    "th1p_ii": (partial(_both_projection_audit, kind=POW),
+                "both projections free make S k'-pow-free in the product"),
     # phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor
-    "cor_coroproductpowerful_i": partial(
+    "cor_coroproductpowerful_i": (partial(
         _column_bound_audit, kind=POW, accept=_degree_sum_3,
         k_range=lambda own, other: range(
             max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
             own.delta_max + other.delta_max - 1,
         ),
-        check="column bound for phi_pow on the product",
-    ),
+    ), "column bound for phi_pow on the product"),
     # phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for k
     # from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i
-    "cor_coroproductpowerful_ii": partial(
+    "cor_coroproductpowerful_ii": (partial(
         _factor_phi_bound_audit, kind=POW, accept=_degree_sum_3,
         factor_range=lambda g: range(1 - g.delta_min, g.delta_max - 1),
         claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
         bound=_box_plus_diagonal_bound,
-        check="box-plus-diagonal bound for phi_pow on the product",
-    ),
-    "vizing_alpha": _audit_vizing_alpha,
+    ), "box-plus-diagonal bound for phi_pow on the product"),
+    "vizing_alpha": (_audit_vizing_alpha, "independence bound on the product"),
 }
 
 THEOREM_IDS = tuple(_AUDITS)
@@ -825,10 +791,19 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
             f" and max product order >= 9, got {config.max_factor_order}"
             f" and {config.max_product_order}"
         )
-    report = AuditReport(theorem_id=theorem_id, trials=0, passes=0, failures=[], skipped=0,
-                         checks=0, config=config)
-    _AUDITS[theorem_id](config, random.Random(f"{config.seed}/{theorem_id}"), report)
-    return report
+    auditor, check = _AUDITS[theorem_id]
+    trials = skipped = checks = 0
+    failures = []
+    for g1, g2, sets, cases in auditor(config, random.Random(f"{config.seed}/{theorem_id}")):
+        found, failure = _check(g1, g2, sets, cases, check)
+        if not found:
+            skipped += 1
+            continue
+        trials += 1
+        checks += found
+        if failure is not None:
+            failures.append(failure)
+    return AuditReport(theorem_id, trials, failures, skipped, checks, config)
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:

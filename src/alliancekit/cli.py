@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over one library operation.  Exit
-status: 0 for success / a true verdict, 1 for a false verdict or a failed
-audit, 2 for usage, parse, or capacity errors.  Running out of memory is a
-capacity error too: one ``capacity error:`` line, never a traceback.
+Every subcommand is a thin adapter over one library operation: it returns
+its JSON record, its text lines and its verdict, and ``main`` alone prints
+one or the other.  Exit status: 0 for success / a true verdict, 1 for a
+false verdict or a failed audit, 2 for usage, parse, or capacity errors.
+Running out of memory is a capacity error too: one ``capacity error:``
+line, never a traceback.
 
 Graphs travel as edge-list files (first non-comment line: vertex count;
 then "u v" lines; '#' comments).  Vertex lists on the command line are
@@ -25,7 +27,6 @@ from .freesets import enumerate_minimal_alliances
 from .graph import (
     _FAMILIES,
     CapacityError,
-    EdgeListParseError,
     Graph,
     VertexSet,
     cartesian_product,
@@ -50,19 +51,11 @@ def _parse_vertices(text: str, n: int) -> VertexSet:
     return VertexSet.of(members, n)
 
 
-def _emit(args, record: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _pairs(vs: VertexSet, n2: int) -> str:
     return "{" + ", ".join(f"({v // n2},{v % n2})" for v in vs) + "}"
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     s = _parse_vertices(args.set, g.n)
     with warnings.catch_warnings():
@@ -79,11 +72,10 @@ def _cmd_check(args) -> int:
         "k_in_canonical_range": in_range,
     }
     note = "" if in_range else "  (k outside the canonical range)"
-    _emit(args, record, [f"{str(verdict).lower()}{note}"])
-    return 0 if verdict else 1
+    return record, [f"{str(verdict).lower()}{note}"], verdict
 
 
-def _cmd_minimal(args) -> int:
+def _cmd_minimal(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     fam = enumerate_minimal_alliances(g, args.k, args.kind)
     record = {
@@ -95,11 +87,10 @@ def _cmd_minimal(args) -> int:
     }
     lines = [f"{len(fam)} minimal {args.kind} {args.k}-alliance(s)"]
     lines += ["  " + str(s.to_sorted_list()) for s in fam]
-    _emit(args, record, lines)
-    return 0
+    return record, lines, True
 
 
-def _cmd_phi(args) -> int:
+def _cmd_phi(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     result = phi(g, args.k, args.kind)
     record = {"command": "phi", **result.to_record()}
@@ -108,33 +99,30 @@ def _cmd_phi(args) -> int:
         f"witness {result.witness.to_sorted_list()}",
         f"certificate: {len(result.certificate)} minimal alliance(s)",
     ]
-    _emit(args, record, lines)
-    return 0
+    return record, lines, True
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     rows = [{"k": k, "value": value, "witness": witness.to_sorted_list()}
             for k, value, witness in phi_table(g, args.kind)]
     record = {"command": "table", "kind": args.kind, "rows": rows}
     lines = [f"k\tphi_{args.kind}"]
     lines += [f"{row['k']}\t{row['value']}" for row in rows]
-    _emit(args, record, lines)
-    return 0
+    return record, lines, True
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple[dict, list[str], bool]:
     g1 = read_edge_list(args.graph1)
     g2 = read_edge_list(args.graph2)
     product = cartesian_product(g1, g2)
     write_edge_list(product, args.output)
     record = {"command": "product", "n": product.n, "m": product.edge_count, "output": args.output}
     line = f"wrote product with {product.n} vertices, {product.edge_count} edges to {args.output}"
-    _emit(args, record, [line])
-    return 0
+    return record, [line], True
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[dict, list[str], bool]:
     g1 = read_edge_list(args.graph1)
     g2 = read_edge_list(args.graph2)
     kwargs = {"kind": args.kind, "axis": args.axis}
@@ -155,11 +143,10 @@ def _cmd_witness(args) -> int:
         f"result {_pairs(witness.result, g2.n)}",
         f"verified {str(witness.verified).lower()}",
     ]
-    _emit(args, record, lines)
-    return 0 if witness.verified else 1
+    return record, lines, witness.verified
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[list[dict], list[str], bool]:
     config = AuditConfig(
         seed=args.seed,
         max_factor_order=args.factors,
@@ -167,23 +154,17 @@ def _cmd_audit(args) -> int:
         trials_per_theorem=args.trials,
     )
     reports = audit_all(config) if args.theorem == "all" else [audit(args.theorem, config)]
-    if args.json:
-        print(json.dumps([r.to_record() for r in reports], sort_keys=True))
-    else:
-        for report in reports:
-            for line in report.to_lines():
-                print(line)
-    return 0 if all(r.ok for r in reports) else 1
+    lines = [line for report in reports for line in report.to_lines()]
+    return [r.to_record() for r in reports], lines, all(r.ok for r in reports)
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple[dict, list[str], bool]:
     g = family(args.kind, *args.params, seed=args.seed)
     write_edge_list(g, args.output)
     record = {"command": "family", "kind": args.kind, "n": g.n, "m": g.edge_count,
               "output": args.output}
     line = f"wrote {args.kind} graph with {g.n} vertices, {g.edge_count} edges to {args.output}"
-    _emit(args, record, [line])
-    return 0
+    return record, [line], True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,10 +252,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except EdgeListParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        record, lines, ok = args.fn(args)
+        for line in [json.dumps(record, sort_keys=True)] if args.json else lines:
+            print(line)
+        return 0 if ok else 1
     except (CapacityError, MemoryError) as exc:
         # numpy's allocation errors name the bytes asked for; a bare
         # MemoryError has no message

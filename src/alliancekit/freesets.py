@@ -23,7 +23,7 @@ passes, with one OR more per step, mark the masks that strictly contain
 an alliance, so the minimal ones come out of one sweep with the covered
 ones.  Both refuse up front (``_check_order``): above order 32, and
 wherever their estimated peak, measured bytes per mask plus the low
-tables, exceeds the memory budget (``graph._refuse_bytes``).  A minimal
+rows, exceeds the memory budget (``graph._refuse_bytes``).  A minimal
 family can hold close to 2^n/sqrt(n) members, so its size, known only
 after the sweep, is checked the same way before it is decoded.
 
@@ -383,7 +383,7 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     threshold iff every term is, so each block's words are the AND of its
     terms' packed threshold tests, and each distinct term is packed once.
     Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
-    # allocated before the low tables, so that the space they free lies
+    # allocated before the low rows, so that the space they free lies
     # above it in the heap, where the closure's second array can reuse it
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     rows, blocks = _slack_terms(g, kind)

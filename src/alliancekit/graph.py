@@ -380,8 +380,12 @@ class FactorInvariants:
 
 
 def independence_number(g: Graph) -> FactorInvariants:
-    """Exact independence number by branch and bound over vertex bitmasks;
-    its time, not its memory, grows exponentially with the order."""
+    """Exact independence number by branch and bound over vertex bitmasks.
+    A candidate with at most one neighbour left among the candidates lies in
+    some maximum independent set of them, so it is taken without branching;
+    forests and matchings never branch.  Otherwise the search branches on a
+    candidate of highest degree, and its time, not its memory, can grow
+    exponentially with the order."""
     adj = g.adj_bits
     best = 0
 
@@ -393,21 +397,24 @@ def independence_number(g: Graph) -> FactorInvariants:
             if cand == 0:
                 best = size
                 return
-            # highest-degree vertex inside the candidate set
+            # take a vertex of candidate degree <= 1, else branch on one of
+            # highest candidate degree
             pick, pick_deg = -1, -1
             m = cand
             while m:
                 low = m & -m
                 v = low.bit_length() - 1
                 d = (adj[v] & cand).bit_count()
+                if d <= 1:
+                    cand &= ~(adj[v] | low)
+                    size += 1
+                    break
                 if d > pick_deg:
                     pick, pick_deg = v, d
                 m ^= low
-            if pick_deg == 0:
-                best = max(best, size + cand.bit_count())
-                return
-            grab(cand & ~(adj[pick] | (1 << pick)), size + 1)
-            cand &= ~(1 << pick)
+            else:
+                grab(cand & ~(adj[pick] | (1 << pick)), size + 1)
+                cand &= ~(1 << pick)
 
     grab(g.full_mask, 0)
     return FactorInvariants(g.n, g.delta_min, g.delta_max, best)

@@ -199,9 +199,16 @@ def build_witness(
     k: int | None = None,
     k1: int | None = None,
     k2: int | None = None,
-    kind: AllianceKind | str = AllianceKind.DEFENSIVE,
+    kind: AllianceKind | str | None = None,
 ) -> ProductWitness:
-    """Name-dispatched front end used by the command-line surface."""
+    """Name-dispatched front end used by the command-line surface.  A
+    ``kind`` of ``None`` is the construction's own: defensive for column,
+    box and box_plus_diagonal, offensive for union, which refuses any
+    other kind."""
+    own = AllianceKind.OFFENSIVE if construction == "union" else AllianceKind.DEFENSIVE
+    kind = own if kind is None else AllianceKind(kind)
+    if construction == "union" and kind is not own:
+        raise ValueError("union construction covers the offensive kind only")
     if construction == "column":
         if s is None or k is None:
             raise ValueError("column needs s and k")

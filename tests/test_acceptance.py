@@ -8,6 +8,8 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from alliancekit import (
     AllianceKind,
     Graph,
@@ -118,6 +120,7 @@ def test_criterion_5_trees_wheel_grid():
     assert elapsed < 300
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_equivalence():
     start = time.time()
     rng = random.Random(20260811)

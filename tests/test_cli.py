@@ -102,6 +102,15 @@ def test_check_bad_set_is_usage_error(p3_file, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "alliances are non-empty"),
+    ("1,x", "bad vertex list '1,x'"),
+])
+def test_check_empty_or_malformed_set_is_usage_error(p3_file, capsys, text, message):
+    assert main(["check", "-g", p3_file, "-s", text, "-k", "2", "--kind", "offensive"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_minimal(p3_file, capsys):
     assert main(["minimal", "-g", p3_file, "-k", "2", "--kind", "offensive", "--json"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -188,6 +197,40 @@ def test_witness_union(tmp_path, capsys):
     assert rc == 0
     record = json.loads(capsys.readouterr().out)
     assert record["k_claim"] == 3 and len(record["result"]) == 7
+
+
+def test_witness_union_refuses_another_kind(tmp_path, capsys):
+    c3 = tmp_path / "c3.el"
+    p3 = tmp_path / "p3.el"
+    write_edge_list(cycle_graph(3), c3)
+    write_edge_list(path_graph(3), p3)
+    rc = main([
+        "witness", "--construction", "union", "-g1", str(c3), "-g2", str(p3),
+        "-s1", "0", "-s2", "0,1", "-k1", "1", "-k2", "2", "--kind", "defensive",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "offensive kind only" in captured.err
+
+
+@pytest.mark.parametrize("construction, result", [
+    ("box", [4, 5, 6, 8, 9, 10, 12, 13, 14]),
+    ("box_plus_diagonal", [3, 4, 5, 6, 8, 9, 10, 12, 13, 14]),
+])
+def test_witness_box_constructions(tmp_path, capsys, construction, result):
+    s3 = tmp_path / "s3.el"
+    p4 = tmp_path / "p4.el"
+    write_edge_list(star_graph(3), s3)
+    write_edge_list(path_graph(4), p4)
+    rc = main([
+        "witness", "--construction", construction, "-g1", str(s3), "-g2", str(p4),
+        "-s1", "1,2,3", "-s2", "0,1,2", "-k1", "0", "-k2", "1", "--kind", "defensive", "--json",
+    ])
+    assert rc == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["k_claim"] == 0 and record["result"] == result
+    assert record["verified"] is True
 
 
 def test_audit_single_theorem(capsys):

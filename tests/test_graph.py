@@ -1,7 +1,11 @@
 import importlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -300,6 +304,24 @@ def test_independence_capacity():
     # no order cap: branch and bound needs no 2^n table
     assert independence_number(Graph(40)).independence == 40
     assert independence_number(cycle_graph(33)).independence == 16
+
+
+def test_independence_on_forests_and_matchings_takes_no_branching():
+    """Order 200 path, perfect matching and random tree: a vertex with at
+    most one candidate neighbour is taken without branching, so each runs
+    in milliseconds; a search that branched on them would not finish."""
+    script = (
+        "from alliancekit import Graph, independence_number, path_graph, random_tree\n"
+        "graphs = (path_graph(200), Graph(200, [(2 * i, 2 * i + 1) for i in range(100)]),"
+        " random_tree(200, seed=3))\n"
+        "print([independence_number(g).independence for g in graphs])\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[100, 100, 115]\n", "")
 
 
 def test_vizing_bound_examples():

@@ -472,7 +472,9 @@ def _min_transversal(family, n: int) -> int:
     return round(res.fun)
 
 
-@pytest.mark.parametrize("n", range(16, 25))
+@pytest.mark.parametrize(
+    "n", [*range(16, 21), *(pytest.param(n, marks=pytest.mark.slow) for n in range(21, 25))]
+)
 def test_closure_beyond_the_oracle(n):
     """Orders the brute-force oracle cannot reach: the family agrees with the
     scalar free-set check on sampled small masks, every member is an

@@ -266,3 +266,13 @@ def test_build_witness_dispatch_and_record():
         build_witness("mystery", c4, p3, kind="offensive")
     with pytest.raises(ValueError):
         build_witness("box", c4, p3, kind="defensive")
+
+
+def test_build_witness_union_has_the_offensive_kind_only():
+    c3, p3 = cycle_graph(3), path_graph(3)
+    sets = {"s1": VertexSet.of([0], 3), "s2": VertexSet.of([0, 1], 3), "k1": 1, "k2": 2}
+    assert build_witness("union", c3, p3, **sets).kind is AllianceKind.OFFENSIVE
+    assert build_witness("union", c3, p3, kind="offensive", **sets).verified
+    for kind in ("defensive", "powerful"):
+        with pytest.raises(ValueError, match="offensive kind only"):
+            build_witness("union", c3, p3, kind=kind, **sets)
