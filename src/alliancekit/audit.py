@@ -104,7 +104,7 @@ class AuditConfig:
 class AuditReport:
     theorem_id: str
     trials: int
-    failures: list[dict]
+    failures: tuple[dict, ...]
     skipped: int
     checks: int
     config: AuditConfig
@@ -123,7 +123,9 @@ class AuditReport:
         return not self.failures and not self.inconclusive
 
     def to_record(self) -> dict:
-        return {**asdict(self), "passes": self.passes, "inconclusive": self.inconclusive}
+        record = asdict(self)
+        record["failures"] = list(record["failures"])  # a JSON array, as in the goldens
+        return {**record, "passes": self.passes, "inconclusive": self.inconclusive}
 
     def to_lines(self) -> list[str]:
         c = self.config
@@ -803,7 +805,7 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
         checks += found
         if failure is not None:
             failures.append(failure)
-    return AuditReport(theorem_id, trials, failures, skipped, checks, config)
+    return AuditReport(theorem_id, trials, tuple(failures), skipped, checks, config)
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:

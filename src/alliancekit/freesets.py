@@ -17,7 +17,12 @@ minimum is at least the threshold iff every term is, so the alliance
 bits come packed 64 masks to a word as an AND of per-term threshold
 tests (``_alliance_words``).  Thresholding commutes with the
 max-closure, so OR passes over the words then mark the masks that
-contain an alliance (``_covered_words``).  A mask is a minimal alliance
+contain an alliance (``_covered_words``).  The passes of bits 0..21 run
+one chunk of 2^22 masks at a time, while the chunk's words stay in
+cache, and those of the higher bits over the whole arrays; a low bit's
+pass pairs masks within one chunk, so the chunks are independent, and
+each runs its bits in the same order, which gives the same words as
+whole-array passes.  A mask is a minimal alliance
 when it contains an alliance and no proper subset of it does; the same
 passes, with one OR more per step, mark the masks that strictly contain
 an alliance, so the minimal ones come out of one sweep with the covered
@@ -161,7 +166,8 @@ _VACUOUS = 128
 #: Masks fit in uint32, and every degree stays below 32.
 _MAX_ORDER = 32
 #: Peak bytes per mask of the packed-word paths (``phi``, the minimal
-#: family); tracemalloc read 0.38-0.46 at orders 24 and 25.
+#: family); tracemalloc read 0.41-0.45 for ``phi`` and 0.27-0.45 for the
+#: family at orders 24 and 25, with the closure's scratch one chunk long.
 _WORD_BYTES = 0.5
 #: Peak bytes per mask of the closed byte table (``phi_table``,
 #: ``phi_value``); tracemalloc read 2.00-2.28 at orders 24 and 25.
@@ -189,7 +195,8 @@ def _check_order(g: Graph, bytes_per_mask: float) -> None:
         )
     # the low rows of _slack_terms come on top, 2^_LOW_BITS bytes each: n
     # defensive, 2n offensive or 3n powerful, and one scratch row; four per
-    # vertex bound them all, and they set the peak below order 22
+    # vertex bound them all, and they set the peak below order 22.  The
+    # shared terms' base row is the last block of the output, not a new row
     low_tables = 4 * g.n << min(g.n, _LOW_BITS)
     _refuse_bytes(f"an order-{g.n} table", int(bytes_per_mask * (1 << g.n)) + low_tables)
 
@@ -227,6 +234,18 @@ _LOW_HALVES = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> b & 1)) 
 _ALL_BITS = np.uint64(2**64 - 1)
 
 
+#: The closure runs bits 0.._CHUNK_BITS-1 one chunk of 2^_CHUNK_BITS masks at
+#: a time, then the higher bits over the whole arrays.  A chunk is 65,536
+#: words, 512 KiB for each of covered, above and the scratch, so its passes
+#: stay in a 2 MiB L2, which the whole order-24 arrays, 2 MiB each, overrun.
+#: Closing grid 4x6 (order 24) on a 2-core Xeon VM with 2 MiB of L2 per
+#: core took 10-11 ms with 2^22-mask chunks, 12-15 with 2^20, 16-20 with
+#: 2^18, 12-14 with 2^23 and 16-17 unchunked; grid 4x7 (order 28) took
+#: 216, 237, 394 and 469 ms with 2^22, 2^20, 2^18 and none.  Smaller
+#: chunks lose to the fixed cost of more numpy calls.
+_CHUNK_BITS = 22
+
+
 def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np.ndarray]:
     """(covered, minimal): the masks that contain a kind/k alliance, and the
     inclusion-minimal kind/k alliances, one bit each: bit p of word w stands
@@ -239,12 +258,32 @@ def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np
     passes mark the masks that strictly contain an alliance: after the pass
     of bit b, a mask holds an alliance below it that differs from it only
     in bits 0..b, either with bit b (already marked) or without it (covered
-    before the pass).  A covered mask with no such mark is minimal."""
+    before the pass).  A covered mask with no such mark is minimal.
+
+    Bits 0.._CHUNK_BITS-1 are closed one chunk of 2^_CHUNK_BITS masks at a
+    time, bits _CHUNK_BITS and up over the whole arrays.  The words are the
+    same as with every pass over the whole arrays: a pass of a bit below
+    the chunk size pairs masks within one chunk, so the chunks are
+    independent, and each runs those bits in the order of a whole-array
+    sweep; orders up to _CHUNK_BITS have one chunk."""
     _check_order(g, _WORD_BYTES)
     covered = _alliance_words(g, k, kind)
     above = np.zeros_like(covered)
-    shifted = np.empty_like(covered)
-    for b in range(g.n):
+    chunk = 1 << (_CHUNK_BITS - 6)
+    shifted = np.empty(min(covered.size, chunk), dtype=covered.dtype)
+    for start in range(0, covered.size, chunk):
+        part = slice(start, start + chunk)
+        _close(covered[part], above[part], range(min(g.n, _CHUNK_BITS)), shifted)
+    _close(covered, above, range(_CHUNK_BITS, g.n), shifted)
+    minimal = np.invert(above, out=above)
+    minimal &= covered
+    return covered, minimal
+
+
+def _close(covered: np.ndarray, above: np.ndarray, bits: range, shifted: np.ndarray) -> None:
+    """The OR passes of ``_covered_words`` for the given mask bits, in place
+    on matching word arrays; bits below 6 use ``shifted``, of the same size."""
+    for b in bits:
         if b < 6:
             # bits 0..5 lie inside a word: move the bit-b-clear positions
             # onto the bit-b-set ones, zeros elsewhere
@@ -258,9 +297,6 @@ def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np
             for (without, with_b), (_, above_with_b) in pairs:
                 above_with_b |= without
                 with_b |= without
-    minimal = np.invert(above, out=above)
-    minimal &= covered
-    return covered, minimal
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -298,7 +334,7 @@ def _minimal_family(
 
 def _slack_terms(
     g: Graph, kind: AllianceKind
-) -> tuple[np.ndarray, Iterator[list[tuple[int, int]]]]:
+) -> tuple[np.ndarray, list[tuple[int, int]], Iterator[list[tuple[int, int]]]]:
     """The kind slack of every mask as a minimum of per-vertex terms, for
     both builders.
 
@@ -311,15 +347,20 @@ def _slack_terms(
     vertices, so it is flagged where v is low and absent from l, and an
     unreached row is flagged also where v has no neighbour in l.
 
-    Returns (rows, blocks): blocks yields, block by block, the terms
-    (r, shift) whose minimum of rows[r][l] + shift is the block's biased
-    slack at l: a member term for each vertex low or in h, and a boundary
-    term for each vertex outside h, on its reached row when h reaches it.
-    The shift is 2*|N(v) & h| + _BIAS - deg(v), less the kind's offset for
-    a boundary term, and no entry reaches 256.  One allocation holds all
-    rows: as separate 1 MiB tables, an order-16 offensive or powerful
-    build took about 480 fresh page faults, most of an audit round's
-    22,000; with one array the round takes under 100."""
+    Returns (rows, shared, blocks).  A block's biased slack at l is the
+    minimum of rows[r][l] + shift over its terms (r, shift): the shared
+    terms, which every block has, and the terms that blocks yields for
+    it, block by block.  A vertex gives a member term when it is low or in
+    h, and a boundary term when it is outside h, on its reached row when h
+    reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less the
+    kind's offset for a boundary term, and no entry reaches 256.  The
+    shared terms are those of the low vertices with no high neighbour:
+    every other vertex is in h, or has a neighbour in h, in some blocks
+    and not in others.  So a one-block build (orders up to _LOW_BITS) has
+    only shared terms.
+    One allocation holds all rows: as separate 1 MiB tables, an order-16
+    offensive or powerful build took about 480 fresh page faults, most of
+    an audit round's 22,000; with one array the round takes under 100."""
     members, boundary, offset = _SCOPES[kind]
     n, low = g.n, min(g.n, _LOW_BITS)
     # a defensive build turns its reached rows into member rows in place
@@ -338,7 +379,15 @@ def _slack_terms(
     if members:
         np.bitwise_xor(table[:low], np.uint8(_VACUOUS), out=rows[:low])
         rows[low:n] = table[low:]  # a high vertex is never in l
-    vertices = list(zip(range(n), g.adj_bits, g.degrees))
+    shared, vertices = [], []
+    for v, adj, degree in zip(range(n), g.adj_bits, g.degrees):
+        if v < low and not adj >> low:
+            if members:
+                shared.append((v, _BIAS - degree))
+            if boundary:
+                shared.append((unreached + v, _BIAS - degree - offset))
+        else:
+            vertices.append((v, adj, degree))
 
     def blocks() -> Iterator[list[tuple[int, int]]]:
         for b in range(1 << (n - low)):
@@ -355,21 +404,30 @@ def _slack_terms(
                     terms.append((reached + v if c else unreached + v, shift - offset))
             yield terms
 
-    return rows, blocks()
+    return rows, shared, blocks()
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0.  A block costs one add into a scratch row and
-    one minimum per term, with no temporary array.  At least _VACUOUS
-    where the scope is empty."""
-    rows, blocks = _slack_terms(g, kind)
+    never an alliance) is 0.  The last block's slot holds the minimum of
+    the shared terms until its turn, and each earlier block starts from a
+    copy of it; so a one-block build makes no call more than its terms
+    need.  A term costs one add into a scratch row and one minimum, with
+    no temporary array.  At least _VACUOUS where the scope is empty."""
+    rows, shared, blocks = _slack_terms(g, kind)
     width = rows.shape[1]
     out = np.empty(1 << g.n, dtype=np.uint8)
     scratch = np.empty(width, dtype=np.uint8)
-    for b, terms in enumerate(blocks):
-        block = out[b * width : (b + 1) * width]
-        block.fill(255)
+    last = out.size - width
+    base = out[last:]
+    base.fill(255)
+    for r, shift in shared:
+        np.add(rows[r], np.uint8(shift), out=scratch)
+        np.minimum(base, scratch, out=base)
+    for start, terms in zip(range(0, out.size, width), blocks):
+        block = out[start : start + width]
+        if start < last:
+            np.copyto(block, base)
         for r, shift in terms:
             np.add(rows[r], np.uint8(shift), out=scratch)
             np.minimum(block, scratch, out=block)
@@ -381,24 +439,35 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     """The kind/k alliances, one bit per mask in the word layout of
     ``_covered_words``, without the byte table: a minimum is at least the
     threshold iff every term is, so each block's words are the AND of its
-    terms' packed threshold tests, and each distinct term is packed once.
-    Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
+    terms' packed threshold tests.  The shared terms are ANDed once, into
+    the last block's slot, where each earlier block copies its start from,
+    and each other distinct term is packed once.  Equals
+    ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
     # allocated before the low rows, so that the space they free lies
     # above it in the heap, where the closure's second array can reuse it
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
-    rows, blocks = _slack_terms(g, kind)
+    rows, shared, blocks = _slack_terms(g, kind)
     t = _threshold(k)
+
+    def pack(r: int, shift: int) -> np.ndarray:
+        # rows[r] + shift >= t, as one comparison on the uint8 row
+        return _pack_words(rows[r] >= max(t - shift, 0))
+
     width = max(1, rows.shape[1] >> 6)
+    last = words.size - width
+    base = words[last:]
+    base.fill(_ALL_BITS)
+    for term in shared:
+        base &= pack(*term)
     patterns: dict[tuple[int, int], np.ndarray] = {}
-    for b, terms in enumerate(blocks):
-        block = words[b * width : (b + 1) * width]
-        block.fill(_ALL_BITS)
+    for start, terms in zip(range(0, words.size, width), blocks):
+        block = words[start : start + width]
+        if start < last:
+            np.copyto(block, base)
         for term in terms:
             pattern = patterns.get(term)
             if pattern is None:
-                r, shift = term
-                # rows[r] + shift >= t, as one comparison on the uint8 row
-                pattern = patterns[term] = _pack_words(rows[r] >= max(t - shift, 0))
+                pattern = patterns[term] = pack(*term)
             block &= pattern
     words[0] &= ~np.uint64(1)  # the empty mask is never an alliance
     return words

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import random
@@ -47,9 +48,21 @@ def test_zero_trials_gives_empty_inconclusive_reports():
     assert len(reports) == 19
     for report in reports:
         assert report.trials == report.passes == report.checks == 0
-        assert report.failures == []
+        assert report.failures == ()
         assert report.inconclusive
         assert not report.ok
+
+
+def test_reports_are_immutable():
+    """A report's failures cannot grow after audit() returns, so passes
+    and ok stay what the run found."""
+    report = audit("vizing_alpha", AuditConfig(trials_per_theorem=2))
+    with pytest.raises(AttributeError):
+        report.failures.append({"trial": 0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.failures = ()
+    assert report.passes == report.trials and report.ok
+    assert report.to_record()["failures"] == []
 
 
 def test_report_accounting_invariant():

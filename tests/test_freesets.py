@@ -3,6 +3,7 @@ import importlib
 import math
 import random
 import warnings
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -356,17 +357,23 @@ def test_powerful_builds_are_defensive_and_shifted_offensive(g):
 KERNEL_DIGEST = "e6185ddad6548ccdf5c137a4d769ad6170723e8a733880c33c519636070ebaf1"
 
 
-def _kernel_digest() -> str:
-    """One sha256 over the slack table, its closure, the level minima and
-    the alliance words at k = -1, 0 and 2, for every kind, on one seeded
-    graph of each order 1-24; odd orders leave their top vertex isolated."""
-    digest = hashlib.sha256()
+def _digest_graphs() -> Iterator[Graph]:
+    """One seeded graph of each order 1-24; odd orders leave their top
+    vertex isolated."""
     for n in range(1, 25):
         rng = random.Random(300 + n)
         p = (0.2, 0.35, 0.5)[n % 3]
         top = n - 1 if n % 2 else n
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p and v != top]
-        g = Graph(n, edges)
+        yield Graph(n, edges)
+
+
+def _kernel_digest() -> str:
+    """One sha256 over the slack table, its closure, the level minima and
+    the alliance words at k = -1, 0 and 2, for every kind, on the graphs
+    of ``_digest_graphs``."""
+    digest = hashlib.sha256()
+    for g in _digest_graphs():
         for kind in AllianceKind:
             digest.update(_slack_table(g, kind).tobytes())
             digest.update(_closed_slack_table(g, kind).tobytes())
@@ -381,6 +388,66 @@ def test_kernel_outputs_are_pinned():
     1-24: a kernel change that alters any output fails here, also above
     the orders the per-vertex reference reaches."""
     assert _kernel_digest() == KERNEL_DIGEST
+
+
+#: ``_covered_words_digest()`` as recorded from the unchunked closure, whose
+#: words ``test_covered_words_and_family_match_the_closure`` checks against
+#: the thresholded max-closure.
+COVERED_WORDS_DIGEST = "b4b14604d04c572c7f16928b0980798d410d0bf00cbbf0da08a0920fa9bc761d"
+
+
+def _covered_words_digest() -> str:
+    """One sha256 over the covered and the minimal words at k = -1, 0 and
+    2, for every kind, on the graphs of ``_digest_graphs``."""
+    digest = hashlib.sha256()
+    for g in _digest_graphs():
+        for kind in AllianceKind:
+            for k in (-1, 0, 2):
+                for words in _covered_words(g, k, kind):
+                    digest.update(words.tobytes())
+    return digest.hexdigest()
+
+
+def test_covered_words_are_pinned():
+    """Both word arrays of the closure sweep on the seeded graphs of orders
+    1-24: orders above _CHUNK_BITS close their low bits chunk by chunk,
+    and a change to the pass order that alters any word fails here."""
+    assert _covered_words_digest() == COVERED_WORDS_DIGEST
+
+
+@pytest.mark.parametrize("n", range(8, 19, 2))
+def test_small_closure_chunks_give_the_same_words(monkeypatch, n):
+    """Chunks of 2^7..2^12 masks, 2 to 64 words: each splits the word-pair
+    passes between the per-chunk and the whole-array loops at a different
+    bit, and where a chunk holds every mask of the order there is one
+    chunk.  Each gives the words of the default chunk size, for every kind
+    at k = -1, 0 and 2."""
+    rng = random.Random(500 + n)
+    g = seeded_graph(rng, n)
+    cases = [(k, kind) for kind in AllianceKind for k in (-1, 0, 2)]
+    expected = {case: _covered_words(g, *case) for case in cases}
+    for bits in range(7, 13):
+        monkeypatch.setattr(freesets_mod, "_CHUNK_BITS", bits)
+        for case in cases:
+            got = _covered_words(g, *case)
+            assert all((a == b).all() for a, b in zip(got, expected[case])), (n, case, bits)
+
+
+@pytest.mark.parametrize("n", range(17, 23))
+def test_shared_terms_are_those_of_every_block(n):
+    """The shared terms are exactly the terms every block has, and no block
+    lists one of them again.  Orders 17-22 span 2 to 64 blocks; each graph
+    has low vertices with and without a high neighbour."""
+    g = random_graph(n, 0.3 if n % 2 else 0.15, seed=n)
+    for kind in AllianceKind:
+        members, boundary, _ = freesets_mod._SCOPES[kind]
+        _, shared, blocks = freesets_mod._slack_terms(g, kind)
+        own = [set(terms) for terms in blocks]
+        assert len(own) == 1 << (n - _LOW_BITS)
+        assert set.intersection(*(set(shared) | terms for terms in own)) == set(shared), (n, kind)
+        assert all(not terms & set(shared) for terms in own), (n, kind)
+        assert len(set(shared)) == len(shared)
+        assert 0 < len(shared) < (members + boundary) * _LOW_BITS, (n, kind)
 
 
 @pytest.mark.parametrize("kind", list(AllianceKind))
