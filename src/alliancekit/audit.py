@@ -3,22 +3,23 @@
 Every numbered claim the package relies on gets an auditor: seeded random
 factor graphs (plus scripted family instances) are drawn and the claim is
 checked on them with the exact solvers.  An auditor only draws: it yields
-each instance as ``(g1, g2, sets, cases)``, where a case is ``(k values,
-verdict)``.  A verdict takes ``(g1, g2, sets)`` and returns ``None`` when
-the claim's hypothesis or k-range does not hold on that instance, and
-``(ok, observed, expected)`` otherwise.  Claims of one shape share a driver
-(``_column_bound_audit`` and the like); each claim's row in ``_AUDITS``
-pairs its auditor, with the driver's parameters bound by
-``functools.partial``, with its check name.
+each instance as ``(g1, g2, sets, verdict, cases)``, where a case is the
+verdict's keyword arguments (the k values).  A verdict takes ``(g1, g2,
+sets, **case)`` and returns ``None`` when the claim's hypothesis or k-range
+does not hold on that instance, and ``(ok, observed, expected)`` otherwise.
+Claims of one shape share a driver (``_column_bound_audit`` and the like);
+each claim's row in ``_AUDITS`` pairs its auditor, with the driver's
+parameters bound by ``functools.partial``, with its check name.
 
 ``audit`` runs the one loop and builds the report.  ``_check`` runs the
-cases of one instance and changes nothing: each non-``None`` verdict counts
-as a check, and an instance without checks is skipped and counted.
-Verdicts draw nothing, so the random stream is the auditor's alone.  All
-claims are proved facts, so a false verdict is
+verdict at each case of one instance and changes nothing: each
+non-``None`` outcome counts as a check, and an instance without checks is
+skipped and counted.  Verdicts draw nothing, so the random stream is the
+auditor's alone.  All claims are proved facts, so a false verdict is
 evidence of an implementation bug: it is reported with a greedily minimized
-counterexample, found by re-running the same verdict on vertex-deleted
-instances (``None`` there counts as not failing).  A set's name says where
+counterexample, found by re-running the same verdict at the same case on
+vertex-deleted instances (``None`` there counts as not failing); the
+record's ``k`` is that case.  A set's name says where
 it lives: ``s`` on G1 x G2, ``s1`` on G1 and ``s2`` on G2.  Deleting vertex
 v of G1 drops row v, and deleting v of G2 drops column v, from every set
 that lives on that factor.
@@ -49,6 +50,7 @@ from .graph import (
     grid_graph,
     independence_number,
     path_graph,
+    product_vertex,
     projections,
     random_tree,
     star_graph,
@@ -251,9 +253,12 @@ def _product(g1: Graph, g2: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Counterexample minimization
 
-_Verdict = Callable[[Graph, Graph | None, dict], tuple[bool, object, object] | None]
-#: A drawn instance: (g1, g2, sets, cases), each case (k values, verdict).
-_Instance = tuple[Graph, Graph | None, dict[str, VertexSet], list[tuple[dict, _Verdict]]]
+_Outcome = tuple[bool, object, object] | None
+#: A verdict with its case bound, as the shrinker runs it.
+_Verdict = Callable[[Graph, Graph | None, dict], _Outcome]
+#: A drawn instance: (g1, g2, sets, verdict, cases); a case is the keyword
+#: arguments (k values) of ``verdict(g1, g2, sets, **case)``.
+_Instance = tuple[Graph, Graph | None, dict[str, VertexSet], Callable[..., _Outcome], list[dict]]
 
 
 def _graph_record(g: Graph | None) -> dict | None:
@@ -277,14 +282,14 @@ def _remap_sets(
     sets: dict[str, VertexSet], axis: int, v: int, n1: int, n2: int
 ) -> dict[str, VertexSet]:
     """The sets once vertex v of factor ``axis`` (0 for G1, 1 for G2) is
-    deleted.  A set's cells are a*cols + b over its rows and columns; every
-    set that lives on that factor loses row v (G1) or column v (G2), and the
-    cells left keep their order."""
+    deleted.  A set's cells are the product vertices of its rows and
+    columns; every set that lives on that factor loses row v (G1) or column
+    v (G2), and the cells left keep their order."""
     out = {}
     for name, vs in sets.items():
         lives = _SET_FACTORS[name]
         rows, cols = range(n1 if lives[0] else 1), range(n2 if lives[1] else 1)
-        cells = [a * len(cols) + b for a in rows for b in cols
+        cells = [product_vertex(a, b, len(cols)) for a in rows for b in cols
                  if not (lives[axis] and (a, b)[axis] == v)]
         out[name] = VertexSet.of([i for i, p in enumerate(cells) if p in vs], len(cells))
     return out
@@ -351,21 +356,23 @@ def _check(
     g1: Graph,
     g2: Graph | None,
     sets: dict[str, VertexSet],
-    cases: Iterable[tuple[dict, _Verdict]],
+    verdict: Callable[..., _Outcome],
+    cases: Iterable[dict],
     check: str,
 ) -> tuple[int, dict | None]:
-    """Run every ``(ks, verdict)`` case on one drawn instance: the number of
-    verdicts that are not ``None`` (the checks), and the first failure's
-    payload, merged with the count of the others, or ``None``."""
+    """Run the verdict on one drawn instance at every case ``ks``, its
+    keyword arguments: the number of outcomes that are not ``None`` (the
+    checks), and the first failure's payload, merged with the count of the
+    others, or ``None``."""
     checks = 0
     fails = []
-    for ks, verdict in cases:
-        outcome = verdict(g1, g2, sets)
+    for ks in cases:
+        outcome = verdict(g1, g2, sets, **ks)
         if outcome is None:
             continue
         checks += 1
         if not outcome[0]:
-            fails.append(_failure(verdict, g1, g2, sets, ks, check))
+            fails.append(_failure(partial(verdict, **ks), g1, g2, sets, ks, check))
     if len(fails) > 1:
         fails[0] = {**fails[0], "additional_failing_checks": len(fails) - 1}
     return checks, (fails[0] if fails else None)
@@ -390,7 +397,7 @@ def _audit_remark1(config: AuditConfig, rng: random.Random) -> Iterator[_Instanc
         return val >= bound, val, bound
 
     for g1, g2 in _pair_instances(rng, config, _has_edge):
-        yield g1, g2, {}, [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
+        yield g1, g2, {}, verdict, [{"k": k} for k in k_range(g1, g2)]
 
 
 def _projection_transfer_audit(
@@ -400,23 +407,22 @@ def _projection_transfer_audit(
     projection of S is free at k_i in its factor, S is free at
     column_k(k_i, other factor) in the product."""
 
-    def verdict(a, b, sets, axis, ki):
+    def verdict(a, b, sets, axis, k_i):
         own, other = (a, b) if axis == 1 else (b, a)
-        if not is_free_set(own, projections(sets["s"], a.n, b.n)[axis - 1], ki, kind):
+        if not is_free_set(own, projections(sets["s"], a.n, b.n)[axis - 1], k_i, kind):
             return None
-        got = is_free_set(_product(a, b), sets["s"], column_k(ki, other, kind), kind)
+        got = is_free_set(_product(a, b), sets["s"], column_k(k_i, other, kind), kind)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _max_deg_2)
         s = _draw_product_subset(rng, g1, g2)
         cases = [
-            ({"k_i": ki, "axis": axis, "k_claim": column_k(ki, other, kind)},
-             partial(verdict, axis=axis, ki=ki))
-            for axis, own, other in ((1, g1, g2), (2, g2, g1))
-            for ki in kind.canonical_k_range(own)
+            {"k_i": k_i, "axis": axis}
+            for axis, own in ((1, g1), (2, g2))
+            for k_i in kind.canonical_k_range(own)
         ]
-        yield g1, g2, {"s": s}, cases
+        yield g1, g2, {"s": s}, verdict, cases
 
 
 def _both_projection_audit(
@@ -439,12 +445,11 @@ def _both_projection_audit(
         g1, g2 = _draw_pair(rng, config, _max_deg_2)
         s = _draw_product_subset(rng, g1, g2)
         cases = [
-            ({"k1": k1, "k2": k2, "k_claim": box_k(k1, k2, g1, g2, kind)},
-             partial(verdict, k1=k1, k2=k2))
+            {"k1": k1, "k2": k2}
             for k1 in kind.canonical_k_range(g1)
             for k2 in kind.canonical_k_range(g2)
         ]
-        yield g1, g2, {"s": s}, cases
+        yield g1, g2, {"s": s}, verdict, cases
 
 
 def _column_bound_audit(
@@ -469,11 +474,11 @@ def _column_bound_audit(
 
     for g1, g2 in _pair_instances(rng, config, accept):
         cases = [
-            ({"k": k, "axis": axis}, partial(verdict, axis=axis, k=k))
+            {"k": k, "axis": axis}
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
             for k in k_range(own, other)
         ]
-        yield g1, g2, {}, cases
+        yield g1, g2, {}, verdict, cases
 
 
 def _factor_phi_bound_audit(
@@ -484,13 +489,10 @@ def _factor_phi_bound_audit(
     factor_range: Callable[[Graph], range],
     claim_range: Callable[[int, int, Graph, Graph], range],
     bound: Callable[[int, int, Graph, Graph], int],
-    report_k: bool = True,
 ) -> Iterator[_Instance]:
     """Shared driver for the bounds phi(k) over the product >=
     bound(phi1, phi2, G1, G2), where phi_i = phi(G_i, k_i), for k_i in
-    factor_range(G_i) and k in claim_range(k1, k2, G1, G2).  Without
-    ``report_k`` the claim range is the single k1+k2-1 and payloads name
-    only k1 and k2."""
+    factor_range(G_i) and k in claim_range(k1, k2, G1, G2)."""
 
     def verdict(a, b, sets, k1, k2, k):
         if k1 not in factor_range(a) or k2 not in factor_range(b):
@@ -503,13 +505,12 @@ def _factor_phi_bound_audit(
 
     for g1, g2 in _pair_instances(rng, config, accept):
         cases = [
-            ({"k1": k1, "k2": k2, "k": k} if report_k else {"k1": k1, "k2": k2},
-             partial(verdict, k1=k1, k2=k2, k=k))
+            {"k1": k1, "k2": k2, "k": k}
             for k1 in factor_range(g1)
             for k2 in factor_range(g2)
             for k in claim_range(k1, k2, g1, g2)
         ]
-        yield g1, g2, {}, cases
+        yield g1, g2, {}, verdict, cases
 
 
 def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
@@ -561,24 +562,22 @@ def _audit_prop_remarktree(config: AuditConfig, rng: random.Random) -> Iterator[
         return val == a.n, val, a.n
 
     for g, case in instances:
-        cases = [
-            ({"k": k, "case": case}, partial(verdict, case=case, k=k))
-            for k in range(lows[case], g.delta_max + 1)
+        yield g, None, {}, verdict, [
+            {"k": k, "case": case} for k in range(lows[case], g.delta_max + 1)
         ]
-        yield g, None, {}, cases
 
 
 def _audit_th_factor_recovery(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
     """If S1 x S2 is def k-free in the product and S2 is a defensive
     k'-alliance in G2, then S1 is def (k-k')-free in G1."""
 
-    def verdict(a, b, sets, k, kp):
+    def verdict(a, b, sets, k, k_prime):
         s1, s2 = sets["s1"], sets["s2"]
-        if s2.mask == 0 or not is_defensive_alliance(b, s2, kp):
+        if s2.mask == 0 or not is_defensive_alliance(b, s2, k_prime):
             return None
         if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
             return None
-        got = is_free_set(a, s1, k - kp, DEF)
+        got = is_free_set(a, s1, k - k_prime, DEF)
         return got, got, True
 
     for _ in range(config.trials_per_theorem):
@@ -588,11 +587,11 @@ def _audit_th_factor_recovery(config: AuditConfig, rng: random.Random) -> Iterat
         if s2.mask == 0:
             s2 = VertexSet(1 << rng.randrange(g2.n), g2.n)
         cases = [
-            ({"k": k, "k_prime": kp}, partial(verdict, k=k, kp=kp))
+            {"k": k, "k_prime": k_prime}
             for k in DEF.canonical_k_range(_product(g1, g2))
-            for kp in DEF.canonical_k_range(g2)
+            for k_prime in DEF.canonical_k_range(g2)
         ]
-        yield g1, g2, {"s1": s1, "s2": s2}, cases
+        yield g1, g2, {"s1": s1, "s2": s2}, verdict, cases
 
 
 def _audit_cor_otrocoro(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
@@ -607,8 +606,8 @@ def _audit_cor_otrocoro(config: AuditConfig, rng: random.Random) -> Iterator[_In
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config, _has_edge)
         s1 = _draw_subset(rng, g1.n)
-        cases = [({"k": k}, partial(verdict, k=k)) for k in DEF.canonical_k_range(_product(g1, g2))]
-        yield g1, g2, {"s1": s1}, cases
+        cases = [{"k": k} for k in DEF.canonical_k_range(_product(g1, g2))]
+        yield g1, g2, {"s1": s1}, verdict, cases
 
 
 _REGULAR_POOL = (
@@ -635,7 +634,7 @@ def _audit_prop_iff_regular(config: AuditConfig, rng: random.Random) -> Iterator
         g2 = rng.choice([g for g in _REGULAR_POOL if 2 * g.n <= config.max_product_order])
         g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
-        yield g1, g2, {"s1": s1}, [({"k": k}, partial(verdict, k=k)) for k in k_range(g1, g2)]
+        yield g1, g2, {"s1": s1}, verdict, [{"k": k} for k in k_range(g1, g2)]
 
 
 def _audit_th_union(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
@@ -657,12 +656,11 @@ def _audit_th_union(config: AuditConfig, rng: random.Random) -> Iterator[_Instan
         s1 = _draw_small_subset(rng, g1.n)
         s2 = _draw_small_subset(rng, g2.n)
         cases = [
-            ({"k1": k1, "k2": k2, "k_claim": union_k(k1, k2, g1, g2)},
-             partial(verdict, k1=k1, k2=k2))
+            {"k1": k1, "k2": k2}
             for k1 in OFF.canonical_k_range(g1)
             for k2 in OFF.canonical_k_range(g2)
         ]
-        yield g1, g2, {"s1": s1, "s2": s2}, cases
+        yield g1, g2, {"s1": s1, "s2": s2}, verdict, cases
 
 
 def _audit_phi_p_lower(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
@@ -678,7 +676,7 @@ def _audit_phi_p_lower(config: AuditConfig, rng: random.Random) -> Iterator[_Ins
     top = min(9, config.max_product_order)
     for _ in range(config.trials_per_theorem):
         g = _draw_graph(rng, top, _has_edge)
-        yield g, None, {}, [({"k": k}, partial(verdict, k=k)) for k in POW.canonical_k_range(g)]
+        yield g, None, {}, verdict, [{"k": k} for k in POW.canonical_k_range(g)]
 
 
 def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
@@ -694,7 +692,7 @@ def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_In
         g1, g2 = _draw_pair(rng, config)
         while g1.n * g2.n > cap:
             g1, g2 = _draw_pair(rng, config)
-        yield g1, g2, {}, [({}, verdict)]
+        yield g1, g2, {}, verdict, [{}]
 
 
 # One row per claim, in report order: (auditor, check name).  A row that
@@ -719,7 +717,6 @@ _AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instan
         factor_range=lambda g: range(1 - g.delta_min, g.delta_max + 1),
         claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
         bound=_box_plus_diagonal_bound,
-        report_k=False,
     ), "box-plus-diagonal bound for phi_def on the product"),
     "prop_remarktree": (_audit_prop_remarktree, "phi_def equals the order"),
     "th_factor_recovery": (_audit_th_factor_recovery, "factor recovery of a def-free set"),
@@ -796,8 +793,8 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
     auditor, check = _AUDITS[theorem_id]
     trials = skipped = checks = 0
     failures = []
-    for g1, g2, sets, cases in auditor(config, random.Random(f"{config.seed}/{theorem_id}")):
-        found, failure = _check(g1, g2, sets, cases, check)
+    for instance in auditor(config, random.Random(f"{config.seed}/{theorem_id}")):
+        found, failure = _check(*instance, check)
         if not found:
             skipped += 1
             continue

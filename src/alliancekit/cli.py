@@ -31,6 +31,7 @@ from .graph import (
     VertexSet,
     cartesian_product,
     family,
+    product_coords,
     read_edge_list,
     write_edge_list,
 )
@@ -52,7 +53,7 @@ def _parse_vertices(text: str, n: int) -> VertexSet:
 
 
 def _pairs(vs: VertexSet, n2: int) -> str:
-    return "{" + ", ".join(f"({v // n2},{v % n2})" for v in vs) + "}"
+    return "{" + ", ".join("({},{})".format(*product_coords(v, n2)) for v in vs) + "}"
 
 
 def _cmd_check(args) -> tuple[dict, list[str], bool]:

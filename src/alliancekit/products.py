@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .alliances import AllianceKind, is_defensive_alliance
 from .freesets import is_free_set
-from .graph import Graph, VertexSet, cartesian_product, factor_box, _check_universe
+from .graph import Graph, VertexSet, cartesian_product, factor_box, product_vertex, _check_universe
 
 CONSTRUCTIONS = ("column", "box", "box_plus_diagonal", "union")
 
@@ -160,7 +160,7 @@ def box_plus_diagonal_witness(
     t = min(len(left1), len(left2))
     mask = factor_box(s1, s2).mask
     for a, b in zip(left1[:t], left2[:t]):
-        mask |= 1 << (a * g2.n + b)
+        mask |= 1 << product_vertex(a, b, g2.n)
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = k1 + k2 - 1
     return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, g1, g2, result)
@@ -205,6 +205,8 @@ def build_witness(
     ``kind`` of ``None`` is the construction's own: defensive for column,
     box and box_plus_diagonal, offensive for union, which refuses any
     other kind."""
+    if construction not in CONSTRUCTIONS:
+        raise ValueError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     own = AllianceKind.OFFENSIVE if construction == "union" else AllianceKind.DEFENSIVE
     kind = own if kind is None else AllianceKind(kind)
     if construction == "union" and kind is not own:
@@ -219,9 +221,7 @@ def build_witness(
         return box_witness(g1, g2, s1, s2, k1, k2, kind)
     if construction == "box_plus_diagonal":
         return box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
-    if construction == "union":
-        return union_witness(g1, g2, s1, s2, k1, k2)
-    raise ValueError(f"unknown construction {construction!r}")
+    return union_witness(g1, g2, s1, s2, k1, k2)
 
 
 def factor_recovery_daf(

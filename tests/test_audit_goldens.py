@@ -18,13 +18,14 @@ Regenerate it (only when an output change is intended) with
 import dataclasses
 import importlib
 import json
+import random
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from alliancekit import AuditConfig, CanonicalRangeWarning, audit_all
+from alliancekit import AuditConfig, CanonicalRangeWarning, Graph, VertexSet, audit_all
 
 GOLDENS = Path(__file__).parent / "data" / "audit_goldens.json"
 PERTURBED_SEED = 11
@@ -132,6 +133,30 @@ def test_perturbed_failure_reports_match_goldens(goldens, trials):
     got = perturbed_records(trials)
     assert all(r["failures"] for r in got)
     assert got == goldens[f"perturbed_trials{trials}"]
+
+
+def _graph(record: dict | None) -> Graph | None:
+    return None if record is None else Graph(record["n"], record["edges"])
+
+
+@pytest.mark.parametrize("trials", PERTURBED_TRIALS)
+def test_every_failure_record_replays(goldens, trials):
+    """A record's ``k`` is its verdict's keyword arguments: the theorem's
+    verdict, on the record's own (shrunk) graphs and sets at that ``k``,
+    fails with the recorded observed and expected values."""
+    with perturbed_solvers():
+        for report in goldens[f"perturbed_trials{trials}"]:
+            auditor, _ = audit_mod._AUDITS[report["theorem_id"]]
+            verdict = next(auditor(AuditConfig(trials_per_theorem=1), random.Random(0)))[3]
+            for failure in report["failures"]:
+                g1, g2 = _graph(failure["g1"]), _graph(failure["g2"])
+                n1, n2 = g1.n, 1 if g2 is None else g2.n
+                sets = {}
+                for name, members in failure["sets"].items():
+                    on_g1, on_g2 = audit_mod._SET_FACTORS[name]
+                    sets[name] = VertexSet.of(members, (n1 if on_g1 else 1) * (n2 if on_g2 else 1))
+                outcome = verdict(g1, g2, sets, **failure["k"])
+                assert outcome == (False, failure["observed"], failure["expected"]), failure
 
 
 if __name__ == "__main__":

@@ -262,8 +262,9 @@ def test_build_witness_dispatch_and_record():
     assert len(rec["result"]) == 8
     with pytest.raises(ValueError):
         build_witness("column", c4, p3, kind="offensive")
-    with pytest.raises(ValueError):
-        build_witness("mystery", c4, p3, kind="offensive")
+    # the name is checked before the sets, so a misspelt one is named
+    with pytest.raises(ValueError, match="unknown construction 'colum'"):
+        build_witness("colum", c4, p3, kind="offensive")
     with pytest.raises(ValueError):
         build_witness("box", c4, p3, kind="defensive")
 
