@@ -18,8 +18,9 @@ skipped and counted.  Verdicts draw nothing, so the random stream is the
 auditor's alone.  All claims are proved facts, so a false verdict is
 evidence of an implementation bug: it is reported with a greedily minimized
 counterexample, found by re-running the same verdict at the same case on
-vertex-deleted instances (``None`` there counts as not failing); the
-record's ``k`` is that case.  A set's name says where
+vertex-deleted instances (``None`` there counts as not failing, and an
+error there propagates, as it does from the first run); the record's
+``k`` is that case.  A set's name says where
 it lives: ``s`` on G1 x G2, ``s1`` on G1 and ``s2`` on G2.  Deleting vertex
 v of G1 drops row v, and deleting v of G2 drops column v, from every set
 that lives on that factor.
@@ -304,10 +305,7 @@ def _shrink(
     """Greedy vertex deletion preserving failure of the verdict."""
 
     def fails(a: Graph, b: Graph | None, ss: dict[str, VertexSet]) -> bool:
-        try:
-            outcome = verdict(a, b, ss)
-        except Exception:
-            return False
+        outcome = verdict(a, b, ss)
         return outcome is not None and not outcome[0]
 
     def deletions():
@@ -775,13 +773,8 @@ _ORDER_3_FACTORS = ("th1_i", "th1_ii", "th1of", "th_union", "th1p_i", "th1p_ii",
                     "cor_coroproductpowerful_i", "cor_coroproductpowerful_ii")
 
 
-def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
-    """Run one auditor; deterministic for a fixed configuration.  Raises
-    ValueError for an unknown id or a config whose caps admit none of the
-    auditor's factor pairs."""
-    if theorem_id not in _AUDITS:
-        raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
-    config = config or AuditConfig()
+def _check_caps(theorem_id: str, config: AuditConfig) -> None:
+    """Refuse a config whose caps admit none of the auditor's factor pairs."""
     if theorem_id in _ORDER_3_FACTORS and (
         config.max_factor_order < 3 or config.max_product_order < 9
     ):
@@ -790,6 +783,16 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
             f" and max product order >= 9, got {config.max_factor_order}"
             f" and {config.max_product_order}"
         )
+
+
+def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
+    """Run one auditor; deterministic for a fixed configuration.  Raises
+    ValueError for an unknown id or a config whose caps admit none of the
+    auditor's factor pairs."""
+    if theorem_id not in _AUDITS:
+        raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
+    config = config or AuditConfig()
+    _check_caps(theorem_id, config)
     auditor, check = _AUDITS[theorem_id]
     trials = skipped = checks = 0
     failures = []
@@ -806,7 +809,11 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:
+    """Run every auditor in ``THEOREM_IDS`` order.  A config that some
+    auditor refuses raises ValueError before the first one runs."""
     config = config or AuditConfig()
+    for tid in THEOREM_IDS:
+        _check_caps(tid, config)
     return [audit(tid, config) for tid in THEOREM_IDS]
 
 

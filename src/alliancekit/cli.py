@@ -8,10 +8,11 @@ Running out of memory is a capacity error too: one ``capacity error:``
 line, never a traceback.
 
 Graphs travel as edge-list files (first non-comment line: vertex count;
-then "u v" lines; '#' comments).  Vertex lists on the command line are
-comma-separated 0-based ids.  In text mode, product vertices print as
-"(a,b)" pairs under the encoding (a,b) -> a*n2+b; with --json they print
-as the encoded integer ids.
+then "u v" lines).  A line whose first non-blank character is '#' is a
+comment; a '#' after an edge on its line is a parse error.  Vertex lists
+on the command line are comma-separated 0-based ids.  In text mode,
+product vertices print as "(a,b)" pairs under the encoding
+(a,b) -> a*n2+b; with --json they print as the encoded integer ids.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .freesets import enumerate_minimal_alliances
 from .graph import (
     _FAMILIES,
     CapacityError,
-    Graph,
     VertexSet,
     cartesian_product,
     family,

@@ -7,15 +7,17 @@ minimal alliance.
 
 Every exact 2^n computation rests on the slack of a set S, the minimum
 of 2*d_S(v) - deg(v) over the vertices the kind constrains: S is a
-kind/k alliance exactly when its slack is at least k.  For callers that
-need every k, one k-independent table per (graph, kind) holds the slack
-of every mask, and a max subset-sum (zeta) transform closes it upward:
-each mask then holds the largest k at which it contains a k-alliance,
-and thresholding at k marks the masks that contain one.  For one k no
-byte table is built.  The slack is a minimum of per-vertex terms, and a
-minimum is at least the threshold iff every term is, so the alliance
-bits come packed 64 masks to a word as an AND of per-term threshold
-tests (``_alliance_words``).  Thresholding commutes with the
+kind/k alliance exactly when its slack is at least k.  The slack is a
+minimum of per-vertex terms, and one walk over blocks of 2^16 masks
+(``_fold_slack``) folds them into whatever output a builder passes it.
+For callers that need every k, one k-independent table per (graph, kind)
+holds the slack of every mask, and a max subset-sum (zeta) transform
+closes it upward: each mask then holds the largest k at which it
+contains a k-alliance, and thresholding at k marks the masks that
+contain one.  For one k no byte table is built: a minimum is at least
+the threshold iff every term is, so the alliance bits come packed 64
+masks to a word as an AND of per-term threshold tests
+(``_alliance_words``).  Thresholding commutes with the
 max-closure, so OR passes over the words then mark the masks that
 contain an alliance (``_covered_words``).  The passes of bits 0..21 run
 one chunk of 2^22 masks at a time, while the chunk's words stay in
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -193,7 +195,7 @@ def _check_order(g: Graph, bytes_per_mask: float) -> None:
             f"order {g.n} exceeds {_MAX_ORDER}, the largest order a 2^n table "
             f"supports; its byte table would take {1 << g.n} bytes"
         )
-    # the low rows of _slack_terms come on top, 2^_LOW_BITS bytes each: n
+    # the low rows of _fold_slack come on top, 2^_LOW_BITS bytes each: n
     # defensive, 2n offensive or 3n powerful, and one scratch row; four per
     # vertex bound them all, and they set the peak below order 22.  The
     # shared terms' base row is the last block of the output, not a new row
@@ -332,35 +334,42 @@ def _minimal_family(
     return MinimalAllianceFamily(kind, k, tuple(VertexSet(m, n) for m in masks.tolist()))
 
 
-def _slack_terms(
-    g: Graph, kind: AllianceKind
-) -> tuple[np.ndarray, list[tuple[int, int]], Iterator[list[tuple[int, int]]]]:
-    """The kind slack of every mask as a minimum of per-vertex terms, for
-    both builders.
+def _fold_slack(
+    g: Graph,
+    kind: AllianceKind,
+    out: np.ndarray,
+    fill: int | np.integer,
+    fold: Callable[[np.ndarray, np.ndarray, int, int], None],
+) -> None:
+    """Folds the kind slack of every mask into ``out`` as a minimum of
+    per-vertex terms, block by block: the one block walk of both builders.
 
     Each mask splits into a high part h, fixed within a block of
-    2^_LOW_BITS consecutive masks, and a low part l.  What a vertex
-    contributes that depends on l is tabulated once, in one uint8 array of
-    n rows per table: member rows, then reached rows, then unreached rows,
-    as the kind's scope needs them.  One count doubling builds the reached
-    rows (``_reached_rows``); a member row toggles their flag on the low
+    2^_LOW_BITS consecutive masks, and a low part l; ``out`` splits into
+    one equal slot per block.  What a vertex contributes that depends on l
+    is tabulated once, in one uint8 array of n rows per table: member
+    rows, then reached rows, then unreached rows, as the kind's scope
+    needs them.  One count doubling builds the reached rows
+    (``_reached_rows``); a member row toggles their flag on the low
     vertices, so it is flagged where v is low and absent from l, and an
     unreached row is flagged also where v has no neighbour in l.
 
-    Returns (rows, shared, blocks).  A block's biased slack at l is the
-    minimum of rows[r][l] + shift over its terms (r, shift): the shared
-    terms, which every block has, and the terms that blocks yields for
-    it, block by block.  A vertex gives a member term when it is low or in
-    h, and a boundary term when it is outside h, on its reached row when h
-    reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less the
-    kind's offset for a boundary term, and no entry reaches 256.  The
-    shared terms are those of the low vertices with no high neighbour:
-    every other vertex is in h, or has a neighbour in h, in some blocks
-    and not in others.  So a one-block build (orders up to _LOW_BITS) has
-    only shared terms.
-    One allocation holds all rows: as separate 1 MiB tables, an order-16
-    offensive or powerful build took about 480 fresh page faults, most of
-    an audit round's 22,000; with one array the round takes under 100."""
+    A block's biased slack at l is the minimum of rows[r][l] + shift over
+    its terms (r, shift), and ``fold(block, rows, r, shift)`` folds one
+    term into a block's slot.  A vertex gives a member term when it is low
+    or in h, and a boundary term when it is outside h, on its reached row
+    when h reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less
+    the kind's offset for a boundary term, and no entry reaches 256.  The
+    low vertices with no high neighbour give the same terms to every
+    block: every other vertex is in h, or has a neighbour in h, in some
+    blocks and not in others.  Those shared terms are folded once, into
+    the last block's slot after it is filled with ``fill``; each earlier
+    block starts from a copy of it, and every block then folds its own
+    terms.  So a one-block build (orders up to _LOW_BITS) has only shared
+    terms.  One allocation holds all rows: as separate 1 MiB tables, an
+    order-16 offensive or powerful build took about 480 fresh page faults,
+    most of an audit round's 22,000; with one array the round takes under
+    100."""
     members, boundary, offset = _SCOPES[kind]
     n, low = g.n, min(g.n, _LOW_BITS)
     # a defensive build turns its reached rows into member rows in place
@@ -379,58 +388,46 @@ def _slack_terms(
     if members:
         np.bitwise_xor(table[:low], np.uint8(_VACUOUS), out=rows[:low])
         rows[low:n] = table[low:]  # a high vertex is never in l
-    shared, vertices = [], []
+    blocks = out.reshape(1 << (n - low), -1)
+    base = blocks[-1]
+    base.fill(fill)
+    vertices = []
     for v, adj, degree in zip(range(n), g.adj_bits, g.degrees):
         if v < low and not adj >> low:
             if members:
-                shared.append((v, _BIAS - degree))
+                fold(base, rows, v, _BIAS - degree)
             if boundary:
-                shared.append((unreached + v, _BIAS - degree - offset))
+                fold(base, rows, unreached + v, _BIAS - degree - offset)
         else:
             vertices.append((v, adj, degree))
-
-    def blocks() -> Iterator[list[tuple[int, int]]]:
-        for b in range(1 << (n - low)):
-            hmask = b << low
-            terms = []
-            for v, adj, degree in vertices:
-                # a high vertex is in every set of the block or in none
-                inside = hmask >> v & 1
-                c = (hmask & adj).bit_count()
-                shift = 2 * c + _BIAS - degree
-                if members and (v < low or inside):
-                    terms.append((v, shift))
-                if boundary and not inside:
-                    terms.append((reached + v if c else unreached + v, shift - offset))
-            yield terms
-
-    return rows, shared, blocks()
+    for b, block in enumerate(blocks):
+        if b < len(blocks) - 1:
+            np.copyto(block, base)
+        hmask = b << low
+        for v, adj, degree in vertices:
+            # a high vertex is in every set of the block or in none
+            inside = hmask >> v & 1
+            c = (hmask & adj).bit_count()
+            shift = 2 * c + _BIAS - degree
+            if members and (v < low or inside):
+                fold(block, rows, v, shift)
+            if boundary and not inside:
+                fold(block, rows, reached + v if c else unreached + v, shift - offset)
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     """Biased kind slack of every mask as uint8; index 0 (the empty set,
-    never an alliance) is 0.  The last block's slot holds the minimum of
-    the shared terms until its turn, and each earlier block starts from a
-    copy of it; so a one-block build makes no call more than its terms
-    need.  A term costs one add into a scratch row and one minimum, with
-    no temporary array.  At least _VACUOUS where the scope is empty."""
-    rows, shared, blocks = _slack_terms(g, kind)
-    width = rows.shape[1]
+    never an alliance) is 0.  A term costs one add into a scratch row and
+    one minimum, with no temporary array.  At least _VACUOUS where the
+    scope is empty."""
     out = np.empty(1 << g.n, dtype=np.uint8)
-    scratch = np.empty(width, dtype=np.uint8)
-    last = out.size - width
-    base = out[last:]
-    base.fill(255)
-    for r, shift in shared:
+    scratch = np.empty(min(out.size, 1 << _LOW_BITS), dtype=np.uint8)
+
+    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int) -> None:
         np.add(rows[r], np.uint8(shift), out=scratch)
-        np.minimum(base, scratch, out=base)
-    for start, terms in zip(range(0, out.size, width), blocks):
-        block = out[start : start + width]
-        if start < last:
-            np.copyto(block, base)
-        for r, shift in terms:
-            np.add(rows[r], np.uint8(shift), out=scratch)
-            np.minimum(block, scratch, out=block)
+        np.minimum(block, scratch, out=block)
+
+    _fold_slack(g, kind, out, 255, fold)
     out[0] = 0
     return out
 
@@ -439,36 +436,21 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     """The kind/k alliances, one bit per mask in the word layout of
     ``_covered_words``, without the byte table: a minimum is at least the
     threshold iff every term is, so each block's words are the AND of its
-    terms' packed threshold tests.  The shared terms are ANDed once, into
-    the last block's slot, where each earlier block copies its start from,
-    and each other distinct term is packed once.  Equals
-    ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
-    # allocated before the low rows, so that the space they free lies
-    # above it in the heap, where the closure's second array can reuse it
+    terms' packed threshold tests, and each distinct term is packed once.
+    Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
+    # allocated before the fold's low rows, so the closure's second array reuses their space
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
-    rows, shared, blocks = _slack_terms(g, kind)
     t = _threshold(k)
-
-    def pack(r: int, shift: int) -> np.ndarray:
-        # rows[r] + shift >= t, as one comparison on the uint8 row
-        return _pack_words(rows[r] >= max(t - shift, 0))
-
-    width = max(1, rows.shape[1] >> 6)
-    last = words.size - width
-    base = words[last:]
-    base.fill(_ALL_BITS)
-    for term in shared:
-        base &= pack(*term)
     patterns: dict[tuple[int, int], np.ndarray] = {}
-    for start, terms in zip(range(0, words.size, width), blocks):
-        block = words[start : start + width]
-        if start < last:
-            np.copyto(block, base)
-        for term in terms:
-            pattern = patterns.get(term)
-            if pattern is None:
-                pattern = patterns[term] = pack(*term)
-            block &= pattern
+
+    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int) -> None:
+        pattern = patterns.get((r, shift))
+        if pattern is None:
+            # rows[r] + shift >= t, as one comparison on the uint8 row
+            pattern = patterns[r, shift] = _pack_words(rows[r] >= max(t - shift, 0))
+        block &= pattern
+
+    _fold_slack(g, kind, words, _ALL_BITS, fold)
     words[0] &= ~np.uint64(1)  # the empty mask is never an alliance
     return words
 

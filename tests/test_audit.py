@@ -135,6 +135,20 @@ def test_factor_cap_two_is_rejected_and_cap_nine_runs():
     assert audit("th1_i", AuditConfig(max_product_order=9, trials_per_theorem=3)).trials == 3
 
 
+def test_audit_all_refuses_caps_before_any_auditor_runs(monkeypatch):
+    calls = []
+    phi_value_ = audit_mod.phi_value
+
+    def spy(*args):
+        calls.append(args)
+        return phi_value_(*args)
+
+    monkeypatch.setattr(audit_mod, "phi_value", spy)
+    with pytest.raises(ValueError, match="max factor order >= 3"):
+        audit_all(AuditConfig(max_factor_order=2, trials_per_theorem=3))
+    assert calls == []
+
+
 def test_shrinker_minimizes_a_false_claim():
     # deliberately false claim: phi_def(0) equals the order on every graph;
     # vertex deletion should shrink the counterexample all the way down
@@ -147,6 +161,18 @@ def test_shrinker_minimizes_a_false_claim():
     assert g2 is None
     ok, val, expected = verdict(g1, None, {})
     assert not ok and val == 0 and expected == 1
+
+
+def test_shrinker_propagates_a_verdict_error():
+    # a verdict that fails on the drawn instance and crashes on a smaller
+    # one: the error is not read as "does not fail"
+    def verdict(g, _unused, sets):
+        if g.n < 6:
+            raise ZeroDivisionError("verdict bug")
+        return False, g.n, 0
+
+    with pytest.raises(ZeroDivisionError):
+        _shrink(verdict, path_graph(6), None, {})
 
 
 def test_shrinker_remaps_bound_sets():

@@ -435,17 +435,27 @@ def test_small_closure_chunks_give_the_same_words(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(17, 23))
 def test_shared_terms_are_those_of_every_block(n):
-    """The shared terms are exactly the terms every block has, and no block
-    lists one of them again.  Orders 17-22 span 2 to 64 blocks; each graph
+    """The shared terms, folded into the last block before any earlier
+    block copies it, are exactly the terms every block has, and no block
+    folds one of them again.  Orders 17-22 span 2 to 64 blocks; each graph
     has low vertices with and without a high neighbour."""
     g = random_graph(n, 0.3 if n % 2 else 0.15, seed=n)
     for kind in AllianceKind:
         members, boundary, _ = freesets_mod._SCOPES[kind]
-        _, shared, blocks = freesets_mod._slack_terms(g, kind)
-        own = [set(terms) for terms in blocks]
-        assert len(own) == 1 << (n - _LOW_BITS)
-        assert set.intersection(*(set(shared) | terms for terms in own)) == set(shared), (n, kind)
-        assert all(not terms & set(shared) for terms in own), (n, kind)
+        out = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint8)  # one entry per block
+        shared, own = [], {}
+
+        def record(block, rows, r, shift):
+            b = block.ctypes.data - out.ctypes.data
+            if b == out.size - 1 and not out[0]:  # block 0 has not copied the last yet
+                shared.append((r, shift))
+            else:
+                own.setdefault(b, set()).add((r, shift))
+
+        freesets_mod._fold_slack(g, kind, out, 1, record)
+        assert (out == 1).all() and len(own) == out.size, (n, kind)
+        assert set.intersection(*(set(shared) | terms for terms in own.values())) == set(shared), (n, kind)
+        assert all(not terms & set(shared) for terms in own.values()), (n, kind)
         assert len(set(shared)) == len(shared)
         assert 0 < len(shared) < (members + boundary) * _LOW_BITS, (n, kind)
 

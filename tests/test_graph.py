@@ -470,6 +470,7 @@ def test_edge_list_comments_and_blanks():
         ("3\n0 1\n1 0\n", 3),  # duplicate in other orientation
         ("3\n0 1 2\n", 2),
         ("3 4\n", 1),
+        ("3\n0 1 # edge\n", 2),  # only a whole line is a comment
     ],
 )
 def test_edge_list_parse_errors(text, line):

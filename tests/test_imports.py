@@ -1,0 +1,29 @@
+"""Every name a package module imports at top level is used in it.
+
+No linter ships with the test extra, so this stands in for the unused
+import rule: a module's top-level imports are read with ``ast``, and each
+bound name must appear as a name elsewhere in the same module.
+``__init__.py`` re-exports what it imports, so it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import alliancekit
+
+MODULES = sorted(p for p in Path(alliancekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } - {"annotations"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
