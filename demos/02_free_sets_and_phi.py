@@ -15,7 +15,6 @@ independent brute-force oracle.
 """
 
 from alliancekit import (
-    VertexSet,
     enumerate_minimal_alliances,
     is_cover_set,
     is_free_set,

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
-from .alliances import AllianceKind, is_defensive_alliance
+from .alliances import AllianceKind, _alliance_ok
 from .freesets import is_free_set
 from .graph import (
     Graph,
@@ -75,10 +75,13 @@ DEFAULT_EXACT_LIMIT = 24
 class AuditConfig:
     """Knobs for the audit harness.
 
-    Products may not pass the audit's product-order cap,
-    ``DEFAULT_EXACT_LIMIT``, so ``max_factor_order**2`` and
-    ``max_product_order`` stay at or below it.  Each auditor sweeps k over
-    the canonical range intersected with the claim's stated range; the
+    A config is valid exactly when every auditor can draw under it.  Eight
+    claims need factors of maximum degree >= 2 or degree sum >= 3, so of
+    order >= 3: ``max_factor_order`` is at least 3 and
+    ``max_product_order`` at least 9.  Products may not pass the audit's
+    product-order cap, ``DEFAULT_EXACT_LIMIT``, so ``max_factor_order**2``
+    and ``max_product_order`` stay at or below it.  Each auditor sweeps k
+    over the canonical range intersected with the claim's stated range; the
     sweep is not configurable.
     """
 
@@ -88,14 +91,18 @@ class AuditConfig:
     trials_per_theorem: int = 50
 
     def __post_init__(self):
-        if self.max_factor_order < 2:
-            raise ValueError("max_factor_order must be at least 2")
+        if self.max_factor_order < 3 or self.max_product_order < 9:
+            raise ValueError(
+                "some claims draw factors of order >= 3: an audit needs max factor order >= 3"
+                f" and max product order >= 9, got {self.max_factor_order}"
+                f" and {self.max_product_order}"
+            )
         if self.max_factor_order**2 > DEFAULT_EXACT_LIMIT:
             raise ValueError(
                 f"max_factor_order**2 exceeds the audit's product-order cap {DEFAULT_EXACT_LIMIT}"
             )
-        if not 4 <= self.max_product_order <= DEFAULT_EXACT_LIMIT:
-            raise ValueError("max_product_order must lie in [4, the audit's product-order cap]")
+        if self.max_product_order > DEFAULT_EXACT_LIMIT:
+            raise ValueError("max_product_order exceeds the audit's product-order cap")
         if self.trials_per_theorem < 0:
             raise ValueError("trials_per_theorem must be non-negative")
 
@@ -571,7 +578,7 @@ def _audit_th_factor_recovery(config: AuditConfig, rng: random.Random) -> Iterat
 
     def verdict(a, b, sets, k, k_prime):
         s1, s2 = sets["s1"], sets["s2"]
-        if s2.mask == 0 or not is_defensive_alliance(b, s2, k_prime):
+        if s2.mask == 0 or not _alliance_ok(b, s2.mask, k_prime, DEF):
             return None
         if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
             return None
@@ -628,8 +635,7 @@ def _audit_prop_iff_regular(config: AuditConfig, rng: random.Random) -> Iterator
         return left == right, [left, right], "equal"
 
     for _ in range(config.trials_per_theorem):
-        # G2 leaves room for a factor of order >= 2 under the product cap
-        g2 = rng.choice([g for g in _REGULAR_POOL if 2 * g.n <= config.max_product_order])
+        g2 = rng.choice(_REGULAR_POOL)
         g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
         yield g1, g2, {"s1": s1}, verdict, [{"k": k} for k in k_range(g1, g2)]
@@ -671,9 +677,8 @@ def _audit_phi_p_lower(config: AuditConfig, rng: random.Random) -> Iterator[_Ins
         rhs = phi_powerful_lower(a, k)
         return lhs >= rhs, lhs, rhs
 
-    top = min(9, config.max_product_order)
     for _ in range(config.trials_per_theorem):
-        g = _draw_graph(rng, top, _has_edge)
+        g = _draw_graph(rng, 9, _has_edge)
         yield g, None, {}, verdict, [{"k": k} for k in POW.canonical_k_range(g)]
 
 
@@ -685,11 +690,8 @@ def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_In
         val = independence_number(_product(a, b)).independence
         return val >= bound, val, bound
 
-    cap = min(20, config.max_product_order)
     for _ in range(config.trials_per_theorem):
         g1, g2 = _draw_pair(rng, config)
-        while g1.n * g2.n > cap:
-            g1, g2 = _draw_pair(rng, config)
         yield g1, g2, {}, verdict, [{}]
 
 
@@ -767,32 +769,12 @@ _AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instan
 
 THEOREM_IDS = tuple(_AUDITS)
 
-#: Auditors whose factors need order >= 3 (max degree >= 2, or degree sum
-#: >= 3), so their products need order >= 9.
-_ORDER_3_FACTORS = ("th1_i", "th1_ii", "th1of", "th_union", "th1p_i", "th1p_ii",
-                    "cor_coroproductpowerful_i", "cor_coroproductpowerful_ii")
-
-
-def _check_caps(theorem_id: str, config: AuditConfig) -> None:
-    """Refuse a config whose caps admit none of the auditor's factor pairs."""
-    if theorem_id in _ORDER_3_FACTORS and (
-        config.max_factor_order < 3 or config.max_product_order < 9
-    ):
-        raise ValueError(
-            f"{theorem_id} draws factors of order >= 3: it needs max factor order >= 3"
-            f" and max product order >= 9, got {config.max_factor_order}"
-            f" and {config.max_product_order}"
-        )
-
-
 def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
     """Run one auditor; deterministic for a fixed configuration.  Raises
-    ValueError for an unknown id or a config whose caps admit none of the
-    auditor's factor pairs."""
+    ValueError for an unknown id."""
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
     config = config or AuditConfig()
-    _check_caps(theorem_id, config)
     auditor, check = _AUDITS[theorem_id]
     trials = skipped = checks = 0
     failures = []
@@ -809,11 +791,8 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:
-    """Run every auditor in ``THEOREM_IDS`` order.  A config that some
-    auditor refuses raises ValueError before the first one runs."""
+    """Run every auditor in ``THEOREM_IDS`` order."""
     config = config or AuditConfig()
-    for tid in THEOREM_IDS:
-        _check_caps(tid, config)
     return [audit(tid, config) for tid in THEOREM_IDS]
 
 

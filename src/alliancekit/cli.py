@@ -126,17 +126,16 @@ def _cmd_product(args) -> tuple[dict, list[str], bool]:
 def _cmd_witness(args) -> tuple[dict, list[str], bool]:
     g1 = read_edge_list(args.graph1)
     g2 = read_edge_list(args.graph2)
-    kwargs = {"kind": args.kind, "axis": args.axis}
-    if args.set is not None:
-        kwargs["s"] = _parse_vertices(args.set, g1.n if args.axis == 1 else g2.n)
-    if args.set1 is not None:
-        kwargs["s1"] = _parse_vertices(args.set1, g1.n)
-    if args.set2 is not None:
-        kwargs["s2"] = _parse_vertices(args.set2, g2.n)
-    kwargs["k"] = args.k
-    kwargs["k1"] = args.k1
-    kwargs["k2"] = args.k2
-    witness = build_witness(args.construction, g1, g2, **kwargs)
+
+    def parsed(text, n):
+        return None if text is None else _parse_vertices(text, n)
+
+    witness = build_witness(
+        args.construction, g1, g2,
+        s=parsed(args.set, g1.n if args.axis == 1 else g2.n), axis=args.axis,
+        s1=parsed(args.set1, g1.n), s2=parsed(args.set2, g2.n),
+        k=args.k, k1=args.k1, k2=args.k2, kind=args.kind,
+    )
     record = {"command": "witness", **witness.to_record()}
     lines = [
         f"{witness.construction}: {witness.kind.value} {witness.k_claim}-alliance-free"

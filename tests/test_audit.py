@@ -36,9 +36,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AuditConfig(max_factor_order=1)
     with pytest.raises(ValueError):
+        AuditConfig(max_factor_order=2)
+    with pytest.raises(ValueError):
         AuditConfig(max_factor_order=5)  # 25 > the product-order cap
     with pytest.raises(ValueError):
         AuditConfig(max_product_order=3)
+    with pytest.raises(ValueError):
+        AuditConfig(max_product_order=8)
+    with pytest.raises(ValueError):
+        AuditConfig(max_product_order=25)
     with pytest.raises(ValueError):
         AuditConfig(trials_per_theorem=-1)
 
@@ -94,8 +100,9 @@ def test_report_serialization():
     json.dumps(record)  # json-able
 
 
-@pytest.mark.parametrize("cap", [4, 5, 6, 7])
+@pytest.mark.parametrize("cap", [9, 10, 11, 12])
 def test_prop_iff_regular_respects_the_product_cap(monkeypatch, cap):
+    # with C4 or K4 as G2, G1 is capped at order 2 (caps 9-11) or 3 (cap 12)
     orders = []
     product = audit_mod._product
 
@@ -109,30 +116,28 @@ def test_prop_iff_regular_respects_the_product_cap(monkeypatch, cap):
     assert orders and max(orders) <= cap
 
 
-#: auditors whose factors need order >= 3 (max degree >= 2 or degree sum >= 3)
-ORDER_3_AUDITORS = ("th1_i", "th1_ii", "th1of", "th_union", "th1p_i", "th1p_ii",
-                    "cor_coroproductpowerful_i", "cor_coroproductpowerful_ii")
-
-
 @pytest.mark.parametrize("cap", [4, 6, 8])
 def test_product_caps_below_nine_are_rejected_or_run(cap):
-    """Below cap 9 the order-3 auditors refuse the config up front with a
-    ValueError naming their minimum; every other auditor runs."""
-    config = AuditConfig(max_product_order=cap, trials_per_theorem=3)
-    for tid in THEOREM_IDS:
-        if tid in ORDER_3_AUDITORS:
-            with pytest.raises(ValueError, match="max product order >= 9"):
-                audit(tid, config)
-        else:
-            assert audit(tid, config).trials <= 3
+    """Eight claims draw factors of order >= 3, so their products have
+    order >= 9: a config below product order 9 is refused up front."""
+    with pytest.raises(ValueError, match="max product order >= 9"):
+        AuditConfig(max_product_order=cap)
 
 
 def test_factor_cap_two_is_rejected_and_cap_nine_runs():
-    config = AuditConfig(max_factor_order=2, trials_per_theorem=3)
-    for tid in ORDER_3_AUDITORS:
-        with pytest.raises(ValueError, match="max factor order >= 3"):
-            audit(tid, config)
+    with pytest.raises(ValueError, match="max factor order >= 3"):
+        AuditConfig(max_factor_order=2)
     assert audit("th1_i", AuditConfig(max_product_order=9, trials_per_theorem=3)).trials == 3
+
+
+@pytest.mark.parametrize("factors, product", [(3, 9), (4, 24)])
+def test_every_valid_corner_config_runs_the_whole_audit(factors, product):
+    config = AuditConfig(max_factor_order=factors, max_product_order=product,
+                         trials_per_theorem=2)
+    reports = audit_all(config)
+    assert [r.theorem_id for r in reports] == list(THEOREM_IDS)
+    for report in reports:
+        assert report.failures == (), report.to_lines()
 
 
 def test_audit_all_refuses_caps_before_any_auditor_runs(monkeypatch):

@@ -19,13 +19,12 @@ import dataclasses
 import importlib
 import json
 import random
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from alliancekit import AuditConfig, CanonicalRangeWarning, Graph, VertexSet, audit_all
+from alliancekit import AuditConfig, Graph, VertexSet, audit_all
 
 GOLDENS = Path(__file__).parent / "data" / "audit_goldens.json"
 PERTURBED_SEED = 11
@@ -77,9 +76,7 @@ def perturbed_solvers():
     audit_mod.is_free_set = bad_is_free_set
     audit_mod.independence_number = bad_independence_number
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CanonicalRangeWarning)
-            yield
+        yield
     finally:
         audit_mod.phi_value = phi_value
         audit_mod.phi_powerful_lower = phi_powerful_lower

@@ -19,7 +19,6 @@ from alliancekit import (
     enumerate_minimal_alliances,
     free_set_monotone_witness,
     grid_graph,
-    independence_number,
     is_alliance,
     is_cover_set,
     is_free_set,
@@ -43,7 +42,7 @@ from alliancekit.freesets import (
     _threshold,
 )
 
-from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, seeded_subset, traced_peak
+from conftest import graph_and_set, kinds, refusal_peak, seeded_graph, traced_peak
 
 freesets_mod = importlib.import_module("alliancekit.freesets")
 phi_mod = importlib.import_module("alliancekit.phi")

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from alliancekit import (
     CapacityError,
@@ -21,7 +20,6 @@ from alliancekit import (
     complete_graph,
     cycle_graph,
     degree_view,
-    factor_box,
     family,
     fiber,
     format_edge_list,

@@ -1,9 +1,10 @@
-"""Every name a package module imports at top level is used in it.
+"""Every name a module imports at top level is used in it.
 
 No linter ships with the test extra, so this stands in for the unused
 import rule: a module's top-level imports are read with ``ast``, and each
-bound name must appear as a name elsewhere in the same module.
-``__init__.py`` re-exports what it imports, so it is not checked.
+bound name must appear as a name elsewhere in the same module.  It covers
+the package modules, the tests and the demos.  ``__init__.py`` re-exports
+what it imports, so it is not checked.
 """
 
 import ast
@@ -13,10 +14,18 @@ import pytest
 
 import alliancekit
 
-MODULES = sorted(p for p in Path(alliancekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(alliancekit.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _module_id(path: Path) -> str:
+    # package modules keep their bare names; the others name their folder
+    return path.name if path.parent == PACKAGE else f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_every_top_level_import_is_used(path):
     tree = ast.parse(path.read_text())
     imported = {
