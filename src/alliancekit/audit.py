@@ -244,7 +244,8 @@ def _pair_instances(
     fits = [
         (a, b)
         for a, b in _SCRIPTED_PAIRS
-        if a.n * b.n <= config.max_product_order
+        if max(a.n, b.n) <= config.max_factor_order
+        and a.n * b.n <= config.max_product_order
         and (accept is None or (accept(a) and accept(b)))
     ]
     out = fits[: config.trials_per_theorem]
@@ -635,7 +636,7 @@ def _audit_prop_iff_regular(config: AuditConfig, rng: random.Random) -> Iterator
         return left == right, [left, right], "equal"
 
     for _ in range(config.trials_per_theorem):
-        g2 = rng.choice(_REGULAR_POOL)
+        g2 = rng.choice([g for g in _REGULAR_POOL if g.n <= config.max_factor_order])
         g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
         s1 = _draw_subset(rng, g1.n)
         yield g1, g2, {"s1": s1}, verdict, [{"k": k} for k in k_range(g1, g2)]

@@ -91,44 +91,35 @@ def is_cover_set(g: Graph, y: VertexSet, k: int, kind: AllianceKind | str) -> bo
     return is_free_set(g, y.complement(), k, kind)
 
 
-def free_set_monotone_witness(
-    g: Graph, x: VertexSet, k: int, k_prime: int, kind: AllianceKind | str
-) -> bool:
-    """Self-checking assertion: a k-free x must stay free for k' > k."""
-    kind = AllianceKind(kind)
-    if k >= k_prime:
-        raise ValueError(f"need k < k', got k={k}, k'={k_prime}")
-    if not is_free_set(g, x, k, kind):
-        raise ValueError("x is not k-alliance free")
-    return is_free_set(g, x, k_prime, kind)
-
-
 @dataclass(frozen=True)
 class MinimalAllianceFamily:
-    """All inclusion-minimal kind/k alliances of a graph.
+    """All inclusion-minimal kind/k alliances of a graph of order n.
 
     A set is kind/k free iff it contains no member: any alliance contains
     a minimal one.  Members are pairwise incomparable and ordered by
-    cardinality, then lexicographically on the sorted vertex lists.
+    cardinality, then lexicographically on the sorted vertex lists.  The
+    family holds the members' masks; ``sets`` and iteration build their
+    VertexSets on demand, anew each time.
     """
 
     kind: AllianceKind
     k: int
-    sets: tuple[VertexSet, ...]
+    masks: tuple[int, ...]
+    n: int
 
     @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
+    def sets(self) -> tuple[VertexSet, ...]:
+        return tuple(self)
 
     def certifies_free(self, x: VertexSet) -> bool:
         xm = x.mask
-        return all(s.mask & xm != s.mask for s in self.sets)
+        return all(m & xm != m for m in self.masks)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[VertexSet]:
-        return iter(self.sets)
+        return (VertexSet(m, self.n) for m in self.masks)
 
 
 def enumerate_minimal_alliances(g: Graph, k: int, kind: AllianceKind | str) -> MinimalAllianceFamily:
@@ -174,9 +165,10 @@ _WORD_BYTES = 0.5
 #: Peak bytes per mask of the closed byte table (``phi_table``,
 #: ``phi_value``); tracemalloc read 2.00-2.28 at orders 24 and 25.
 _TABLE_BYTES = 2.5
-#: Peak bytes per member of decoding a minimal family; tracemalloc read
-#: 169-176 on complete graphs and 247 with one member per word.
-_MEMBER_BYTES = 256
+#: Peak bytes per member of decoding a minimal family into its masks;
+#: tracemalloc read 86 on complete graphs and 152 with one member per word,
+#: at orders 16-22.
+_MEMBER_BYTES = 160
 
 
 def _threshold(k: int) -> int:
@@ -331,7 +323,7 @@ def _minimal_family(
     for v in range(n):
         reversed_masks |= (masks >> v & 1) << (n - 1 - v)
     masks = masks[np.lexsort((-reversed_masks, np.bitwise_count(masks)))]
-    return MinimalAllianceFamily(kind, k, tuple(VertexSet(m, n) for m in masks.tolist()))
+    return MinimalAllianceFamily(kind, k, tuple(masks.tolist()), n)
 
 
 def _fold_slack(
@@ -339,7 +331,7 @@ def _fold_slack(
     kind: AllianceKind,
     out: np.ndarray,
     fill: int | np.integer,
-    fold: Callable[[np.ndarray, np.ndarray, int, int], None],
+    fold: Callable[[np.ndarray, np.ndarray, int, int, bool], None],
 ) -> None:
     """Folds the kind slack of every mask into ``out`` as a minimum of
     per-vertex terms, block by block: the one block walk of both builders.
@@ -355,21 +347,21 @@ def _fold_slack(
     unreached row is flagged also where v has no neighbour in l.
 
     A block's biased slack at l is the minimum of rows[r][l] + shift over
-    its terms (r, shift), and ``fold(block, rows, r, shift)`` folds one
-    term into a block's slot.  A vertex gives a member term when it is low
-    or in h, and a boundary term when it is outside h, on its reached row
-    when h reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less
+    its terms (r, shift), and ``fold(block, rows, r, shift, shared)`` folds
+    one term into a block's slot.  A vertex gives a member term when it is
+    low or in h, and a boundary term when it is outside h, on its reached
+    row when h reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less
     the kind's offset for a boundary term, and no entry reaches 256.  The
     low vertices with no high neighbour give the same terms to every
     block: every other vertex is in h, or has a neighbour in h, in some
-    blocks and not in others.  Those shared terms are folded once, into
-    the last block's slot after it is filled with ``fill``; each earlier
-    block starts from a copy of it, and every block then folds its own
-    terms.  So a one-block build (orders up to _LOW_BITS) has only shared
-    terms.  One allocation holds all rows: as separate 1 MiB tables, an
-    order-16 offensive or powerful build took about 480 fresh page faults,
-    most of an audit round's 22,000; with one array the round takes under
-    100."""
+    blocks and not in others.  Those shared terms are folded once, with
+    ``shared`` set, into the last block's slot after it is filled with
+    ``fill``; each earlier block starts from a copy of it, and every block
+    then folds its own terms.  So a one-block build (orders up to
+    _LOW_BITS) has only shared terms.  One allocation holds all rows: as
+    separate 1 MiB tables, an order-16 offensive or powerful build took
+    about 480 fresh page faults, most of an audit round's 22,000; with one
+    array the round takes under 100."""
     members, boundary, offset = _SCOPES[kind]
     n, low = g.n, min(g.n, _LOW_BITS)
     # a defensive build turns its reached rows into member rows in place
@@ -395,9 +387,9 @@ def _fold_slack(
     for v, adj, degree in zip(range(n), g.adj_bits, g.degrees):
         if v < low and not adj >> low:
             if members:
-                fold(base, rows, v, _BIAS - degree)
+                fold(base, rows, v, _BIAS - degree, True)
             if boundary:
-                fold(base, rows, unreached + v, _BIAS - degree - offset)
+                fold(base, rows, unreached + v, _BIAS - degree - offset, True)
         else:
             vertices.append((v, adj, degree))
     for b, block in enumerate(blocks):
@@ -410,9 +402,9 @@ def _fold_slack(
             c = (hmask & adj).bit_count()
             shift = 2 * c + _BIAS - degree
             if members and (v < low or inside):
-                fold(block, rows, v, shift)
+                fold(block, rows, v, shift, False)
             if boundary and not inside:
-                fold(block, rows, reached + v if c else unreached + v, shift - offset)
+                fold(block, rows, reached + v if c else unreached + v, shift - offset, False)
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
@@ -423,7 +415,7 @@ def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     out = np.empty(1 << g.n, dtype=np.uint8)
     scratch = np.empty(min(out.size, 1 << _LOW_BITS), dtype=np.uint8)
 
-    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int) -> None:
+    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int, shared: bool) -> None:
         np.add(rows[r], np.uint8(shift), out=scratch)
         np.minimum(block, scratch, out=block)
 
@@ -436,18 +428,22 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     """The kind/k alliances, one bit per mask in the word layout of
     ``_covered_words``, without the byte table: a minimum is at least the
     threshold iff every term is, so each block's words are the AND of its
-    terms' packed threshold tests, and each distinct term is packed once.
-    Equals ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
+    terms' packed threshold tests.  A block's own term recurs in other
+    blocks, so its packed test is kept; a shared term is folded once, so
+    its test is not.  Equals ``_slack_table(g, kind) >= _threshold(k)``
+    bit for bit."""
     # allocated before the fold's low rows, so the closure's second array reuses their space
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     t = _threshold(k)
     patterns: dict[tuple[int, int], np.ndarray] = {}
 
-    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int) -> None:
+    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int, shared: bool) -> None:
         pattern = patterns.get((r, shift))
         if pattern is None:
             # rows[r] + shift >= t, as one comparison on the uint8 row
-            pattern = patterns[r, shift] = _pack_words(rows[r] >= max(t - shift, 0))
+            pattern = _pack_words(rows[r] >= max(t - shift, 0))
+            if not shared:
+                patterns[r, shift] = pattern
         block &= pattern
 
     _fold_slack(g, kind, words, _ALL_BITS, fold)

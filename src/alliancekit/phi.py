@@ -6,8 +6,10 @@ it is one of the inclusion-minimal ones.  Free sets are closed under
 taking subsets, so the uncovered masks are exactly the free ones; phi is
 the largest popcount among them, and the witness is the lexicographically
 smallest free mask of that size.  Both are chosen on the words
-themselves: mask 64*w + p has popcount pc(w) + pc(p), so a popcount per
-word index and seven in-word level masks find them (``_select``).
+themselves: mask 64*w + p has popcount pc(w) + pc(p), and a word holds a
+free mask iff it is non-zero, so only the non-zero words whose popcount
+comes within 6 of a lower bound on phi have their in-word levels read
+(``_select``).
 ``phi_table`` and ``phi_value`` answer every k, so they read the
 k-independent max-closure of the slack table instead, whose entry for a
 mask is the largest k at which the mask contains a kind/k alliance;
@@ -155,9 +157,9 @@ _POPCOUNTS.flags.writeable = False
 
 
 def _popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask (or word index) below 2^n, as uint8, for n up
-    to 32; read-only up to order 16.  Not memoised, since an order-24 copy
-    would keep 16 MiB alive."""
+    """Popcount of every mask below 2^n, as uint8, for n up to 32;
+    read-only up to order 16.  Not memoised, since an order-24 copy would
+    keep 16 MiB alive."""
     if n <= 16:
         return _POPCOUNTS[: 1 << n]
     return np.add.outer(_POPCOUNTS[: 1 << (n - 16)], _POPCOUNTS).ravel()
@@ -170,8 +172,6 @@ _LEVELS = np.array(
 )
 #: In-word positions whose mask holds vertex v, for v = 0..5.
 _HOLDS = tuple(~half for half in _LOW_HALVES)
-#: Below every word's size plus level, for words with no free position.
-_NONE_FREE = -64
 
 
 def _select(free: np.ndarray, n: int) -> tuple[int, int]:
@@ -181,22 +181,32 @@ def _select(free: np.ndarray, n: int) -> tuple[int, int]:
     largest popcount of a free mask, and the witness is the free mask of
     that popcount with the lexicographically smallest sorted vertex list.
 
-    Mask 64*w + p has popcount pc(w) + pc(p), so each word reaches pc(w)
-    plus the highest level c at which it has a free position; the words
-    that reach phi hold the candidates at level phi - pc(w).  The tie-break
-    keeps, from vertex 0 upward, the candidates containing the vertex
-    whenever any do: for v < 6 by an in-word mask, and from vertex 6 on by
-    bit v - 6 of the word index.  ``free`` is overwritten where the
-    padding lies."""
+    Mask 64*w + p has popcount pc(w) + pc(p), so a word reaches pc(w) plus
+    its level, the highest in-word popcount at which it has a free
+    position.  Only the words with a free position can reach phi, and a
+    word has one iff its bare high part, mask 64*w, is free, so iff it is
+    non-zero.  The largest pc(w) among them, plus the best level of the
+    words of that pc(w), is a lower bound on phi; a word reaches at most
+    pc(w) + 6, so only the words with pc(w) at least that bound less 6 are
+    read further.  Those that reach phi hold the candidates at level
+    phi - pc(w).  The tie-break keeps, from vertex 0 upward, the candidates
+    containing the vertex whenever any do: for v < 6 by an in-word mask,
+    and from vertex 6 on by bit v - 6 of the word index.  ``free`` is
+    overwritten where the padding lies."""
     if n < 6:
         free[0] &= np.uint64((1 << (1 << n)) - 1)
-    level = np.full(free.size, _NONE_FREE, dtype=np.int8)
-    for c, positions in enumerate(_LEVELS):
-        level[(free & positions) != 0] = c
-    reached = level + _popcounts(max(n - 6, 0)).view(np.int8)
+    words = np.flatnonzero(free)
+    sizes = np.bitwise_count(words)
+    top = sizes.max()
+    bound = int(top) + int(_word_levels(free[words[sizes == top]]).max())
+    near = sizes >= bound - 6
+    words, sizes = words[near], sizes[near]
+    bits = free[words]
+    level = _word_levels(bits)
+    reached = level + sizes
     value = int(reached.max())
-    words = np.flatnonzero(reached == value)
-    bits = free[words] & _LEVELS[level[words]]
+    best = reached == value
+    words, bits = words[best], bits[best] & _LEVELS[level[best]]
     for v in range(min(n, 6)):
         has = bits & _HOLDS[v]
         if has.any():
@@ -207,3 +217,12 @@ def _select(free: np.ndarray, n: int) -> tuple[int, int]:
         if has.any():
             words, bits = words[has], bits[has]
     return value, int(words[0]) << 6 | int(bits[0]).bit_length() - 1
+
+
+def _word_levels(bits: np.ndarray) -> np.ndarray:
+    """The level of each non-zero word, as int8: its free positions are
+    downward closed, so the level counts the levels 1..6 that hold one."""
+    level = np.zeros(bits.size, dtype=np.int8)
+    for positions in _LEVELS[1:]:
+        level += (bits & positions) != 0
+    return level

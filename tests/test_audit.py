@@ -140,18 +140,22 @@ def test_every_valid_corner_config_runs_the_whole_audit(factors, product):
         assert report.failures == (), report.to_lines()
 
 
-def test_audit_all_refuses_caps_before_any_auditor_runs(monkeypatch):
-    calls = []
-    phi_value_ = audit_mod.phi_value
+def test_no_factor_passes_the_factor_cap(monkeypatch):
+    """Scripted pairs and the regular pool are drawn under the factor cap
+    too: at factor order 3, no auditor builds star(3) x path(3) or uses C4
+    or K4 as a factor."""
+    factors = []
+    product = audit_mod._product
 
-    def spy(*args):
-        calls.append(args)
-        return phi_value_(*args)
+    def spy(g1, g2):
+        factors.append((g1.n, g2.n))
+        return product(g1, g2)
 
-    monkeypatch.setattr(audit_mod, "phi_value", spy)
-    with pytest.raises(ValueError, match="max factor order >= 3"):
-        audit_all(AuditConfig(max_factor_order=2, trials_per_theorem=3))
-    assert calls == []
+    monkeypatch.setattr(audit_mod, "_product", spy)
+    reports = audit_all(AuditConfig(max_factor_order=3, max_product_order=12,
+                                    trials_per_theorem=6))
+    assert all(not r.failures for r in reports)
+    assert factors and max(max(pair) for pair in factors) <= 3
 
 
 def test_shrinker_minimizes_a_false_claim():

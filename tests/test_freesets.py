@@ -17,7 +17,6 @@ from alliancekit import (
     VertexSet,
     canonical_k_range,
     enumerate_minimal_alliances,
-    free_set_monotone_witness,
     grid_graph,
     is_alliance,
     is_cover_set,
@@ -138,16 +137,23 @@ def test_free_monotone_in_k(gs, kind, k, step):
 
 
 def test_monotone_witness():
+    """A k-free set stays free at every k' > k, on every set of seeded
+    small graphs: is_free_set compares one k-independent largest slack
+    with k, so the k at which a set is free form an up-set."""
+    rng = random.Random(9)
     p3 = path_graph(3)
-    assert free_set_monotone_witness(p3, VertexSet.of([0, 1], 3), 2, 3, "offensive")
-    p5 = path_graph(5)
-    assert free_set_monotone_witness(p5, p5.vertices, 2, 3, "defensive")
-    assert free_set_monotone_witness(p3, VertexSet(0, 3), -1, 4, "powerful")
-    with pytest.raises(ValueError):
-        free_set_monotone_witness(p3, VertexSet(0, 3), 3, 2, "defensive")
-    with pytest.raises(ValueError):
-        # {0,2} is not offensive 2-free, so the precondition fails
-        free_set_monotone_witness(p3, VertexSet.of([0, 2], 3), 2, 3, "offensive")
+    assert not is_free_set(p3, VertexSet.of([0, 2], 3), 2, "offensive")
+    assert is_free_set(p3, VertexSet.of([0, 2], 3), 3, "offensive")
+    for _ in range(12):
+        g = seeded_graph(rng, rng.randint(1, 5))
+        ks = range(-g.delta_max - 3, g.delta_max + 4)
+        for kind in AllianceKind:
+            for mask in range(1 << g.n):
+                x = VertexSet(mask, g.n)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CanonicalRangeWarning)
+                    free = [is_free_set(g, x, k, kind) for k in ks]
+                assert free == sorted(free), (g, kind, mask)
 
 
 def test_independent_sets_are_free():
@@ -434,19 +440,21 @@ def test_small_closure_chunks_give_the_same_words(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(17, 23))
 def test_shared_terms_are_those_of_every_block(n):
-    """The shared terms, folded into the last block before any earlier
-    block copies it, are exactly the terms every block has, and no block
-    folds one of them again.  Orders 17-22 span 2 to 64 blocks; each graph
-    has low vertices with and without a high neighbour."""
+    """The shared terms, folded with the shared flag into the last block
+    before any earlier block copies it, are exactly the terms every block
+    has, and no block folds one of them again.  Orders 17-22 span 2 to 64
+    blocks; each graph has low vertices with and without a high neighbour."""
     g = random_graph(n, 0.3 if n % 2 else 0.15, seed=n)
     for kind in AllianceKind:
         members, boundary, _ = freesets_mod._SCOPES[kind]
         out = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint8)  # one entry per block
         shared, own = [], {}
 
-        def record(block, rows, r, shift):
+        def record(block, rows, r, shift, is_shared):
             b = block.ctypes.data - out.ctypes.data
-            if b == out.size - 1 and not out[0]:  # block 0 has not copied the last yet
+            # block 0 has not copied the last block yet
+            assert is_shared == (b == out.size - 1 and not out[0]), (n, kind, r)
+            if is_shared:
                 shared.append((r, shift))
             else:
                 own.setdefault(b, set()).add((r, shift))
