@@ -17,14 +17,18 @@ contains a k-alliance, and thresholding at k marks the masks that
 contain one.  For one k no byte table is built: a minimum is at least
 the threshold iff every term is, so the alliance bits come packed 64
 masks to a word as an AND of per-term threshold tests
-(``_alliance_words``).  Thresholding commutes with the
-max-closure, so OR passes over the words then mark the masks that
-contain an alliance (``_covered_words``).  The passes of bits 0..21 run
-one chunk of 2^22 masks at a time, while the chunk's words stay in
-cache, and those of the higher bits over the whole arrays; a low bit's
-pass pairs masks within one chunk, so the chunks are independent, and
-each runs its bits in the same order, which gives the same words as
-whole-array passes.  A mask is a minimal alliance
+(``_alliance_words``); a term that no low part passes clears its block
+at once, and one that every low part passes is skipped.  Thresholding
+commutes with the max-closure, so OR passes over the words then mark
+the masks that contain an alliance (``_covered_words``).  The passes of
+bits 0..21 run one chunk of 2^22 masks at a time, while the chunk's
+words stay in cache, and those of the higher bits over the whole
+arrays; a low bit's pass pairs masks within one chunk, so the chunks
+are independent, and each runs its bits in the same order, which gives
+the same words as whole-array passes.  Likewise a pass of a bit below 16
+pairs masks within one block of 2^16, so it leaves an all-zero block as
+it is, and those passes run only on a chunk's non-empty blocks.  A mask
+is a minimal alliance
 when it contains an alliance and no proper subset of it does; the same
 passes, with one OR more per step, mark the masks that strictly contain
 an alliance, so the minimal ones come out of one sweep with the covered
@@ -112,6 +116,8 @@ class MinimalAllianceFamily:
         return tuple(self)
 
     def certifies_free(self, x: VertexSet) -> bool:
+        """True iff x contains no member, that is, x is kind/k free."""
+        _check_universe(self, x)
         xm = x.mask
         return all(m & xm != m for m in self.masks)
 
@@ -159,16 +165,16 @@ _VACUOUS = 128
 #: Masks fit in uint32, and every degree stays below 32.
 _MAX_ORDER = 32
 #: Peak bytes per mask of the packed-word paths (``phi``, the minimal
-#: family); tracemalloc read 0.41-0.45 for ``phi`` and 0.27-0.45 for the
-#: family at orders 24 and 25, with the closure's scratch one chunk long.
+#: family); tracemalloc read 0.35-0.46 for ``phi`` and 0.30-0.46 for the
+#: family at orders 24 and 25, with the closure's scratch three chunks long.
 _WORD_BYTES = 0.5
 #: Peak bytes per mask of the closed byte table (``phi_table``,
 #: ``phi_value``); tracemalloc read 2.00-2.28 at orders 24 and 25.
 _TABLE_BYTES = 2.5
 #: Peak bytes per member of decoding a minimal family into its masks;
-#: tracemalloc read 86 on complete graphs and 152 with one member per word,
+#: tracemalloc read 72 on complete graphs and 80 with one member per word,
 #: at orders 16-22.
-_MEMBER_BYTES = 160
+_MEMBER_BYTES = 96
 
 
 def _threshold(k: int) -> int:
@@ -259,15 +265,37 @@ def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np
     same as with every pass over the whole arrays: a pass of a bit below
     the chunk size pairs masks within one chunk, so the chunks are
     independent, and each runs those bits in the order of a whole-array
-    sweep; orders up to _CHUNK_BITS have one chunk."""
+    sweep; orders up to _CHUNK_BITS have one chunk.  Likewise a pass of a
+    bit below the block size pairs masks within one block of 2^_LOW_BITS,
+    and changes nothing in a block with no covered mask, whose above words
+    are still zero; many blocks of a sparse alliance family are empty (159
+    of 256 on grid 4x6 defensive at k = 0, 233 powerful).  So where a chunk
+    has empty blocks, those passes run only on its other blocks, gathered
+    into scratch and scattered back.  Where a chunk is smaller than a
+    block, the chunk is the unit tested."""
     _check_order(g, _WORD_BYTES)
     covered = _alliance_words(g, k, kind)
     above = np.zeros_like(covered)
-    chunk = 1 << (_CHUNK_BITS - 6)
-    shifted = np.empty(min(covered.size, chunk), dtype=covered.dtype)
+    chunk = min(covered.size, 1 << (_CHUNK_BITS - 6))
+    low = min(g.n, _LOW_BITS, _CHUNK_BITS)
+    unit = 1 << max(low - 6, 0)  # words per block, or per chunk where smaller
+    # scratch for the gathered covered and above words, and the in-word shifts
+    scratch = np.empty((3, chunk), dtype=covered.dtype)
+    shifted = scratch[2]
     for start in range(0, covered.size, chunk):
         part = slice(start, start + chunk)
-        _close(covered[part], above[part], range(min(g.n, _CHUNK_BITS)), shifted)
+        units, above_units = covered[part].reshape(-1, unit), above[part].reshape(-1, unit)
+        live = np.flatnonzero(units.max(axis=1))
+        if live.size == len(units):  # nothing to skip: a gather would only copy
+            _close(covered[part], above[part], range(low), shifted)
+        else:
+            gathered, gathered_above, gathered_shifted = scratch[:, : live.size * unit]
+            gathered.reshape(-1, unit)[:] = units[live]
+            gathered_above.fill(0)
+            _close(gathered, gathered_above, range(low), gathered_shifted)
+            units[live] = gathered.reshape(-1, unit)
+            above_units[live] = gathered_above.reshape(-1, unit)
+        _close(covered[part], above[part], range(low, min(g.n, _CHUNK_BITS)), shifted)
     _close(covered, above, range(_CHUNK_BITS, g.n), shifted)
     minimal = np.invert(above, out=above)
     minimal &= covered
@@ -276,7 +304,9 @@ def _covered_words(g: Graph, k: int, kind: AllianceKind) -> tuple[np.ndarray, np
 
 def _close(covered: np.ndarray, above: np.ndarray, bits: range, shifted: np.ndarray) -> None:
     """The OR passes of ``_covered_words`` for the given mask bits, in place
-    on matching word arrays; bits below 6 use ``shifted``, of the same size."""
+    on matching word arrays: a chunk, the non-empty blocks of one gathered
+    into scratch, or the whole arrays.  Bits below 6 use ``shifted``, of
+    the same size; the passes of the other bits pair whole words."""
     for b in bits:
         if b < 6:
             # bits 0..5 lie inside a word: move the bit-b-clear positions
@@ -315,10 +345,17 @@ def _minimal_family(
         f"a family of {members} minimal alliances",
         2 * minimal.nbytes + _MEMBER_BYTES * members,
     )
-    nonzero = np.flatnonzero(minimal)
-    bits = np.unpackbits(minimal[nonzero].view(np.uint8), bitorder="little")
-    rows, cols = np.nonzero(bits.reshape(-1, 64))
-    masks = nonzero[rows] << 6 | cols
+    # peel the lowest set bit off every non-zero word until none is left;
+    # the bits below it count its position
+    index = np.flatnonzero(minimal)
+    words = minimal[index]
+    found = [np.empty(0, dtype=np.int64)]
+    while words.size:
+        rest = words & (words - np.uint64(1))
+        found.append(index << 6 | np.bitwise_count((words ^ rest) - np.uint64(1)))
+        live = np.flatnonzero(rest)
+        index, words = index[live], rest[live]
+    masks = np.concatenate(found)
     reversed_masks = np.zeros_like(masks)
     for v in range(n):
         reversed_masks |= (masks >> v & 1) << (n - 1 - v)
@@ -326,12 +363,17 @@ def _minimal_family(
     return MinimalAllianceFamily(kind, k, tuple(masks.tolist()), n)
 
 
+#: A term of ``_fold_slack``: its row, its shift, and the least and the
+#: largest entry of its row.
+_Term = tuple[int, int, int, int]
+
+
 def _fold_slack(
     g: Graph,
     kind: AllianceKind,
     out: np.ndarray,
     fill: int | np.integer,
-    fold: Callable[[np.ndarray, np.ndarray, int, int, bool], None],
+    fold: Callable[[np.ndarray, np.ndarray, list[_Term], bool], None],
 ) -> None:
     """Folds the kind slack of every mask into ``out`` as a minimum of
     per-vertex terms, block by block: the one block walk of both builders.
@@ -347,18 +389,23 @@ def _fold_slack(
     unreached row is flagged also where v has no neighbour in l.
 
     A block's biased slack at l is the minimum of rows[r][l] + shift over
-    its terms (r, shift), and ``fold(block, rows, r, shift, shared)`` folds
-    one term into a block's slot.  A vertex gives a member term when it is
-    low or in h, and a boundary term when it is outside h, on its reached
-    row when h reaches it.  The shift is 2*|N(v) & h| + _BIAS - deg(v), less
-    the kind's offset for a boundary term, and no entry reaches 256.  The
-    low vertices with no high neighbour give the same terms to every
-    block: every other vertex is in h, or has a neighbour in h, in some
-    blocks and not in others.  Those shared terms are folded once, with
-    ``shared`` set, into the last block's slot after it is filled with
-    ``fill``; each earlier block starts from a copy of it, and every block
-    then folds its own terms.  So a one-block build (orders up to
-    _LOW_BITS) has only shared terms.  One allocation holds all rows: as
+    its terms, and ``fold(block, rows, terms, shared)`` folds a list of
+    terms (r, shift, least, most) into a block's slot, where least and most
+    are the smallest and the largest entry of row r.  A vertex gives a
+    member term when it is low or in h, and a boundary term when it is
+    outside h, on its reached row when h reaches it.  The shift is
+    2*|N(v) & h| + _BIAS - deg(v), less the kind's offset for a boundary
+    term, and no entry reaches 256.  Over all l, the member and reached
+    rows of v run from 0 to twice its low degree, plus the flag when v is
+    low; its unreached row holds the flag where l has no neighbour of v
+    and a count of at least 2 elsewhere.  The low vertices with no high
+    neighbour give the same terms to every block: every other vertex is
+    in h, or has a neighbour in h, in some blocks and not in others.
+    Those shared terms are folded in one call, with ``shared`` set, into
+    the last block's slot after it is filled with ``fill``; each earlier
+    block starts from a copy of it, and every block then folds its own
+    terms in one call.  So a one-block build (orders up to _LOW_BITS) has
+    only shared terms.  One allocation holds all rows: as
     separate 1 MiB tables, an order-16 offensive or powerful build took
     about 480 fresh page faults, most of an audit round's 22,000; with one
     array the round takes under 100."""
@@ -383,28 +430,41 @@ def _fold_slack(
     blocks = out.reshape(1 << (n - low), -1)
     base = blocks[-1]
     base.fill(fill)
-    vertices = []
+    shared, vertices = [], []
+    low_mask = (1 << low) - 1
     for v, adj, degree in zip(range(n), g.adj_bits, g.degrees):
+        # the largest entry of v's member and reached rows, and the least
+        # and largest of its unreached row, as the docstring derives them
+        count = 2 * (adj & low_mask).bit_count()
+        top = count + _VACUOUS if v < low else count
+        unreached_least, unreached_most = (2 if count else _VACUOUS), max(top, _VACUOUS)
         if v < low and not adj >> low:
             if members:
-                fold(base, rows, v, _BIAS - degree, True)
+                shared.append((v, _BIAS - degree, 0, top))
             if boundary:
-                fold(base, rows, unreached + v, _BIAS - degree - offset, True)
+                shift = _BIAS - degree - offset
+                shared.append((unreached + v, shift, unreached_least, unreached_most))
         else:
-            vertices.append((v, adj, degree))
+            vertices.append((v, adj, degree, top, unreached_least, unreached_most))
+    fold(base, rows, shared, True)
     for b, block in enumerate(blocks):
         if b < len(blocks) - 1:
             np.copyto(block, base)
         hmask = b << low
-        for v, adj, degree in vertices:
+        terms = []
+        for v, adj, degree, top, unreached_least, unreached_most in vertices:
             # a high vertex is in every set of the block or in none
             inside = hmask >> v & 1
             c = (hmask & adj).bit_count()
             shift = 2 * c + _BIAS - degree
             if members and (v < low or inside):
-                fold(block, rows, v, shift, False)
+                terms.append((v, shift, 0, top))
             if boundary and not inside:
-                fold(block, rows, reached + v if c else unreached + v, shift - offset, False)
+                if c:
+                    terms.append((reached + v, shift - offset, 0, top))
+                else:
+                    terms.append((unreached + v, shift - offset, unreached_least, unreached_most))
+        fold(block, rows, terms, False)
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
@@ -415,9 +475,10 @@ def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     out = np.empty(1 << g.n, dtype=np.uint8)
     scratch = np.empty(min(out.size, 1 << _LOW_BITS), dtype=np.uint8)
 
-    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int, shared: bool) -> None:
-        np.add(rows[r], np.uint8(shift), out=scratch)
-        np.minimum(block, scratch, out=block)
+    def fold(block: np.ndarray, rows: np.ndarray, terms: list[_Term], shared: bool) -> None:
+        for r, shift, _, _ in terms:
+            np.add(rows[r], np.uint8(shift), out=scratch)
+            np.minimum(block, scratch, out=block)
 
     _fold_slack(g, kind, out, 255, fold)
     out[0] = 0
@@ -428,25 +489,41 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     """The kind/k alliances, one bit per mask in the word layout of
     ``_covered_words``, without the byte table: a minimum is at least the
     threshold iff every term is, so each block's words are the AND of its
-    terms' packed threshold tests.  A block's own term recurs in other
-    blocks, so its packed test is kept; a shared term is folded once, so
-    its test is not.  Equals ``_slack_table(g, kind) >= _threshold(k)``
-    bit for bit."""
+    terms' packed threshold tests.  A term's row bounds settle many tests
+    without reading the row: a term whose largest entry fails clears the
+    block, and then no test of the block is made; a term whose smallest
+    entry passes is skipped.  On the large-n benchmark jobs this leaves
+    6,541 of 14,272 own terms to AND.  A block's own term recurs in other blocks,
+    so its packed test is kept; a shared term is folded once, so its test
+    is not, and each is ANDed as soon as it is built.  Equals
+    ``_slack_table(g, kind) >= _threshold(k)`` bit for bit."""
     # allocated before the fold's low rows, so the closure's second array reuses their space
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     t = _threshold(k)
     patterns: dict[tuple[int, int], np.ndarray] = {}
 
-    def fold(block: np.ndarray, rows: np.ndarray, r: int, shift: int, shared: bool) -> None:
-        pattern = patterns.get((r, shift))
-        if pattern is None:
+    def fold(block: np.ndarray, rows: np.ndarray, terms: list[_Term], shared: bool) -> None:
+        tests = []
+        for r, shift, least, most in terms:
             # rows[r] + shift >= t, as one comparison on the uint8 row
-            pattern = _pack_words(rows[r] >= max(t - shift, 0))
-            if not shared:
-                patterns[r, shift] = pattern
-        block &= pattern
+            floor = t - shift
+            if most < floor:  # no low part passes, so no mask of the block does
+                block.fill(0)
+                return
+            if least < floor:  # some low part passes and some fails
+                tests.append((r, floor))
+        for key in tests:
+            pattern = patterns.get(key)
+            if pattern is None:
+                pattern = _pack_words(rows[key[0]] >= key[1])
+                if not shared:
+                    patterns[key] = pattern
+            block &= pattern
 
-    _fold_slack(g, kind, words, _ALL_BITS, fold)
+    # a skipped term ANDs no pattern, so below order 6 the start value
+    # itself leaves the padding of the one word clear
+    fill = _ALL_BITS if g.n >= 6 else np.uint64((1 << (1 << g.n)) - 1)
+    _fold_slack(g, kind, words, fill, fold)
     words[0] &= ~np.uint64(1)  # the empty mask is never an alliance
     return words
 

@@ -20,7 +20,10 @@ import heapq
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .freesets import MinimalAllianceFamily
 
 
 class CapacityError(Exception):
@@ -253,7 +256,8 @@ class VertexSet:
         return f"VertexSet({self.to_sorted_list()}, n={self.universe_size})"
 
 
-def _check_universe(g: Graph, s: VertexSet) -> None:
+def _check_universe(g: Graph | MinimalAllianceFamily, s: VertexSet) -> None:
+    """Refuse a set whose universe is not the order of g."""
     if s.universe_size != g.n:
         raise ValueError(f"set universe {s.universe_size} does not match graph order {g.n}")
 

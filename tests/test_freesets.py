@@ -37,6 +37,7 @@ from alliancekit.freesets import (
     _closed_slack_table,
     _covered_words,
     _free_mask,
+    _pack_words,
     _slack_table,
     _threshold,
 )
@@ -73,6 +74,16 @@ def test_minimal_families():
     assert [s.to_sorted_list() for s in fam] == [[0], [1], [2]]
     p2 = path_graph(2)
     assert len(enumerate_minimal_alliances(p2, 2, "defensive")) == 0
+
+
+def test_family_refuses_a_set_of_another_universe():
+    """Like is_free_set, a family refuses a set whose universe is not its
+    graph's order, even one whose vertices it would clear."""
+    fam = enumerate_minimal_alliances(path_graph(3), 2, "offensive")
+    for x in (VertexSet(0b1000000, 40), VertexSet(0, 2), VertexSet.of([0, 2], 4)):
+        with pytest.raises(ValueError, match="does not match graph order 3"):
+            fam.certifies_free(x)
+    assert fam.certifies_free(VertexSet.of([0, 1], 3))
 
 
 def test_family_order_is_cardinality_then_lex():
@@ -440,9 +451,10 @@ def test_small_closure_chunks_give_the_same_words(monkeypatch, n):
 
 @pytest.mark.parametrize("n", range(17, 23))
 def test_shared_terms_are_those_of_every_block(n):
-    """The shared terms, folded with the shared flag into the last block
-    before any earlier block copies it, are exactly the terms every block
-    has, and no block folds one of them again.  Orders 17-22 span 2 to 64
+    """The shared terms, handed over in one call with the shared flag, into
+    the last block before any earlier block copies it, are exactly the
+    terms every block has, and no block folds one of them again; each
+    block's own terms come in one call.  Orders 17-22 span 2 to 64
     blocks; each graph has low vertices with and without a high neighbour."""
     g = random_graph(n, 0.3 if n % 2 else 0.15, seed=n)
     for kind in AllianceKind:
@@ -450,14 +462,15 @@ def test_shared_terms_are_those_of_every_block(n):
         out = np.zeros(1 << (n - _LOW_BITS), dtype=np.uint8)  # one entry per block
         shared, own = [], {}
 
-        def record(block, rows, r, shift, is_shared):
+        def record(block, rows, terms, is_shared):
             b = block.ctypes.data - out.ctypes.data
             # block 0 has not copied the last block yet
-            assert is_shared == (b == out.size - 1 and not out[0]), (n, kind, r)
+            assert is_shared == (b == out.size - 1 and not out[0]), (n, kind, terms)
             if is_shared:
-                shared.append((r, shift))
+                shared.extend(terms)
             else:
-                own.setdefault(b, set()).add((r, shift))
+                assert b not in own, (n, kind, b)  # one call per block
+                own[b] = set(terms)
 
         freesets_mod._fold_slack(g, kind, out, 1, record)
         assert (out == 1).all() and len(own) == out.size, (n, kind)
@@ -465,6 +478,42 @@ def test_shared_terms_are_those_of_every_block(n):
         assert all(not terms & set(shared) for terms in own.values()), (n, kind)
         assert len(set(shared)) == len(shared)
         assert 0 < len(shared) < (members + boundary) * _LOW_BITS, (n, kind)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), *range(15, 19)])
+def test_term_ranges_are_those_of_their_rows(n):
+    """Each term comes with the least and the largest entry of its row,
+    shared and own terms alike, for every kind: orders 1-16 fill one
+    block, 17 and 18 two and four.  Each graph has isolated vertices, the
+    highest one among them, so rows with no low neighbour are reached."""
+    rng = random.Random(170 + n)
+    isolated = {n - 1, rng.randrange(n)}
+    g = Graph(n, [e for e in seeded_graph(rng, n).edges() if not isolated & set(e)])
+    for kind in AllianceKind:
+        def check(block, rows, terms, is_shared):
+            for r, _, least, most in terms:
+                assert (least, most) == (rows[r].min(), rows[r].max()), (n, kind, r)
+
+        freesets_mod._fold_slack(g, kind, np.zeros(max(1, (1 << n) >> 6), dtype="<u8"), 0, check)
+
+
+@pytest.mark.parametrize("n", [*range(1, 8), *range(17, 25)])
+def test_words_match_the_thresholded_tables(n):
+    """The fold's cleared and skipped terms and the closure's gathered
+    blocks leave every word exact: the alliance words equal the packed
+    threshold test of the slack table, and the covered words that of its
+    max-closure, with clear padding below order 6.  Every kind, at every
+    canonical k and at k = -40, where every term passes, and 40, where
+    whole blocks clear; odd orders draw dense graphs, even ones sparse."""
+    rng = random.Random(600 + n)
+    g = seeded_graph(rng, n) if n % 2 else random_graph(n, 0.15, seed=n)
+    for kind in AllianceKind:
+        slack, closed = _slack_table(g, kind), _closed_slack_table(g, kind)
+        for k in [-40, *canonical_k_range(g, kind), 40]:
+            t = _threshold(k)
+            assert (_alliance_words(g, k, kind) == _pack_words(slack >= t)).all(), (n, kind, k)
+            covered, _ = _covered_words(g, k, kind)
+            assert (covered == _pack_words(closed >= t)).all(), (n, kind, k)
 
 
 @pytest.mark.parametrize("kind", list(AllianceKind))
