@@ -26,7 +26,7 @@ print(f"star(3) x path(4): {prod.n} vertices, {prod.edge_count} edges, "
 
 # Independence-based lower bound for the defensive table; it applies for
 # every k from 1 - min_degree(G1) - min_degree(G2) upward.
-bound = vizing_alpha_bound(independence_number(star), independence_number(p4))
+bound = vizing_alpha_bound(independence_number(star), independence_number(p4), star, p4)
 bound_low = 1 - star.delta_min - p4.delta_min
 print(f"independence bound on phi_def: {bound} (valid for k >= {bound_low})")
 

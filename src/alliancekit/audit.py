@@ -398,7 +398,7 @@ def _audit_remark1(config: AuditConfig, rng: random.Random) -> Iterator[_Instanc
     def verdict(a, b, sets, k):
         if k not in k_range(a, b):
             return None
-        bound = vizing_alpha_bound(independence_number(a), independence_number(b))
+        bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
         val = phi_value(_product(a, b), k, DEF)
         return val >= bound, val, bound
 
@@ -517,10 +517,6 @@ def _factor_phi_bound_audit(
             for k in claim_range(k1, k2, g1, g2)
         ]
         yield g1, g2, {}, verdict, cases
-
-
-def _box_plus_diagonal_bound(p1: int, p2: int, a: Graph, b: Graph) -> int:
-    return p1 * p2 + min(a.n - p1, b.n - p2)
 
 
 def _is_connected(g: Graph) -> bool:
@@ -687,8 +683,8 @@ def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_In
     """alpha(product) >= alpha1*alpha2 + min(n1-alpha1, n2-alpha2)."""
 
     def verdict(a, b, sets):
-        bound = vizing_alpha_bound(independence_number(a), independence_number(b))
-        val = independence_number(_product(a, b)).independence
+        bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
+        val = independence_number(_product(a, b))
         return val >= bound, val, bound
 
     for _ in range(config.trials_per_theorem):
@@ -717,7 +713,7 @@ _AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instan
         _factor_phi_bound_audit, kind=DEF, accept=_has_edge,
         factor_range=lambda g: range(1 - g.delta_min, g.delta_max + 1),
         claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
-        bound=_box_plus_diagonal_bound,
+        bound=vizing_alpha_bound,
     ), "box-plus-diagonal bound for phi_def on the product"),
     "prop_remarktree": (_audit_prop_remarktree, "phi_def equals the order"),
     "th_factor_recovery": (_audit_th_factor_recovery, "factor recovery of a def-free set"),
@@ -763,7 +759,7 @@ _AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instan
         _factor_phi_bound_audit, kind=POW, accept=_degree_sum_3,
         factor_range=lambda g: range(1 - g.delta_min, g.delta_max - 1),
         claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
-        bound=_box_plus_diagonal_bound,
+        bound=vizing_alpha_bound,
     ), "box-plus-diagonal bound for phi_pow on the product"),
     "vizing_alpha": (_audit_vizing_alpha, "independence bound on the product"),
 }

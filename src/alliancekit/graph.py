@@ -161,10 +161,6 @@ class Graph:
         return (1 << self.n) - 1
 
     @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_bits(a)) for a in self.adj_bits)
-
-    @property
     def is_regular(self) -> bool:
         return self.delta_min == self.delta_max
 
@@ -183,9 +179,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-    def vertex_set(self, members: Iterable[int]) -> "VertexSet":
-        return VertexSet.of(members, self.n)
 
     @property
     def vertices(self) -> "VertexSet":
@@ -375,15 +368,7 @@ def factor_box(s1: VertexSet, s2: VertexSet) -> VertexSet:
 # Independence number (exact)
 
 
-@dataclass(frozen=True)
-class FactorInvariants:
-    order: int
-    min_degree: int
-    max_degree: int
-    independence: int
-
-
-def independence_number(g: Graph) -> FactorInvariants:
+def independence_number(g: Graph) -> int:
     """Exact independence number by branch and bound over vertex bitmasks.
     A candidate with at most one neighbour left among the candidates lies in
     some maximum independent set of them, so it is taken without branching;
@@ -421,14 +406,15 @@ def independence_number(g: Graph) -> FactorInvariants:
                 cand &= ~(1 << pick)
 
     grab(g.full_mask, 0)
-    return FactorInvariants(g.n, g.delta_min, g.delta_max, best)
+    return best
 
 
-def vizing_alpha_bound(f1: FactorInvariants, f2: FactorInvariants) -> int:
-    """a1*a2 + min(n1-a1, n2-a2): lower bound on the independence number
-    of the Cartesian product of the two factors."""
-    a1, a2 = f1.independence, f2.independence
-    return a1 * a2 + min(f1.order - a1, f2.order - a2)
+def vizing_alpha_bound(a1: int, a2: int, g1: Graph, g2: Graph) -> int:
+    """a1*a2 + min(n1-a1, n2-a2), the box-plus-diagonal count: with a_i the
+    independence numbers it bounds the independence number of G1 x G2 from
+    below, and with a_i the phi values of the factors it bounds phi of the
+    product (CoroTh1 (ii), defensive and powerful)."""
+    return a1 * a2 + min(g1.n - a1, g2.n - a2)
 
 
 # ---------------------------------------------------------------------------

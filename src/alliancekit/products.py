@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alliances import AllianceKind, is_defensive_alliance
+from .alliances import AllianceKind
 from .freesets import is_free_set
 from .graph import Graph, VertexSet, cartesian_product, factor_box, product_vertex, _check_universe
 
@@ -222,32 +222,3 @@ def build_witness(
     if construction == "box_plus_diagonal":
         return box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
     return union_witness(g1, g2, s1, s2, k1, k2)
-
-
-def factor_recovery_daf(
-    g1: Graph, g2: Graph, s1: VertexSet, s2: VertexSet, k: int, k_prime: int
-) -> bool:
-    """Transfer back to a factor: when S1 x S2 is defensively k-free in the
-    product and S2 is a defensive k'-alliance in G2, S1 must be (k-k')-free
-    in G1.  Returns that final check; the preconditions are enforced."""
-    _check_universe(g1, s1)
-    _check_universe(g2, s2)
-    product = cartesian_product(g1, g2)
-    if not is_free_set(product, factor_box(s1, s2), k, AllianceKind.DEFENSIVE):
-        raise ValueError("s1 x s2 is not defensively k-free in the product")
-    if not is_defensive_alliance(g2, s2, k_prime):
-        raise ValueError("s2 is not a defensive k'-alliance")
-    return is_free_set(g1, s1, k - k_prime, AllianceKind.DEFENSIVE)
-
-
-def column_iff_regular(g1: Graph, g2: Graph, s1: VertexSet, k: int) -> tuple[bool, bool]:
-    """For regular G2, freeness of S1 x V2 in the product at k matches
-    freeness of S1 in G1 at k - degree(G2); returns the two sides.  The
-    equivalence is guaranteed for k between d2 - D1 and D1 + d2."""
-    if not g2.is_regular:
-        raise ValueError("g2 must be regular")
-    _check_universe(g1, s1)
-    product = cartesian_product(g1, g2)
-    left = is_free_set(product, factor_box(s1, g2.vertices), k, AllianceKind.DEFENSIVE)
-    right = is_free_set(g1, s1, k - g2.delta_min, AllianceKind.DEFENSIVE)
-    return left, right

@@ -5,7 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from alliancekit import AllianceKind, CapacityError, Graph, VertexSet
+from alliancekit import AllianceKind, AuditConfig, CapacityError, Graph, VertexSet
+from alliancekit.audit import _AUDITS
 
 settings.register_profile("alliancekit", deadline=None, max_examples=60)
 settings.load_profile("alliancekit")
@@ -41,6 +42,14 @@ def seeded_graph(rng: random.Random, n: int) -> Graph:
 
 def seeded_subset(rng: random.Random, n: int) -> VertexSet:
     return VertexSet(rng.getrandbits(n), n)
+
+
+def audit_verdict(theorem_id: str):
+    """The verdict of a theorem's auditor: ``verdict(g1, g2, sets, **case)``
+    returns None where the claim's hypothesis or k-range fails, and
+    ``(ok, observed, expected)`` otherwise."""
+    auditor, _ = _AUDITS[theorem_id]
+    return next(auditor(AuditConfig(trials_per_theorem=1), random.Random(0)))[3]
 
 
 def traced_peak(call) -> int:

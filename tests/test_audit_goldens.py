@@ -15,16 +15,16 @@ Regenerate it (only when an output change is intended) with
     PYTHONPATH=src python tests/test_audit_goldens.py
 """
 
-import dataclasses
 import importlib
 import json
-import random
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from alliancekit import AuditConfig, Graph, VertexSet, audit_all
+
+from conftest import audit_verdict
 
 GOLDENS = Path(__file__).parent / "data" / "audit_goldens.json"
 PERTURBED_SEED = 11
@@ -65,10 +65,10 @@ def perturbed_solvers():
         return not ok if (s.mask + k) % 5 == 0 else ok
 
     def bad_independence_number(g, *args, **kwargs):
-        inv = independence_number(g, *args, **kwargs)
+        alpha = independence_number(g, *args, **kwargs)
         if g.n >= 6 and g.n % 2 == 0:
-            return dataclasses.replace(inv, independence=inv.independence - 2)
-        return inv
+            return alpha - 2
+        return alpha
 
     _clear_audit_caches()
     audit_mod.phi_value = bad_phi_value
@@ -143,8 +143,7 @@ def test_every_failure_record_replays(goldens, trials):
     fails with the recorded observed and expected values."""
     with perturbed_solvers():
         for report in goldens[f"perturbed_trials{trials}"]:
-            auditor, _ = audit_mod._AUDITS[report["theorem_id"]]
-            verdict = next(auditor(AuditConfig(trials_per_theorem=1), random.Random(0)))[3]
+            verdict = audit_verdict(report["theorem_id"])
             for failure in report["failures"]:
                 g1, g2 = _graph(failure["g1"]), _graph(failure["g2"])
                 n1, n2 = g1.n, 1 if g2 is None else g2.n

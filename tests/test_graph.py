@@ -72,7 +72,7 @@ def test_graph_rejects_bad_edges():
         Graph(0)
 
 
-def test_vertex_set():
+def test_vertex_set_basics():
     s = VertexSet.of([2, 0], 4)
     assert s.to_sorted_list() == [0, 2]
     assert 2 in s and 1 not in s
@@ -286,22 +286,21 @@ def _alpha_brute(g):
 
 
 def test_independence_examples():
-    assert independence_number(cycle_graph(4)).independence == 2
-    assert independence_number(star_graph(3)).independence == 3
-    assert independence_number(path_graph(4)).independence == 2
-    inv = independence_number(Graph(3))
-    assert inv.independence == 3  # edgeless: alpha equals the order
+    assert independence_number(cycle_graph(4)) == 2
+    assert independence_number(star_graph(3)) == 3
+    assert independence_number(path_graph(4)) == 2
+    assert independence_number(Graph(3)) == 3  # edgeless: alpha equals the order
 
 
 @given(graphs(max_order=7))
 def test_independence_matches_brute_force(g):
-    assert independence_number(g).independence == _alpha_brute(g)
+    assert independence_number(g) == _alpha_brute(g)
 
 
 def test_independence_capacity():
     # no order cap: branch and bound needs no 2^n table
-    assert independence_number(Graph(40)).independence == 40
-    assert independence_number(cycle_graph(33)).independence == 16
+    assert independence_number(Graph(40)) == 40
+    assert independence_number(cycle_graph(33)) == 16
 
 
 def test_independence_on_forests_and_matchings_takes_no_branching():
@@ -312,7 +311,7 @@ def test_independence_on_forests_and_matchings_takes_no_branching():
         "from alliancekit import Graph, independence_number, path_graph, random_tree\n"
         "graphs = (path_graph(200), Graph(200, [(2 * i, 2 * i + 1) for i in range(100)]),"
         " random_tree(200, seed=3))\n"
-        "print([independence_number(g).independence for g in graphs])\n"
+        "print([independence_number(g) for g in graphs])\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -323,16 +322,15 @@ def test_independence_on_forests_and_matchings_takes_no_branching():
 
 
 def test_vizing_bound_examples():
-    s3 = independence_number(star_graph(3))
-    p3 = independence_number(path_graph(3))
-    assert vizing_alpha_bound(s3, p3) == 7
-    e2 = independence_number(Graph(2))
-    e3 = independence_number(Graph(3))
-    assert vizing_alpha_bound(e2, e3) == 6  # edgeless: n1*n2 + 0
-    k2 = independence_number(complete_graph(2))
-    assert vizing_alpha_bound(k2, k2) == 2
+    s3, p3 = star_graph(3), path_graph(3)
+    assert vizing_alpha_bound(independence_number(s3), independence_number(p3), s3, p3) == 7
+    e2, e3 = Graph(2), Graph(3)
+    # edgeless: n1*n2 + 0
+    assert vizing_alpha_bound(independence_number(e2), independence_number(e3), e2, e3) == 6
+    k2 = complete_graph(2)
+    assert vizing_alpha_bound(independence_number(k2), independence_number(k2), k2, k2) == 2
     c4 = cartesian_product(complete_graph(2), complete_graph(2))
-    assert independence_number(c4).independence == 2
+    assert independence_number(c4) == 2
 
 
 def test_vizing_bound_on_random_products():
@@ -342,8 +340,8 @@ def test_vizing_bound_on_random_products():
         n2 = rng.randint(2, 5)
         g1 = random_graph(n1, rng.choice((0.3, 0.5, 0.7)), seed=rng.randrange(10**9))
         g2 = random_graph(n2, rng.choice((0.3, 0.5, 0.7)), seed=rng.randrange(10**9))
-        bound = vizing_alpha_bound(independence_number(g1), independence_number(g2))
-        alpha = independence_number(cartesian_product(g1, g2)).independence
+        bound = vizing_alpha_bound(independence_number(g1), independence_number(g2), g1, g2)
+        alpha = independence_number(cartesian_product(g1, g2))
         assert alpha >= bound
 
 

@@ -12,13 +12,11 @@ from alliancekit import (
     build_witness,
     canonical_k_range,
     cartesian_product,
-    column_iff_regular,
     column_witness,
     complete_graph,
     cycle_graph,
     degree_view,
     factor_box,
-    factor_recovery_daf,
     is_free_set,
     path_graph,
     phi,
@@ -27,7 +25,7 @@ from alliancekit import (
 )
 from alliancekit.freesets import _closed_slack_table, _threshold
 
-from conftest import seeded_graph, seeded_subset
+from conftest import audit_verdict, seeded_graph, seeded_subset
 
 
 def test_column_witness_defensive():
@@ -191,54 +189,51 @@ def test_phi_dominates_witness_sizes():
 
 
 def test_factor_recovery():
+    verdict = audit_verdict("th_factor_recovery")
     s3, p3 = star_graph(3), path_graph(3)
     # s2 = V2 with k' = d2 recovers the column special case
     leaves = VertexSet.of([1, 2], 4)
-    assert factor_recovery_daf(s3, p3, leaves, p3.vertices, 2, 1)
+    assert verdict(s3, p3, {"s1": leaves, "s2": p3.vertices}, k=2, k_prime=1) == (True,) * 3
     # empty s1: the recovered set is trivially free
-    assert factor_recovery_daf(s3, p3, VertexSet(0, 4), p3.vertices, 2, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CanonicalRangeWarning)
-        with pytest.raises(ValueError):
-            # V2 is not a defensive 3-alliance of P3
-            factor_recovery_daf(s3, p3, leaves, p3.vertices, 2, 3)
+    empty = VertexSet(0, 4)
+    assert verdict(s3, p3, {"s1": empty, "s2": p3.vertices}, k=2, k_prime=1) == (True,) * 3
+    # V2 is not a defensive 3-alliance of P3, so the claim does not apply
+    assert verdict(s3, p3, {"s1": leaves, "s2": p3.vertices}, k=2, k_prime=3) is None
 
 
 def test_factor_recovery_random():
+    verdict = audit_verdict("th_factor_recovery")
     rng = random.Random(43)
     hits = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CanonicalRangeWarning)
-        while hits < 10:
-            g1 = seeded_graph(rng, rng.randint(2, 4))
-            g2 = seeded_graph(rng, rng.randint(2, 4))
-            s1 = seeded_subset(rng, g1.n)
-            s2 = seeded_subset(rng, g2.n)
-            if s2.mask == 0:
-                continue
-            k = rng.randint(-2, 4)
-            kp = rng.randint(-g2.delta_max, g2.delta_max) if g2.delta_max else 0
-            prod = cartesian_product(g1, g2)
-            from alliancekit import is_defensive_alliance
-
-            if not is_defensive_alliance(g2, s2, kp):
-                continue
-            if not is_free_set(prod, factor_box(s1, s2), k, "defensive"):
-                continue
-            assert factor_recovery_daf(g1, g2, s1, s2, k, kp)
-            hits += 1
+    while hits < 10:
+        g1 = seeded_graph(rng, rng.randint(2, 4))
+        g2 = seeded_graph(rng, rng.randint(2, 4))
+        s1 = seeded_subset(rng, g1.n)
+        s2 = seeded_subset(rng, g2.n)
+        if s2.mask == 0:
+            continue
+        k = rng.randint(-2, 4)
+        kp = rng.randint(-g2.delta_max, g2.delta_max) if g2.delta_max else 0
+        # None: s2 is no defensive k'-alliance, or s1 x s2 is not k-free
+        outcome = verdict(g1, g2, {"s1": s1, "s2": s2}, k=k, k_prime=kp)
+        if outcome is None:
+            continue
+        assert outcome == (True,) * 3, (g1, g2, s1, s2, k, kp)
+        hits += 1
 
 
-def test_column_iff_regular():
-    left, right = column_iff_regular(complete_graph(2), cycle_graph(3), VertexSet.of([0], 2), 2)
-    assert left == right
-    left, right = column_iff_regular(path_graph(3), cycle_graph(4), VertexSet(0, 3), 0)
-    assert left and right
-    with pytest.raises(ValueError):
-        column_iff_regular(path_graph(3), path_graph(3), VertexSet(0, 3), 0)
+def test_prop_iff_regular():
+    verdict = audit_verdict("prop_iff_regular")
+    outcome = verdict(complete_graph(2), cycle_graph(3), {"s1": VertexSet.of([0], 2)}, k=2)
+    assert outcome == (True, [True, True], "equal")
+    outcome = verdict(path_graph(3), cycle_graph(4), {"s1": VertexSet(0, 3)}, k=0)
+    assert outcome == (True, [True, True], "equal")
+    # a non-regular G2 is outside the claim
+    assert verdict(path_graph(3), path_graph(3), {"s1": VertexSet(0, 3)}, k=0) is None
 
 
-def test_column_iff_regular_sweep():
+def test_prop_iff_regular_sweep():
+    verdict = audit_verdict("prop_iff_regular")
     rng = random.Random(44)
     pool = [cycle_graph(3), cycle_graph(4), complete_graph(2), complete_graph(3)]
     for _ in range(12):
@@ -247,8 +242,8 @@ def test_column_iff_regular_sweep():
         s1 = seeded_subset(rng, g1.n)
         d2 = g2.delta_min
         for k in range(d2 - g1.delta_max, g1.delta_max + d2 + 1):
-            left, right = column_iff_regular(g1, g2, s1, k)
-            assert left == right
+            outcome = verdict(g1, g2, {"s1": s1}, k=k)
+            assert outcome is not None and outcome[0], (g1, g2, s1, k)
 
 
 def test_build_witness_dispatch_and_record():
