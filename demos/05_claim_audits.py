@@ -3,7 +3,7 @@ Auditing the transfer claims
 ============================
 
 Every factor-to-product (and product-to-factor) claim the constructions
-rely on has an auditor: seeded random factors are drawn, hypotheses are
+rely on is audited: seeded random factors are drawn, hypotheses are
 checked exactly, and conclusions are asserted with the exact solvers.
 Reports are deterministic in the seed; a failure would mean a bug in the
 solvers, never in the mathematics.

@@ -1,29 +1,32 @@
 """Randomized and scripted verification of the product/factor claims.
 
-Every numbered claim the package relies on gets an auditor: seeded random
-factor graphs (plus scripted family instances) are drawn and the claim is
-checked on them with the exact solvers.  An auditor only draws: it yields
-each instance as ``(g1, g2, sets, verdict, cases)``, where a case is the
-verdict's keyword arguments (the k values).  A verdict takes ``(g1, g2,
-sets, **case)`` and returns ``None`` when the claim's hypothesis or k-range
-does not hold on that instance, and ``(ok, observed, expected)`` otherwise.
-Claims of one shape share a driver (``_column_bound_audit`` and the like);
-each claim's row in ``_AUDITS`` pairs its auditor, with the driver's
-parameters bound by ``functools.partial``, with its check name.
+Every numbered claim the package relies on is one row of ``_AUDITS``:
+
+* ``draw(config, rng)`` yields the claim's instances ``(g1, g2, sets)``,
+  seeded random factor graphs and scripted family instances;
+* ``cases(g1, g2)`` lists the verdict's keyword arguments (the k values)
+  on one instance;
+* ``verdict(g1, g2, sets, **case)`` returns ``None`` when the claim's
+  hypothesis or k-range does not hold there, and ``(ok, observed,
+  expected)`` otherwise;
+* ``check`` names the claim in a failure record.
+
+Only a draw reads the random stream, so a verdict runs on any chosen
+instance.  Claims of one shape come from one factory (``_column_bound``
+and the like), which binds the kind and the k-ranges once for both the
+cases and the verdict.
 
 ``audit`` runs the one loop and builds the report.  ``_check`` runs the
 verdict at each case of one instance and changes nothing: each
 non-``None`` outcome counts as a check, and an instance without checks is
-skipped and counted.  Verdicts draw nothing, so the random stream is the
-auditor's alone.  All claims are proved facts, so a false verdict is
+skipped and counted.  All claims are proved facts, so a false verdict is
 evidence of an implementation bug: it is reported with a greedily minimized
 counterexample, found by re-running the same verdict at the same case on
 vertex-deleted instances (``None`` there counts as not failing, and an
-error there propagates, as it does from the first run); the record's
-``k`` is that case.  A set's name says where
-it lives: ``s`` on G1 x G2, ``s1`` on G1 and ``s2`` on G2.  Deleting vertex
-v of G1 drops row v, and deleting v of G2 drops column v, from every set
-that lives on that factor.
+error there propagates, as it does from the first run); the record's ``k``
+is that case.  A set's name says where it lives: ``s`` on G1 x G2, ``s1``
+on G1 and ``s2`` on G2.  Deleting vertex v of G1 drops row v, and deleting
+v of G2 drops column v, from every set that lives on that factor.
 
 An audit that never saw a hypothesis-satisfying trial is flagged
 inconclusive rather than passed.  Reports are deterministic functions of
@@ -36,7 +39,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .alliances import AllianceKind, _alliance_ok
 from .freesets import is_free_set
@@ -75,14 +78,14 @@ DEFAULT_EXACT_LIMIT = 24
 class AuditConfig:
     """Knobs for the audit harness.
 
-    A config is valid exactly when every auditor can draw under it.  Eight
+    A config is valid exactly when every row can draw under it.  Eight
     claims need factors of maximum degree >= 2 or degree sum >= 3, so of
     order >= 3: ``max_factor_order`` is at least 3 and
     ``max_product_order`` at least 9.  Products may not pass the audit's
     product-order cap, ``DEFAULT_EXACT_LIMIT``, so ``max_factor_order**2``
-    and ``max_product_order`` stay at or below it.  Each auditor sweeps k
-    over the canonical range intersected with the claim's stated range; the
-    sweep is not configurable.
+    and ``max_product_order`` stay at or below it.  Each row's cases sweep
+    k over the canonical range intersected with the claim's stated range;
+    the sweep is not configurable.
     """
 
     seed: int = 987620
@@ -155,6 +158,9 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 # Instance drawing
 
+#: A drawn instance: (g1, g2, sets); g2 is None for a claim on one graph.
+_Instance = tuple[Graph, Graph | None, dict[str, VertexSet]]
+
 
 def _draw_graph(
     rng: random.Random,
@@ -198,6 +204,11 @@ def _draw_small_subset(rng: random.Random, n: int) -> VertexSet:
     return VertexSet.of(rng.sample(range(n), size), n)
 
 
+def _draw_nonempty_subset(rng: random.Random, n: int) -> VertexSet:
+    s = _draw_subset(rng, n)
+    return s if s.mask else VertexSet(1 << rng.randrange(n), n)
+
+
 def _draw_product_subset(rng: random.Random, g1: Graph, g2: Graph) -> VertexSet:
     """Half the time an unconstrained subset, half the time a subset of a
     small box A x B: its projections stay inside A and B, which keeps the
@@ -227,7 +238,7 @@ def _degree_sum_3(g: Graph) -> bool:
     return g.delta_min + g.delta_max >= 3
 
 
-# scripted pairs come first, for the auditors that use them
+# scripted pairs come first, for the claims that draw them
 _SCRIPTED_PAIRS = (
     (star_graph(3), path_graph(3)),
     (star_graph(3), path_graph(4)),
@@ -236,22 +247,76 @@ _SCRIPTED_PAIRS = (
 )
 
 
-def _pair_instances(
-    rng: random.Random,
+def _draw_pairs(
     config: AuditConfig,
+    rng: random.Random,
     accept: Callable[[Graph], bool] | None = None,
-) -> list[tuple[Graph, Graph]]:
+    scripted: tuple[tuple[Graph, Graph], ...] = (),
+    s1: Callable[[random.Random, int], VertexSet] | None = None,
+    s2: Callable[[random.Random, int], VertexSet] | None = None,
+) -> Iterator[_Instance]:
+    """The ``scripted`` pairs that fit the config and pass ``accept``, then
+    random pairs up to the trial count.  Each pair gets the set s1 on G1
+    drawn by ``s1`` and the set s2 on G2 drawn by ``s2``, where given."""
     fits = [
         (a, b)
-        for a, b in _SCRIPTED_PAIRS
+        for a, b in scripted
         if max(a.n, b.n) <= config.max_factor_order
         and a.n * b.n <= config.max_product_order
         and (accept is None or (accept(a) and accept(b)))
     ]
-    out = fits[: config.trials_per_theorem]
-    while len(out) < config.trials_per_theorem:
-        out.append(_draw_pair(rng, config, accept))
-    return out
+    for i in range(config.trials_per_theorem):
+        g1, g2 = fits[i] if i < len(fits) else _draw_pair(rng, config, accept)
+        draws = (("s1", s1, g1), ("s2", s2, g2))
+        yield g1, g2, {name: draw(rng, g.n) for name, draw, g in draws if draw is not None}
+
+
+def _draw_product_sets(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+    """Random pairs of maximum degree >= 2, each with a set s on G1 x G2."""
+    for _ in range(config.trials_per_theorem):
+        g1, g2 = _draw_pair(rng, config, _max_deg_2)
+        yield g1, g2, {"s": _draw_product_subset(rng, g1, g2)}
+
+
+_REGULAR_POOL = (
+    complete_graph(2), cycle_graph(3), complete_graph(3), cycle_graph(4), complete_graph(4)
+)
+
+
+def _draw_regular_columns(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+    """A regular G2 from the pool, a random G1 and a set s1 on G1."""
+    for _ in range(config.trials_per_theorem):
+        g2 = rng.choice([g for g in _REGULAR_POOL if g.n <= config.max_factor_order])
+        g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
+        yield g1, g2, {"s1": _draw_subset(rng, g1.n)}
+
+
+def _draw_phi_p_graphs(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+    """Random graphs of order <= 9 with an edge, on their own."""
+    for _ in range(config.trials_per_theorem):
+        yield _draw_graph(rng, 9, _has_edge), None, {}
+
+
+#: The planar instances of prop_remarktree, with the case each one tests;
+#: every other instance is a tree.  The wheels and grids are planar as
+#: built, the grids triangle free, and deleting a vertex keeps both.
+_PLANAR = {
+    wheel_graph(7): "planar6",
+    wheel_graph(8): "planar6",
+    grid_graph(3, 3): "planar4_trianglefree",
+    grid_graph(3, 4): "planar4_trianglefree",
+}
+
+
+def _draw_remarktree(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+    """Paths and stars of order 3 to 8, the planar instances, then random
+    trees up to the trial count."""
+    scripted = [g for n in range(3, 9) for g in (path_graph(n), star_graph(n - 1))]
+    scripted = (scripted + list(_PLANAR))[: config.trials_per_theorem]
+    for g in scripted:
+        yield g, None, {}
+    for _ in range(config.trials_per_theorem - len(scripted)):
+        yield random_tree(rng.randint(3, 8), seed=rng.randrange(2**30)), None, {}
 
 
 @lru_cache(maxsize=2048)
@@ -265,9 +330,6 @@ def _product(g1: Graph, g2: Graph) -> Graph:
 _Outcome = tuple[bool, object, object] | None
 #: A verdict with its case bound, as the shrinker runs it.
 _Verdict = Callable[[Graph, Graph | None, dict], _Outcome]
-#: A drawn instance: (g1, g2, sets, verdict, cases); a case is the keyword
-#: arguments (k values) of ``verdict(g1, g2, sets, **case)``.
-_Instance = tuple[Graph, Graph | None, dict[str, VertexSet], Callable[..., _Outcome], list[dict]]
 
 
 def _graph_record(g: Graph | None) -> dict | None:
@@ -385,33 +447,54 @@ def _check(
 
 
 # ---------------------------------------------------------------------------
-# The auditors
+# The claims
 
 
-def _audit_remark1(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+class _Audit(NamedTuple):
+    """One claim: its draw, its cases, its verdict and its check name."""
+
+    draw: Callable[[AuditConfig, random.Random], Iterator[_Instance]]
+    cases: Callable[[Graph, Graph | None], list[dict]]
+    verdict: Callable[..., _Outcome]
+    check: str
+
+
+def _each_k(k_range: Callable[[Graph, Graph | None], range]) -> Callable[..., list[dict]]:
+    """The cases of a verdict whose one argument is k: k over k_range(g1, g2)."""
+    return lambda g1, g2: [{"k": k} for k in k_range(g1, g2)]
+
+
+def _each_k_pair(kind: AllianceKind) -> Callable[..., list[dict]]:
+    """The cases (k1, k2) over the canonical ranges of G1 and G2."""
+    ranges = kind.canonical_k_range
+    return lambda g1, g2: [{"k1": k1, "k2": k2} for k1 in ranges(g1) for k2 in ranges(g2)]
+
+
+def _remark1_range(a: Graph, b: Graph) -> range:
+    return range(1 - a.delta_min - b.delta_min, a.delta_max + b.delta_max + 1)
+
+
+def _remark1(a, b, sets, k):
     """phi_def(k) over the product is at least the independence-based bound
     a1*a2 + min(n1-a1, n2-a2) for 1-d1-d2 <= k <= D1+D2."""
-
-    def k_range(a, b):
-        return range(1 - a.delta_min - b.delta_min, a.delta_max + b.delta_max + 1)
-
-    def verdict(a, b, sets, k):
-        if k not in k_range(a, b):
-            return None
-        bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
-        val = phi_value(_product(a, b), k, DEF)
-        return val >= bound, val, bound
-
-    for g1, g2 in _pair_instances(rng, config, _has_edge):
-        yield g1, g2, {}, verdict, [{"k": k} for k in k_range(g1, g2)]
+    if k not in _remark1_range(a, b):
+        return None
+    bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
+    val = phi_value(_product(a, b), k, DEF)
+    return val >= bound, val, bound
 
 
-def _projection_transfer_audit(
-    config: AuditConfig, rng: random.Random, kind: AllianceKind
-) -> Iterator[_Instance]:
-    """Shared driver for the one-projection transfer claims: if the i-th
-    projection of S is free at k_i in its factor, S is free at
-    column_k(k_i, other factor) in the product."""
+def _projection_transfer(kind: AllianceKind, check: str) -> _Audit:
+    """The one-projection transfer claims: if the i-th projection of S is
+    free at k_i in its factor, S is free at column_k(k_i, other factor) in
+    the product."""
+
+    def cases(g1, g2):
+        return [
+            {"k_i": k_i, "axis": axis}
+            for axis, own in ((1, g1), (2, g2))
+            for k_i in kind.canonical_k_range(own)
+        ]
 
     def verdict(a, b, sets, axis, k_i):
         own, other = (a, b) if axis == 1 else (b, a)
@@ -420,22 +503,12 @@ def _projection_transfer_audit(
         got = is_free_set(_product(a, b), sets["s"], column_k(k_i, other, kind), kind)
         return got, got, True
 
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        s = _draw_product_subset(rng, g1, g2)
-        cases = [
-            {"k_i": k_i, "axis": axis}
-            for axis, own in ((1, g1), (2, g2))
-            for k_i in kind.canonical_k_range(own)
-        ]
-        yield g1, g2, {"s": s}, verdict, cases
+    return _Audit(_draw_product_sets, cases, verdict, check)
 
 
-def _both_projection_audit(
-    config: AuditConfig, rng: random.Random, kind: AllianceKind
-) -> Iterator[_Instance]:
-    """Shared driver for the two-projection transfer claims: if both
-    projections of S are free, S is free at box_k in the product."""
+def _both_projections(kind: AllianceKind, check: str) -> _Audit:
+    """The two-projection transfer claims: if both projections of S are
+    free, S is free at box_k in the product."""
 
     def verdict(a, b, sets, k1, k2):
         q1, q2 = projections(sets["s"], a.n, b.n)
@@ -447,27 +520,25 @@ def _both_projection_audit(
         got = is_free_set(_product(a, b), sets["s"], kc, kind)
         return got, got, True
 
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        s = _draw_product_subset(rng, g1, g2)
-        cases = [
-            {"k1": k1, "k2": k2}
-            for k1 in kind.canonical_k_range(g1)
-            for k2 in kind.canonical_k_range(g2)
-        ]
-        yield g1, g2, {"s": s}, verdict, cases
+    return _Audit(_draw_product_sets, _each_k_pair(kind), verdict, check)
 
 
-def _column_bound_audit(
-    config: AuditConfig,
-    rng: random.Random,
+def _column_bound(
     kind: AllianceKind,
     accept: Callable[[Graph], bool] | None,
     k_range: Callable[[Graph, Graph], range],
-) -> Iterator[_Instance]:
-    """Shared driver for the column bounds phi(k) over the product >=
-    n_j * phi(k') of factor i, for k in k_range(G_i, G_j), where the column
-    over a k'-free set of G_i is free at k = column_k(k', G_j)."""
+    check: str,
+) -> _Audit:
+    """The column bounds phi(k) over the product >= n_j * phi(k') of factor
+    i, for k in k_range(G_i, G_j), where the column over a k'-free set of
+    G_i is free at k = column_k(k', G_j)."""
+
+    def cases(g1, g2):
+        return [
+            {"k": k, "axis": axis}
+            for axis, own, other in ((1, g1, g2), (2, g2, g1))
+            for k in k_range(own, other)
+        ]
 
     def verdict(a, b, sets, axis, k):
         own, other = (a, b) if axis == 1 else (b, a)
@@ -478,27 +549,29 @@ def _column_bound_audit(
         rhs = other.n * phi_value(own, k - column_k(0, other, kind), kind)
         return lhs >= rhs, lhs, rhs
 
-    for g1, g2 in _pair_instances(rng, config, accept):
-        cases = [
-            {"k": k, "axis": axis}
-            for axis, own, other in ((1, g1, g2), (2, g2, g1))
-            for k in k_range(own, other)
-        ]
-        yield g1, g2, {}, verdict, cases
+    draw = partial(_draw_pairs, accept=accept, scripted=_SCRIPTED_PAIRS)
+    return _Audit(draw, cases, verdict, check)
 
 
-def _factor_phi_bound_audit(
-    config: AuditConfig,
-    rng: random.Random,
+def _factor_bound(
     kind: AllianceKind,
     accept: Callable[[Graph], bool],
     factor_range: Callable[[Graph], range],
     claim_range: Callable[[int, int, Graph, Graph], range],
     bound: Callable[[int, int, Graph, Graph], int],
-) -> Iterator[_Instance]:
-    """Shared driver for the bounds phi(k) over the product >=
-    bound(phi1, phi2, G1, G2), where phi_i = phi(G_i, k_i), for k_i in
-    factor_range(G_i) and k in claim_range(k1, k2, G1, G2)."""
+    check: str,
+) -> _Audit:
+    """The bounds phi(k) over the product >= bound(phi1, phi2, G1, G2),
+    where phi_i = phi(G_i, k_i), for k_i in factor_range(G_i) and k in
+    claim_range(k1, k2, G1, G2)."""
+
+    def cases(g1, g2):
+        return [
+            {"k1": k1, "k2": k2, "k": k}
+            for k1 in factor_range(g1)
+            for k2 in factor_range(g2)
+            for k in claim_range(k1, k2, g1, g2)
+        ]
 
     def verdict(a, b, sets, k1, k2, k):
         if k1 not in factor_range(a) or k2 not in factor_range(b):
@@ -509,274 +582,198 @@ def _factor_phi_bound_audit(
         lhs = phi_value(_product(a, b), k, kind)
         return lhs >= rhs, lhs, rhs
 
-    for g1, g2 in _pair_instances(rng, config, accept):
-        cases = [
-            {"k1": k1, "k2": k2, "k": k}
-            for k1 in factor_range(g1)
-            for k2 in factor_range(g2)
-            for k in claim_range(k1, k2, g1, g2)
-        ]
-        yield g1, g2, {}, verdict, cases
-
-
-def _is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= g.adj_bits[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == g.full_mask
+    draw = partial(_draw_pairs, accept=accept, scripted=_SCRIPTED_PAIRS)
+    return _Audit(draw, cases, verdict, check)
 
 
 def _is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and _is_connected(g)
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= g.adj_bits[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= nxt
+    return g.edge_count == g.n - 1 and seen == g.full_mask
 
 
-def _audit_prop_remarktree(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+_LOWS = {"tree": 2, "planar6": 6, "planar4_trianglefree": 4}
+
+
+def _remarktree_cases(g: Graph, _) -> list[dict]:
+    case = _PLANAR.get(g, "tree")
+    return [{"k": k, "case": case} for k in range(_LOWS[case], g.delta_max + 1)]
+
+
+def _remarktree(a, b, sets, case, k):
     """phi_def(k) = n on trees (k >= 2), planar graphs (k >= 6), and planar
-    triangle-free graphs (k >= 4), up to the maximum degree.  The wheels and
-    grids are planar as built, the grids triangle free, and deleting a
-    vertex keeps both, so only the tree case is tested on the graph."""
-    instances: list[tuple[Graph, str]] = []
-    for n in range(3, 9):
-        instances.append((path_graph(n), "tree"))
-        instances.append((star_graph(n - 1), "tree"))
-    instances.append((wheel_graph(7), "planar6"))
-    instances.append((wheel_graph(8), "planar6"))
-    instances.append((grid_graph(3, 3), "planar4_trianglefree"))
-    instances.append((grid_graph(3, 4), "planar4_trianglefree"))
-    instances = instances[: config.trials_per_theorem]
-    while len(instances) < config.trials_per_theorem:
-        instances.append((random_tree(rng.randint(3, 8), seed=rng.randrange(2**30)), "tree"))
-
-    lows = {"tree": 2, "planar6": 6, "planar4_trianglefree": 4}
-
-    def verdict(a, b, sets, case, k):
-        if not lows[case] <= k <= a.delta_max or (case == "tree" and not _is_tree(a)):
-            return None
-        val = phi_value(a, k, DEF)
-        return val == a.n, val, a.n
-
-    for g, case in instances:
-        yield g, None, {}, verdict, [
-            {"k": k, "case": case} for k in range(lows[case], g.delta_max + 1)
-        ]
+    triangle-free graphs (k >= 4), up to the maximum degree.  A planar case
+    stays one on a shrunk instance, so only the tree case is tested on the
+    graph."""
+    if not _LOWS[case] <= k <= a.delta_max or (case == "tree" and not _is_tree(a)):
+        return None
+    val = phi_value(a, k, DEF)
+    return val == a.n, val, a.n
 
 
-def _audit_th_factor_recovery(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _factor_recovery(a, b, sets, k, k_prime):
     """If S1 x S2 is def k-free in the product and S2 is a defensive
     k'-alliance in G2, then S1 is def (k-k')-free in G1."""
-
-    def verdict(a, b, sets, k, k_prime):
-        s1, s2 = sets["s1"], sets["s2"]
-        if s2.mask == 0 or not _alliance_ok(b, s2.mask, k_prime, DEF):
-            return None
-        if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
-            return None
-        got = is_free_set(a, s1, k - k_prime, DEF)
-        return got, got, True
-
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config, _has_edge)
-        s1 = _draw_subset(rng, g1.n)
-        s2 = _draw_subset(rng, g2.n)
-        if s2.mask == 0:
-            s2 = VertexSet(1 << rng.randrange(g2.n), g2.n)
-        cases = [
-            {"k": k, "k_prime": k_prime}
-            for k in DEF.canonical_k_range(_product(g1, g2))
-            for k_prime in DEF.canonical_k_range(g2)
-        ]
-        yield g1, g2, {"s1": s1, "s2": s2}, verdict, cases
+    s1, s2 = sets["s1"], sets["s2"]
+    if s2.mask == 0 or not _alliance_ok(b, s2.mask, k_prime, DEF):
+        return None
+    if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
+        return None
+    got = is_free_set(a, s1, k - k_prime, DEF)
+    return got, got, True
 
 
-def _audit_cor_otrocoro(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _factor_recovery_cases(g1: Graph, g2: Graph) -> list[dict]:
+    return [
+        {"k": k, "k_prime": k_prime}
+        for k in DEF.canonical_k_range(_product(g1, g2))
+        for k_prime in DEF.canonical_k_range(g2)
+    ]
+
+
+def _column_recovery(a, b, sets, k):
     """If S1 x V2 is def k-free in the product, S1 is def (k-d2)-free."""
-
-    def verdict(a, b, sets, k):
-        if not is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
-            return None
-        got = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
-        return got, got, True
-
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config, _has_edge)
-        s1 = _draw_subset(rng, g1.n)
-        cases = [{"k": k} for k in DEF.canonical_k_range(_product(g1, g2))]
-        yield g1, g2, {"s1": s1}, verdict, cases
+    if not is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
+        return None
+    got = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
+    return got, got, True
 
 
-_REGULAR_POOL = (
-    complete_graph(2), cycle_graph(3), complete_graph(3), cycle_graph(4), complete_graph(4)
-)
+def _iff_regular_range(a: Graph, b: Graph) -> range:
+    return range(b.delta_min - a.delta_max, a.delta_max + b.delta_min + 1)
 
 
-def _audit_prop_iff_regular(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _iff_regular(a, b, sets, k):
     """For regular G2: S1 x V2 def k-free in the product iff S1 def
     (k-d2)-free in G1, for d2-D1 <= k <= D1+d2."""
-
-    def k_range(a, b):
-        return range(b.delta_min - a.delta_max, a.delta_max + b.delta_min + 1)
-
-    def verdict(a, b, sets, k):
-        if not b.is_regular or k not in k_range(a, b):
-            return None
-        left = is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
-        right = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
-        return left == right, [left, right], "equal"
-
-    for _ in range(config.trials_per_theorem):
-        g2 = rng.choice([g for g in _REGULAR_POOL if g.n <= config.max_factor_order])
-        g1 = _draw_graph(rng, min(config.max_factor_order, config.max_product_order // g2.n))
-        s1 = _draw_subset(rng, g1.n)
-        yield g1, g2, {"s1": s1}, verdict, [{"k": k} for k in k_range(g1, g2)]
+    if not b.is_regular or k not in _iff_regular_range(a, b):
+        return None
+    left = is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
+    right = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
+    return left == right, [left, right], "equal"
 
 
-def _audit_th_union(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _union(a, b, sets, k1, k2):
     """If S_i is off k_i-free in G_i, (S1 x V2) u (V1 x S2) is off k'-free
     in the product for k' = max(k1-d2, k2-d1, min(k2+D1, k1+D2))."""
-
-    def verdict(a, b, sets, k1, k2):
-        s1, s2 = sets["s1"], sets["s2"]
-        if not (is_free_set(a, s1, k1, OFF) and is_free_set(b, s2, k2, OFF)):
-            return None
-        union = VertexSet(
-            factor_box(s1, b.vertices).mask | factor_box(a.vertices, s2).mask, a.n * b.n
-        )
-        got = is_free_set(_product(a, b), union, union_k(k1, k2, a, b), OFF)
-        return got, got, True
-
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config, _max_deg_2)
-        s1 = _draw_small_subset(rng, g1.n)
-        s2 = _draw_small_subset(rng, g2.n)
-        cases = [
-            {"k1": k1, "k2": k2}
-            for k1 in OFF.canonical_k_range(g1)
-            for k2 in OFF.canonical_k_range(g2)
-        ]
-        yield g1, g2, {"s1": s1, "s2": s2}, verdict, cases
+    s1, s2 = sets["s1"], sets["s2"]
+    if not (is_free_set(a, s1, k1, OFF) and is_free_set(b, s2, k2, OFF)):
+        return None
+    union = VertexSet(factor_box(s1, b.vertices).mask | factor_box(a.vertices, s2).mask, a.n * b.n)
+    got = is_free_set(_product(a, b), union, union_k(k1, k2, a, b), OFF)
+    return got, got, True
 
 
-def _audit_phi_p_lower(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _phi_p_lower(a, b, sets, k):
     """phi_pow(k) >= max(phi_def(k), phi_off(k+2)) on any graph."""
-
-    def verdict(a, b, sets, k):
-        if k not in POW.canonical_k_range(a):
-            return None
-        lhs = phi_value(a, k, POW)
-        rhs = phi_powerful_lower(a, k)
-        return lhs >= rhs, lhs, rhs
-
-    for _ in range(config.trials_per_theorem):
-        g = _draw_graph(rng, 9, _has_edge)
-        yield g, None, {}, verdict, [{"k": k} for k in POW.canonical_k_range(g)]
+    if k not in POW.canonical_k_range(a):
+        return None
+    lhs = phi_value(a, k, POW)
+    rhs = phi_powerful_lower(a, k)
+    return lhs >= rhs, lhs, rhs
 
 
-def _audit_vizing_alpha(config: AuditConfig, rng: random.Random) -> Iterator[_Instance]:
+def _vizing_alpha(a, b, sets):
     """alpha(product) >= alpha1*alpha2 + min(n1-alpha1, n2-alpha2)."""
-
-    def verdict(a, b, sets):
-        bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
-        val = independence_number(_product(a, b))
-        return val >= bound, val, bound
-
-    for _ in range(config.trials_per_theorem):
-        g1, g2 = _draw_pair(rng, config)
-        yield g1, g2, {}, verdict, [{}]
+    bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
+    val = independence_number(_product(a, b))
+    return val >= bound, val, bound
 
 
-# One row per claim, in report order: (auditor, check name).  A row that
-# binds a shared driver states its claim in its check name, or in a comment
-# above it.
-_AUDITS: dict[str, tuple[Callable[[AuditConfig, random.Random], Iterator[_Instance]], str]] = {
-    "remark1": (_audit_remark1, "phi_def >= alpha bound"),
-    "th1_i": (partial(_projection_transfer_audit, kind=DEF),
-              "free projection at k makes S (k+D_other)-def-free in the product"),
-    "th1_ii": (partial(_both_projection_audit, kind=DEF),
-               "both projections free make S (k1+k2-1)-def-free in the product"),
+# One row per claim, in report order.  A row built by a factory states its
+# claim in its check name, or in a comment above it.
+_AUDITS: dict[str, _Audit] = {
+    "remark1": _Audit(partial(_draw_pairs, accept=_has_edge, scripted=_SCRIPTED_PAIRS),
+                      _each_k(_remark1_range), _remark1, "phi_def >= alpha bound"),
+    "th1_i": _projection_transfer(
+        DEF, "free projection at k makes S (k+D_other)-def-free in the product"),
+    "th1_ii": _both_projections(
+        DEF, "both projections free make S (k1+k2-1)-def-free in the product"),
     # phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor
-    "cor_CoroTh1def_i": (partial(
-        _column_bound_audit, kind=DEF, accept=None,
-        k_range=lambda own, other: range(
+    "cor_CoroTh1def_i": _column_bound(
+        DEF, None, lambda own, other: range(
             other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
         ),
-    ), "column bound for phi_def on the product"),
+        "column bound for phi_def on the product"),
     # phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)
-    "cor_CoroTh1def_ii": (partial(
-        _factor_phi_bound_audit, kind=DEF, accept=_has_edge,
-        factor_range=lambda g: range(1 - g.delta_min, g.delta_max + 1),
-        claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2),
-        bound=vizing_alpha_bound,
-    ), "box-plus-diagonal bound for phi_def on the product"),
-    "prop_remarktree": (_audit_prop_remarktree, "phi_def equals the order"),
-    "th_factor_recovery": (_audit_th_factor_recovery, "factor recovery of a def-free set"),
-    "cor_otrocoro": (_audit_cor_otrocoro, "column recovery of a def-free set"),
-    "prop_iff_regular": (_audit_prop_iff_regular,
-                         "column freeness iff factor freeness (regular G2)"),
-    "th1of": (partial(_projection_transfer_audit, kind=OFF),
-              "free projection at k makes S (k-d_other)-off-free in the product"),
+    "cor_CoroTh1def_ii": _factor_bound(
+        DEF, _has_edge, lambda g: range(1 - g.delta_min, g.delta_max + 1),
+        lambda k1, k2, a, b: range(k1 + k2 - 1, k1 + k2), vizing_alpha_bound,
+        "box-plus-diagonal bound for phi_def on the product"),
+    "prop_remarktree": _Audit(_draw_remarktree, _remarktree_cases, _remarktree,
+                              "phi_def equals the order"),
+    "th_factor_recovery": _Audit(
+        partial(_draw_pairs, accept=_has_edge, s1=_draw_subset, s2=_draw_nonempty_subset),
+        _factor_recovery_cases, _factor_recovery, "factor recovery of a def-free set"),
+    "cor_otrocoro": _Audit(
+        partial(_draw_pairs, accept=_has_edge, s1=_draw_subset),
+        _each_k(lambda g1, g2: DEF.canonical_k_range(_product(g1, g2))), _column_recovery,
+        "column recovery of a def-free set"),
+    "prop_iff_regular": _Audit(_draw_regular_columns, _each_k(_iff_regular_range), _iff_regular,
+                               "column freeness iff factor freeness (regular G2)"),
+    "th1of": _projection_transfer(
+        OFF, "free projection at k makes S (k-d_other)-off-free in the product"),
     # phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor
-    "cor_coronofensive": (partial(
-        _column_bound_audit, kind=OFF, accept=_has_edge,
-        k_range=lambda own, other: range(
+    "cor_coronofensive": _column_bound(
+        OFF, _has_edge,
+        lambda own, other: range(
             2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
         ),
-    ), "column bound for phi_off on the product"),
-    "th_union": (_audit_th_union, "union of columns is off k'-free"),
+        "column bound for phi_off on the product"),
+    "th_union": _Audit(partial(_draw_pairs, accept=_max_deg_2, s1=_draw_small_subset,
+                               s2=_draw_small_subset),
+                       _each_k_pair(OFF), _union, "union of columns is off k'-free"),
     # phi_off(k) over the product >= n1*phi2 + n2*phi1 - phi1*phi2 for every
     # k from k' up to D1+D2
-    "cor_union": (partial(
-        _factor_phi_bound_audit, kind=OFF, accept=_has_edge,
-        factor_range=OFF.canonical_k_range,
-        claim_range=lambda k1, k2, a, b: range(
-            union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1
-        ),
-        bound=lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
-    ), "union bound for phi_off on the product"),
-    "phi_p_lower": (_audit_phi_p_lower, "phi_pow dominates phi_def and shifted phi_off"),
-    "th1p_i": (partial(_projection_transfer_audit, kind=POW),
-               "free projection at k makes S (k+D_other)-pow-free in the product"),
-    "th1p_ii": (partial(_both_projection_audit, kind=POW),
-                "both projections free make S k'-pow-free in the product"),
+    "cor_union": _factor_bound(
+        OFF, _has_edge, OFF.canonical_k_range,
+        lambda k1, k2, a, b: range(union_k(k1, k2, a, b), a.delta_max + b.delta_max + 1),
+        lambda p1, p2, a, b: a.n * p2 + b.n * p1 - p1 * p2,
+        "union bound for phi_off on the product"),
+    "phi_p_lower": _Audit(_draw_phi_p_graphs, _each_k(lambda g, _: POW.canonical_k_range(g)),
+                          _phi_p_lower, "phi_pow dominates phi_def and shifted phi_off"),
+    "th1p_i": _projection_transfer(
+        POW, "free projection at k makes S (k+D_other)-pow-free in the product"),
+    "th1p_ii": _both_projections(POW, "both projections free make S k'-pow-free in the product"),
     # phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor
-    "cor_coroproductpowerful_i": (partial(
-        _column_bound_audit, kind=POW, accept=_degree_sum_3,
-        k_range=lambda own, other: range(
+    "cor_coroproductpowerful_i": _column_bound(
+        POW, _degree_sum_3,
+        lambda own, other: range(
             max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
             own.delta_max + other.delta_max - 1,
         ),
-    ), "column bound for phi_pow on the product"),
+        "column bound for phi_pow on the product"),
     # phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for k
     # from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i
-    "cor_coroproductpowerful_ii": (partial(
-        _factor_phi_bound_audit, kind=POW, accept=_degree_sum_3,
-        factor_range=lambda g: range(1 - g.delta_min, g.delta_max - 1),
-        claim_range=lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1),
-        bound=vizing_alpha_bound,
-    ), "box-plus-diagonal bound for phi_pow on the product"),
-    "vizing_alpha": (_audit_vizing_alpha, "independence bound on the product"),
+    "cor_coroproductpowerful_ii": _factor_bound(
+        POW, _degree_sum_3, lambda g: range(1 - g.delta_min, g.delta_max - 1),
+        lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1), vizing_alpha_bound,
+        "box-plus-diagonal bound for phi_pow on the product"),
+    "vizing_alpha": _Audit(_draw_pairs, lambda g1, g2: [{}], _vizing_alpha,
+                           "independence bound on the product"),
 }
 
 THEOREM_IDS = tuple(_AUDITS)
 
+
 def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
-    """Run one auditor; deterministic for a fixed configuration.  Raises
+    """Audit one claim; deterministic for a fixed configuration.  Raises
     ValueError for an unknown id."""
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; choose from {THEOREM_IDS}")
     config = config or AuditConfig()
-    auditor, check = _AUDITS[theorem_id]
+    row = _AUDITS[theorem_id]
     trials = skipped = checks = 0
     failures = []
-    for instance in auditor(config, random.Random(f"{config.seed}/{theorem_id}")):
-        found, failure = _check(*instance, check)
+    for g1, g2, sets in row.draw(config, random.Random(f"{config.seed}/{theorem_id}")):
+        found, failure = _check(g1, g2, sets, row.verdict, row.cases(g1, g2), row.check)
         if not found:
             skipped += 1
             continue
@@ -788,7 +785,7 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:
-    """Run every auditor in ``THEOREM_IDS`` order."""
+    """Audit every claim in ``THEOREM_IDS`` order."""
     config = config or AuditConfig()
     return [audit(tid, config) for tid in THEOREM_IDS]
 

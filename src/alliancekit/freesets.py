@@ -102,18 +102,14 @@ class MinimalAllianceFamily:
     A set is kind/k free iff it contains no member: any alliance contains
     a minimal one.  Members are pairwise incomparable and ordered by
     cardinality, then lexicographically on the sorted vertex lists.  The
-    family holds the members' masks; ``sets`` and iteration build their
-    VertexSets on demand, anew each time.
+    family holds the members' masks; iteration builds their VertexSets on
+    demand, anew each time.
     """
 
     kind: AllianceKind
     k: int
     masks: tuple[int, ...]
     n: int
-
-    @property
-    def sets(self) -> tuple[VertexSet, ...]:
-        return tuple(self)
 
     def certifies_free(self, x: VertexSet) -> bool:
         """True iff x contains no member, that is, x is kind/k free."""

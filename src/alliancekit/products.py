@@ -33,7 +33,6 @@ CONSTRUCTIONS = ("column", "box", "box_plus_diagonal", "union")
 @dataclass(frozen=True)
 class ProductWitness:
     construction: str
-    source_sets: tuple[VertexSet, ...]
     k_claim: int
     kind: AllianceKind
     result: VertexSet
@@ -76,7 +75,6 @@ def _require_free(g: Graph, s: VertexSet, k: int, kind: AllianceKind, label: str
 
 def _finish(
     construction: str,
-    sources: tuple[VertexSet, ...],
     k_claim: int,
     kind: AllianceKind,
     g1: Graph,
@@ -84,7 +82,7 @@ def _finish(
     result: VertexSet,
 ) -> ProductWitness:
     verified = is_free_set(cartesian_product(g1, g2), result, k_claim, kind)
-    return ProductWitness(construction, sources, k_claim, kind, result, verified)
+    return ProductWitness(construction, k_claim, kind, result, verified)
 
 
 def column_witness(
@@ -111,7 +109,7 @@ def column_witness(
         result = factor_box(s, g2.vertices)
     else:
         result = factor_box(g1.vertices, s)
-    return _finish("column", (s,), k_claim, kind, g1, g2, result)
+    return _finish("column", k_claim, kind, g1, g2, result)
 
 
 def box_witness(
@@ -131,7 +129,7 @@ def box_witness(
     _require_free(g2, s2, k2, kind, "s2")
     k_claim = box_k(k1, k2, g1, g2, kind)
     result = factor_box(s1, s2)
-    return _finish("box", (s1, s2), k_claim, kind, g1, g2, result)
+    return _finish("box", k_claim, kind, g1, g2, result)
 
 
 def box_plus_diagonal_witness(
@@ -163,7 +161,7 @@ def box_plus_diagonal_witness(
         mask |= 1 << product_vertex(a, b, g2.n)
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = k1 + k2 - 1
-    return _finish("box_plus_diagonal", (s1, s2), k_claim, kind, g1, g2, result)
+    return _finish("box_plus_diagonal", k_claim, kind, g1, g2, result)
 
 
 def union_witness(
@@ -184,7 +182,7 @@ def union_witness(
     mask = factor_box(s1, g2.vertices).mask | factor_box(g1.vertices, s2).mask
     result = VertexSet(mask, g1.n * g2.n)
     k_claim = union_k(k1, k2, g1, g2)
-    return _finish("union", (s1, s2), k_claim, kind, g1, g2, result)
+    return _finish("union", k_claim, kind, g1, g2, result)
 
 
 def build_witness(

@@ -1,11 +1,9 @@
 import random
-import warnings
 
 import pytest
 
 from alliancekit import (
     AllianceKind,
-    CanonicalRangeWarning,
     VertexSet,
     box_plus_diagonal_witness,
     box_witness,
@@ -23,9 +21,10 @@ from alliancekit import (
     star_graph,
     union_witness,
 )
+from alliancekit.audit import _AUDITS
 from alliancekit.freesets import _closed_slack_table, _threshold
 
-from conftest import audit_verdict, seeded_graph, seeded_subset
+from conftest import seeded_graph, seeded_subset
 
 
 def test_column_witness_defensive():
@@ -142,40 +141,36 @@ def test_union_size_identity():
         k2 = g2.delta_max
         s1 = seeded_subset(rng, g1.n)
         s2 = seeded_subset(rng, g2.n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CanonicalRangeWarning)
-            if not (is_free_set(g1, s1, k1, "offensive") and is_free_set(g2, s2, k2, "offensive")):
-                continue
-            w = union_witness(g1, g2, s1, s2, k1, k2)
+        if not (is_free_set(g1, s1, k1, "offensive") and is_free_set(g2, s2, k2, "offensive")):
+            continue
+        w = union_witness(g1, g2, s1, s2, k1, k2)
         assert len(w.result) == len(s1) * g2.n + len(s2) * g1.n - len(s1) * len(s2)
 
 
 def test_witness_constructions_hold_on_random_factors():
     rng = random.Random(42)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CanonicalRangeWarning)
-        for _ in range(20):
-            g1 = seeded_graph(rng, rng.randint(2, 4))
-            g2 = seeded_graph(rng, rng.randint(2, 4))
-            kind = rng.choice(list(AllianceKind))
-            ks1 = list(canonical_k_range(g1, kind))
-            ks2 = list(canonical_k_range(g2, kind))
-            if not ks1 or not ks2:
-                continue
-            k1, k2 = rng.choice(ks1), rng.choice(ks2)
-            s1, s2 = seeded_subset(rng, g1.n), seeded_subset(rng, g2.n)
-            if is_free_set(g1, s1, k1, kind):
-                w = column_witness(g1, g2, s1, 1, k1, kind)
-                assert w.verified
-            if kind is not AllianceKind.OFFENSIVE:
-                if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
-                    assert box_witness(g1, g2, s1, s2, k1, k2, kind).verified
-                    if k1 >= 1 - g1.delta_min and k2 >= 1 - g2.delta_min:
-                        w = box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
-                        assert w.verified
-            else:
-                if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
-                    assert union_witness(g1, g2, s1, s2, k1, k2).verified
+    for _ in range(20):
+        g1 = seeded_graph(rng, rng.randint(2, 4))
+        g2 = seeded_graph(rng, rng.randint(2, 4))
+        kind = rng.choice(list(AllianceKind))
+        ks1 = list(canonical_k_range(g1, kind))
+        ks2 = list(canonical_k_range(g2, kind))
+        if not ks1 or not ks2:
+            continue
+        k1, k2 = rng.choice(ks1), rng.choice(ks2)
+        s1, s2 = seeded_subset(rng, g1.n), seeded_subset(rng, g2.n)
+        if is_free_set(g1, s1, k1, kind):
+            w = column_witness(g1, g2, s1, 1, k1, kind)
+            assert w.verified
+        if kind is not AllianceKind.OFFENSIVE:
+            if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
+                assert box_witness(g1, g2, s1, s2, k1, k2, kind).verified
+                if k1 >= 1 - g1.delta_min and k2 >= 1 - g2.delta_min:
+                    w = box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
+                    assert w.verified
+        else:
+            if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
+                assert union_witness(g1, g2, s1, s2, k1, k2).verified
 
 
 def test_phi_dominates_witness_sizes():
@@ -189,7 +184,7 @@ def test_phi_dominates_witness_sizes():
 
 
 def test_factor_recovery():
-    verdict = audit_verdict("th_factor_recovery")
+    verdict = _AUDITS["th_factor_recovery"].verdict
     s3, p3 = star_graph(3), path_graph(3)
     # s2 = V2 with k' = d2 recovers the column special case
     leaves = VertexSet.of([1, 2], 4)
@@ -202,7 +197,7 @@ def test_factor_recovery():
 
 
 def test_factor_recovery_random():
-    verdict = audit_verdict("th_factor_recovery")
+    verdict = _AUDITS["th_factor_recovery"].verdict
     rng = random.Random(43)
     hits = 0
     while hits < 10:
@@ -223,7 +218,7 @@ def test_factor_recovery_random():
 
 
 def test_prop_iff_regular():
-    verdict = audit_verdict("prop_iff_regular")
+    verdict = _AUDITS["prop_iff_regular"].verdict
     outcome = verdict(complete_graph(2), cycle_graph(3), {"s1": VertexSet.of([0], 2)}, k=2)
     assert outcome == (True, [True, True], "equal")
     outcome = verdict(path_graph(3), cycle_graph(4), {"s1": VertexSet(0, 3)}, k=0)
@@ -233,7 +228,7 @@ def test_prop_iff_regular():
 
 
 def test_prop_iff_regular_sweep():
-    verdict = audit_verdict("prop_iff_regular")
+    verdict = _AUDITS["prop_iff_regular"].verdict
     rng = random.Random(44)
     pool = [cycle_graph(3), cycle_graph(4), complete_graph(2), complete_graph(3)]
     for _ in range(12):

@@ -1,9 +1,12 @@
 """Checks on the test setup and the package surface, not on the maths."""
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import alliancekit
 
@@ -52,3 +55,23 @@ def test_all_names_exactly_what_init_imports():
     ]
     assert len(alliancekit.__all__) == len(set(alliancekit.__all__))
     assert sorted(alliancekit.__all__) == sorted(imported)
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, loaded as the module ``workloads``."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["large-n", "k-sweep", "audit"])
+def test_bench_jobs_match_their_goldens(workload, tmp_path):
+    """Every bench job at the goldens' seed has a golden, and its output
+    matches it: a changed audit record, phi record or CLI table fails here
+    before a bench run rejects it."""
+    workloads = _bench_workloads()
+    _, jobs = workloads.setup(workload, workloads.DEFAULT_SEED, tmp_path)
+    assert jobs and all(job.expected is not None for job in jobs)
+    assert {job.name: job.check(job.run()) for job in jobs} == {job.name: [] for job in jobs}
