@@ -15,9 +15,7 @@ from alliancekit import (
     complete_graph,
     cycle_graph,
     degree_view,
-    is_defensive_alliance,
-    is_offensive_alliance,
-    is_powerful_alliance,
+    is_alliance,
     path_graph,
     star_graph,
 )
@@ -33,22 +31,22 @@ for v in range(3):
 print("boundary:", boundary_set(p3, ends).to_sorted_list())
 
 # The centre sees both ends, so {0,2} attacks it with surplus 2:
-print("{0,2} offensive 2-alliance:", is_offensive_alliance(p3, ends, 2))
+print("{0,2} offensive 2-alliance:", is_alliance(p3, ends, 2, "offensive"))
 # A lone centre cannot defend itself against both ends:
-print("{1} defensive 1-alliance:", is_defensive_alliance(p3, VertexSet.of([1], 3), 1))
+print("{1} defensive 1-alliance:", is_alliance(p3, VertexSet.of([1], 3), 1, "defensive"))
 
 # The whole vertex set has an empty boundary, so it is an offensive
 # k-alliance for every k; powerful then reduces to defensive.
 c5 = cycle_graph(5)
 print("\n5-cycle, S = V:")
-print("  offensive 2-alliance:", is_offensive_alliance(c5, c5.vertices, 2))
-print("  defensive 2-alliance:", is_defensive_alliance(c5, c5.vertices, 2))
-print("  powerful  0-alliance:", is_powerful_alliance(c5, c5.vertices, 0))
+print("  offensive 2-alliance:", is_alliance(c5, c5.vertices, 2, "offensive"))
+print("  defensive 2-alliance:", is_alliance(c5, c5.vertices, 2, "defensive"))
+print("  powerful  0-alliance:", is_alliance(c5, c5.vertices, 0, "powerful"))
 
 # Complete graphs defend well: in K4 every vertex of V keeps all three
 # neighbours inside, so V is a defensive 3-alliance but not a 4-alliance.
 k4 = complete_graph(4)
-print("\nK4, S = V: defensive 3:", is_defensive_alliance(k4, k4.vertices, 3))
+print("\nK4, S = V: defensive 3:", is_alliance(k4, k4.vertices, 3, "defensive"))
 
 # Canonical k ranges scale with the maximum degree.
 s3 = star_graph(3)

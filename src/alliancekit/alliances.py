@@ -1,4 +1,4 @@
-"""The three alliance predicates.
+"""The alliance predicate, one condition for all three kinds.
 
 For non-empty S and vertex v, write d_S(v) for the number of neighbours of
 v inside S.  The governing condition is
@@ -99,25 +99,8 @@ def _validated_mask(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> int:
     return s.mask
 
 
-def is_defensive_alliance(g: Graph, s: VertexSet, k: int) -> bool:
-    """True iff every v in s has at least k more neighbours in s than outside."""
-    kind = AllianceKind.DEFENSIVE
-    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
-
-
-def is_offensive_alliance(g: Graph, s: VertexSet, k: int) -> bool:
-    """True iff every boundary vertex of s has at least k more neighbours in s
-    than outside; vacuously true when the boundary is empty."""
-    kind = AllianceKind.OFFENSIVE
-    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
-
-
-def is_powerful_alliance(g: Graph, s: VertexSet, k: int) -> bool:
-    """Defensive k-alliance and offensive (k+2)-alliance simultaneously."""
-    kind = AllianceKind.POWERFUL
-    return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)
-
-
 def is_alliance(g: Graph, s: VertexSet, k: int, kind: AllianceKind | str) -> bool:
+    """True iff the non-empty set s is a kind/k alliance of g; a k outside
+    the canonical range is evaluated and warned about."""
     kind = AllianceKind(kind)
     return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)

@@ -61,7 +61,7 @@ from .graph import (
     vizing_alpha_bound,
     wheel_graph,
 )
-from .phi import phi_powerful_lower, phi_value
+from .phi import phi_value
 from .products import box_k, column_k, union_k
 
 DEF = AllianceKind.DEFENSIVE
@@ -526,27 +526,28 @@ def _both_projections(kind: AllianceKind, check: str) -> _Audit:
 def _column_bound(
     kind: AllianceKind,
     accept: Callable[[Graph], bool] | None,
-    k_range: Callable[[Graph, Graph], range],
+    factor_range: Callable[[Graph], range],
     check: str,
 ) -> _Audit:
     """The column bounds phi(k) over the product >= n_j * phi(k') of factor
-    i, for k in k_range(G_i, G_j), where the column over a k'-free set of
+    i, for k' in factor_range(G_i), where the column over a k'-free set of
     G_i is free at k = column_k(k', G_j)."""
 
     def cases(g1, g2):
         return [
-            {"k": k, "axis": axis}
+            {"k": column_k(k_f, other, kind), "axis": axis}
             for axis, own, other in ((1, g1, g2), (2, g2, g1))
-            for k in k_range(own, other)
+            for k_f in factor_range(own)
         ]
 
     def verdict(a, b, sets, axis, k):
         own, other = (a, b) if axis == 1 else (b, a)
-        if k not in k_range(own, other):
+        # column_k shifts k by a constant, so this inverts it
+        k_f = k - column_k(0, other, kind)
+        if k_f not in factor_range(own):
             return None
         lhs = phi_value(_product(a, b), k, kind)
-        # column_k shifts k by a constant, so this inverts it
-        rhs = other.n * phi_value(own, k - column_k(0, other, kind), kind)
+        rhs = other.n * phi_value(own, k_f, kind)
         return lhs >= rhs, lhs, rhs
 
     draw = partial(_draw_pairs, accept=accept, scripted=_SCRIPTED_PAIRS)
@@ -672,11 +673,12 @@ def _union(a, b, sets, k1, k2):
 
 
 def _phi_p_lower(a, b, sets, k):
-    """phi_pow(k) >= max(phi_def(k), phi_off(k+2)) on any graph."""
+    """phi_pow(k) >= max(phi_def(k), phi_off(k+2)) on any graph: every
+    defensive-k-free or offensive-(k+2)-free set is powerful-k free."""
     if k not in POW.canonical_k_range(a):
         return None
     lhs = phi_value(a, k, POW)
-    rhs = phi_powerful_lower(a, k)
+    rhs = max(phi_value(a, k, DEF), phi_value(a, k + 2, OFF))
     return lhs >= rhs, lhs, rhs
 
 
@@ -685,6 +687,11 @@ def _vizing_alpha(a, b, sets):
     bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
     val = independence_number(_product(a, b))
     return val >= bound, val, bound
+
+
+def _pow_factor_range(g: Graph) -> range:
+    """The powerful canonical range of a factor, floor raised to 1 - d."""
+    return range(1 - g.delta_min, g.delta_max - 1)
 
 
 # One row per claim, in report order.  A row built by a factory states its
@@ -698,10 +705,7 @@ _AUDITS: dict[str, _Audit] = {
         DEF, "both projections free make S (k1+k2-1)-def-free in the product"),
     # phi_def(k) over the product >= n_j * phi_def(k-D_j) of a factor
     "cor_CoroTh1def_i": _column_bound(
-        DEF, None, lambda own, other: range(
-            other.delta_max - own.delta_max, own.delta_max + other.delta_max + 1
-        ),
-        "column bound for phi_def on the product"),
+        DEF, None, DEF.canonical_k_range, "column bound for phi_def on the product"),
     # phi_def(k1+k2-1) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2)
     "cor_CoroTh1def_ii": _factor_bound(
         DEF, _has_edge, lambda g: range(1 - g.delta_min, g.delta_max + 1),
@@ -722,11 +726,7 @@ _AUDITS: dict[str, _Audit] = {
         OFF, "free projection at k makes S (k-d_other)-off-free in the product"),
     # phi_off(k) over the product >= n_j * phi_off(k+d_j) of a factor
     "cor_coronofensive": _column_bound(
-        OFF, _has_edge,
-        lambda own, other: range(
-            2 - other.delta_min - own.delta_max, own.delta_max - other.delta_min + 1
-        ),
-        "column bound for phi_off on the product"),
+        OFF, _has_edge, OFF.canonical_k_range, "column bound for phi_off on the product"),
     "th_union": _Audit(partial(_draw_pairs, accept=_max_deg_2, s1=_draw_small_subset,
                                s2=_draw_small_subset),
                        _each_k_pair(OFF), _union, "union of columns is off k'-free"),
@@ -742,18 +742,14 @@ _AUDITS: dict[str, _Audit] = {
     "th1p_i": _projection_transfer(
         POW, "free projection at k makes S (k+D_other)-pow-free in the product"),
     "th1p_ii": _both_projections(POW, "both projections free make S k'-pow-free in the product"),
-    # phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor
+    # phi_pow(k) over the product >= n_j * phi_pow(k-D_j) of a factor, with
+    # k-D_j >= 1-d_i
     "cor_coroproductpowerful_i": _column_bound(
-        POW, _degree_sum_3,
-        lambda own, other: range(
-            max(other.delta_max - own.delta_max, other.delta_max + 1 - own.delta_min),
-            own.delta_max + other.delta_max - 1,
-        ),
-        "column bound for phi_pow on the product"),
+        POW, _degree_sum_3, _pow_factor_range, "column bound for phi_pow on the product"),
     # phi_pow(k) over the product >= phi1*phi2 + min(n1-phi1, n2-phi2) for k
     # from k1+k2-1 up to D1+D2-2, with k_i >= 1-d_i
     "cor_coroproductpowerful_ii": _factor_bound(
-        POW, _degree_sum_3, lambda g: range(1 - g.delta_min, g.delta_max - 1),
+        POW, _degree_sum_3, _pow_factor_range,
         lambda k1, k2, a, b: range(k1 + k2 - 1, a.delta_max + b.delta_max - 1), vizing_alpha_bound,
         "box-plus-diagonal bound for phi_pow on the product"),
     "vizing_alpha": _Audit(_draw_pairs, lambda g1, g2: [{}], _vizing_alpha,

@@ -164,12 +164,6 @@ class Graph:
     def is_regular(self) -> bool:
         return self.delta_min == self.delta_max
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.adj_bits[v]))
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             rest = self.adj_bits[u] >> (u + 1)
@@ -224,10 +218,6 @@ class VertexSet:
                 raise ValueError(f"vertex {v} out of range for universe of size {universe_size}")
             mask |= 1 << v
         return cls(mask, universe_size)
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(_bits(self.mask))
 
     def to_sorted_list(self) -> list[int]:
         return list(_bits(self.mask))

@@ -108,24 +108,12 @@ def _level_minima(g: Graph, kind: AllianceKind) -> tuple[int, ...]:
     return tuple(minima.tolist())
 
 
-def _value(g: Graph, k: int, kind: AllianceKind) -> int:
-    # the levels whose smallest entry is below the threshold are 0..phi:
-    # the minima are non-decreasing and level 0 (the empty mask) holds 0
-    return bisect_left(_level_minima(g, kind), _threshold(k)) - 1
-
-
 def phi_value(g: Graph, k: int, kind: AllianceKind | str) -> int:
     """phi without witness extraction; memoised per (graph, kind), for audit
     sweeps."""
-    return _value(g, k, AllianceKind(kind))
-
-
-def phi_powerful_lower(g: Graph, k: int) -> int:
-    """max(phi_defensive(k), phi_offensive(k+2)): every defensive-k-free or
-    offensive-(k+2)-free set is powerful-k free, so phi_powerful dominates."""
-    d = _value(g, k, AllianceKind.DEFENSIVE)
-    o = _value(g, k + 2, AllianceKind.OFFENSIVE)
-    return max(d, o)
+    # the levels whose smallest entry is below the threshold are 0..phi:
+    # the minima are non-decreasing and level 0 (the empty mask) holds 0
+    return bisect_left(_level_minima(g, AllianceKind(kind)), _threshold(k)) - 1
 
 
 def phi_bruteforce(g: Graph, k: int, kind: AllianceKind | str) -> int:

@@ -13,9 +13,6 @@ from alliancekit import (
     cycle_graph,
     degree_view,
     is_alliance,
-    is_defensive_alliance,
-    is_offensive_alliance,
-    is_powerful_alliance,
     path_graph,
     star_graph,
 )
@@ -25,13 +22,13 @@ from conftest import graph_and_set, kinds
 
 def test_defensive_examples():
     for g in (path_graph(4), cycle_graph(5), star_graph(3)):
-        assert is_defensive_alliance(g, g.vertices, g.delta_min)
+        assert is_alliance(g, g.vertices, g.delta_min, "defensive")
     p2 = path_graph(2)
-    assert is_defensive_alliance(p2, VertexSet.of([0], 2), -1)  # 0 >= 1 + (-1)
+    assert is_alliance(p2, VertexSet.of([0], 2), -1, "defensive")  # 0 >= 1 + (-1)
     k4 = complete_graph(4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
-        assert not is_defensive_alliance(k4, k4.vertices, 4)  # 3 >= 0 + 4 fails
+        assert not is_alliance(k4, k4.vertices, 4, "defensive")  # 3 >= 0 + 4 fails
 
 
 def test_offensive_examples():
@@ -40,47 +37,47 @@ def test_offensive_examples():
         for k in range(-5, 6):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CanonicalRangeWarning)
-                assert is_offensive_alliance(g, g.vertices, k)  # empty boundary
-    assert is_offensive_alliance(p3, VertexSet.of([0, 2], 3), 2)
-    assert not is_offensive_alliance(p3, VertexSet.of([1], 3), 2)
+                assert is_alliance(g, g.vertices, k, "offensive")  # empty boundary
+    assert is_alliance(p3, VertexSet.of([0, 2], 3), 2, "offensive")
+    assert not is_alliance(p3, VertexSet.of([1], 3), 2, "offensive")
 
 
 def test_powerful_examples():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
         k3 = complete_graph(3)
-        assert is_powerful_alliance(k3, k3.vertices, 2)
+        assert is_alliance(k3, k3.vertices, 2, "powerful")
         for g in (path_graph(4), cycle_graph(4)):
-            assert is_powerful_alliance(g, g.vertices, g.delta_min)
+            assert is_alliance(g, g.vertices, g.delta_min, "powerful")
     # P2, S={0}, k=-1: defensive holds (0 >= 1-1) and the boundary vertex 1
     # has one neighbour in S and none outside, so offensive(+1) holds too
     p2 = path_graph(2)
-    assert is_powerful_alliance(p2, VertexSet.of([0], 2), -1)
-    assert is_defensive_alliance(p2, VertexSet.of([0], 2), -1)
-    assert is_offensive_alliance(p2, VertexSet.of([0], 2), 1)
+    assert is_alliance(p2, VertexSet.of([0], 2), -1, "powerful")
+    assert is_alliance(p2, VertexSet.of([0], 2), -1, "defensive")
+    assert is_alliance(p2, VertexSet.of([0], 2), 1, "offensive")
 
 
 def test_empty_set_rejected():
     g = path_graph(3)
-    for fn in (is_defensive_alliance, is_offensive_alliance, is_powerful_alliance):
+    for kind in AllianceKind:
         with pytest.raises(ValueError):
-            fn(g, VertexSet(0, 3), 0)
+            is_alliance(g, VertexSet(0, 3), 0, kind)
 
 
 def test_universe_mismatch_rejected():
     with pytest.raises(ValueError):
-        is_defensive_alliance(path_graph(3), VertexSet.of([0], 4), 0)
+        is_alliance(path_graph(3), VertexSet.of([0], 4), 0, "defensive")
 
 
 def test_out_of_range_k_warns_but_evaluates():
     g = path_graph(3)  # max degree 2
     with pytest.warns(CanonicalRangeWarning):
-        assert is_defensive_alliance(g, g.vertices, -5)
+        assert is_alliance(g, g.vertices, -5, "defensive")
     with pytest.warns(CanonicalRangeWarning):
-        assert not is_defensive_alliance(g, g.vertices, 5)
+        assert not is_alliance(g, g.vertices, 5, "defensive")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        is_defensive_alliance(g, g.vertices, 1)  # in range: no warning
+        is_alliance(g, g.vertices, 1, "defensive")  # in range: no warning
 
 
 def test_canonical_ranges():
@@ -107,8 +104,8 @@ def test_powerful_decomposition(gs, k):
     g, s = gs
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
-        expected = is_defensive_alliance(g, s, k) and is_offensive_alliance(g, s, k + 2)
-        assert is_powerful_alliance(g, s, k) == expected
+        expected = is_alliance(g, s, k, "defensive") and is_alliance(g, s, k + 2, "offensive")
+        assert is_alliance(g, s, k, "powerful") == expected
 
 
 @given(graph_and_set(min_order=1), st.integers(-4, 4))
@@ -116,7 +113,8 @@ def test_full_set_powerful_iff_defensive(gs, k):
     g, _ = gs
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
-        assert is_powerful_alliance(g, g.vertices, k) == is_defensive_alliance(g, g.vertices, k)
+        powerful = is_alliance(g, g.vertices, k, "powerful")
+        assert powerful == is_alliance(g, g.vertices, k, "defensive")
 
 
 @given(graph_and_set(nonempty=True), st.integers(-4, 4))
@@ -125,8 +123,8 @@ def test_half_degree_equivalence(gs, k):
     g, s = gs
     view = degree_view(g, s)
     lhs = all(view.in_degree[v] >= view.out_degree[v] + k for v in s)
-    rhs = all(2 * view.in_degree[v] >= g.degree(v) + k for v in s)
+    rhs = all(2 * view.in_degree[v] >= g.degrees[v] + k for v in s)
     assert lhs == rhs
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
-        assert is_defensive_alliance(g, s, k) == lhs
+        assert is_alliance(g, s, k, "defensive") == lhs

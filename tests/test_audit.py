@@ -8,6 +8,7 @@ import pytest
 from alliancekit import (
     THEOREM_IDS,
     AuditConfig,
+    Graph,
     VertexSet,
     audit,
     audit_all,
@@ -220,6 +221,14 @@ def test_remap_sets_drops_the_deleted_row_or_column():
                 else:
                     kept = [u for u in sets[name] if u != v]
                     assert out[name] == VertexSet.of([u - (u > v) for u in kept], m)
+
+
+def test_th1p_ii_skips_a_case_whose_stated_range_is_empty():
+    """Both projections of {0} on K1 x K1 are 5-pow-free, but box_k(5, 5)
+    = 9 lies above D1+D2-2 = -2, so the claim states nothing there."""
+    k1 = Graph(1)
+    verdict = audit_mod._AUDITS["th1p_ii"].verdict
+    assert verdict(k1, k1, {"s": VertexSet.of([0], 1)}, k1=5, k2=5) is None
 
 
 def test_strict_gap_instance_found_and_verified():

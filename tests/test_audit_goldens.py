@@ -42,7 +42,6 @@ def _clear_audit_caches() -> None:
 def perturbed_solvers():
     """Swap the solvers the auditors call for pure, wrong variants."""
     phi_value = audit_mod.phi_value
-    phi_powerful_lower = audit_mod.phi_powerful_lower
     is_free_set = audit_mod.is_free_set
     independence_number = audit_mod.independence_number
 
@@ -53,10 +52,6 @@ def perturbed_solvers():
         if g.n < 6 and (g.n + k) % 2 == 0:
             return v + 1
         return v
-
-    def bad_phi_powerful_lower(g, k):
-        # the bound as the library states it, on the perturbed phi_value
-        return max(bad_phi_value(g, k, "defensive"), bad_phi_value(g, k + 2, "offensive"))
 
     def bad_is_free_set(g, s, k, kind, *args, **kwargs):
         ok = is_free_set(g, s, k, kind, *args, **kwargs)
@@ -70,14 +65,12 @@ def perturbed_solvers():
 
     _clear_audit_caches()
     audit_mod.phi_value = bad_phi_value
-    audit_mod.phi_powerful_lower = bad_phi_powerful_lower
     audit_mod.is_free_set = bad_is_free_set
     audit_mod.independence_number = bad_independence_number
     try:
         yield
     finally:
         audit_mod.phi_value = phi_value
-        audit_mod.phi_powerful_lower = phi_powerful_lower
         audit_mod.is_free_set = is_free_set
         audit_mod.independence_number = independence_number
         _clear_audit_caches()

@@ -261,7 +261,7 @@ def test_family_round_trip(tmp_path, capsys):
     assert main(["family", "wheel", "7", "-o", str(out)]) == 0
     capsys.readouterr()
     g = read_edge_list(out)
-    assert g.n == 8 and g.degree(0) == 7
+    assert g.n == 8 and g.degrees[0] == 7
 
 
 def test_family_grid_and_seeded_tree(tmp_path, capsys):

@@ -43,6 +43,10 @@ from conftest import graph_and_set, graphs, refusal_peak, traced_peak
 graph_mod = importlib.import_module("alliancekit.graph")
 
 
+def _neighbors(g, v):
+    return set(VertexSet(g.adj_bits[v], g.n))
+
+
 def test_bits_refuses_a_negative_mask():
     # a negative int has infinitely many set bits in two's complement
     with pytest.raises(ValueError):
@@ -55,12 +59,12 @@ def test_graph_basic_invariants():
     assert g.degrees == (2, 2, 2, 0)
     assert g.delta_min == 0
     assert g.delta_max == 2
-    assert g.neighbors(1) == {0, 2}
+    assert _neighbors(g, 1) == {0, 2}
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
     # symmetry of adjacency
     for u in range(g.n):
-        for v in g.neighbors(u):
-            assert u in g.neighbors(v)
+        for v in _neighbors(g, u):
+            assert u in _neighbors(g, v)
 
 
 def test_graph_rejects_bad_edges():
@@ -82,6 +86,8 @@ def test_vertex_set_basics():
         VertexSet.of([4], 4)
     with pytest.raises(ValueError):
         VertexSet(1 << 5, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        VertexSet(0, -1)
 
 
 def test_degree_view_path():
@@ -114,8 +120,8 @@ def test_handshake_identity(gs):
     assert 2 * view.induced_edges == sum(view.in_degree[v] for v in s)
     assert induced_edge_count(g, s) == view.induced_edges
     for v in range(g.n):
-        assert view.in_degree[v] + view.out_degree[v] == g.degree(v)
-    assert view.boundary.members == boundary_set(g, s).members
+        assert view.in_degree[v] + view.out_degree[v] == g.degrees[v]
+    assert set(view.boundary) == set(boundary_set(g, s))
 
 
 def test_induced_edge_count_examples():
@@ -151,7 +157,7 @@ def test_product_degree_additivity(g1, g2):
     prod = cartesian_product(g1, g2)
     for a in range(g1.n):
         for b in range(g2.n):
-            assert prod.degree(a * g2.n + b) == g1.degree(a) + g2.degree(b)
+            assert prod.degrees[a * g2.n + b] == g1.degrees[a] + g2.degrees[b]
 
 
 @given(graphs(max_order=4), graphs(max_order=4))
@@ -163,8 +169,8 @@ def test_product_symmetry_under_swap(g1, g2):
         for b in range(g2.n):
             v = a * g2.n + b
             w = b * g1.n + a
-            image = {(nb % g2.n) * g1.n + nb // g2.n for nb in left.neighbors(v)}
-            assert image == right.neighbors(w)
+            image = {(nb % g2.n) * g1.n + nb // g2.n for nb in _neighbors(left, v)}
+            assert image == _neighbors(right, w)
 
 
 def test_product_capacity(monkeypatch):
@@ -258,6 +264,8 @@ def test_fiber_examples():
         fiber(a, 2, 5, 2, 2)
     with pytest.raises(ValueError):
         fiber(a, 3, 0, 2, 2)
+    with pytest.raises(ValueError, match=r"universe 5 is not 2\*2"):
+        fiber(VertexSet.of([0], 5), 1, 0, 2, 2)
 
 
 @given(graph_and_set(max_order=4))
@@ -280,7 +288,7 @@ def test_fiber_union_recovers_set(gs):
 def _alpha_brute(g):
     for size in range(g.n, 0, -1):
         for combo in itertools.combinations(range(g.n), size):
-            if all(v not in g.neighbors(u) for u, v in itertools.combinations(combo, 2)):
+            if all(v not in _neighbors(g, u) for u, v in itertools.combinations(combo, 2)):
                 return size
     return 0
 
@@ -352,9 +360,9 @@ def test_vizing_bound_on_random_products():
 def test_family_shapes():
     assert sorted(path_graph(3).edges()) == [(0, 1), (1, 2)]
     star = star_graph(3)
-    assert star.n == 4 and star.degree(0) == 3 and star.delta_max == 3
+    assert star.n == 4 and star.degrees[0] == 3 and star.delta_max == 3
     wheel = wheel_graph(7)
-    assert wheel.n == 8 and wheel.degree(0) == 7
+    assert wheel.n == 8 and wheel.degrees[0] == 7
     grid = grid_graph(3, 4)
     assert grid.n == 12 and grid.delta_max == 4
     assert cycle_graph(5).degrees == (2,) * 5
@@ -376,6 +384,13 @@ def test_family_parameter_validation():
         family("grid", 3)
     with pytest.raises(ValueError):
         family("random_tree", 5)  # missing seed
+    for make in (path_graph, complete_graph, lambda n: random_tree(n, 1)):
+        with pytest.raises(ValueError, match="at least 1 vertex"):
+            make(0)
+    with pytest.raises(ValueError, match="at least 1 vertex"):
+        random_graph(0, 0.5, 1)
+    with pytest.raises(ValueError, match="edge probability"):
+        random_graph(5, 1.5, 1)
 
 
 def test_family_dispatch():

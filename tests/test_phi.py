@@ -25,7 +25,6 @@ from alliancekit import (
     path_graph,
     phi,
     phi_bruteforce,
-    phi_powerful_lower,
     phi_table,
     phi_value,
     random_graph,
@@ -41,6 +40,7 @@ from conftest import refusal_peak, seeded_graph, traced_peak
 phi_mod = importlib.import_module("alliancekit.phi")
 freesets_mod = importlib.import_module("alliancekit.freesets")
 graph_mod = importlib.import_module("alliancekit.graph")
+audit_mod = importlib.import_module("alliancekit.audit")
 
 
 def test_phi_p3_offensive():
@@ -210,17 +210,26 @@ def test_phi_monotone_in_k():
             assert phi(g, k, kind).value <= phi(g, k_next, kind).value
 
 
+def _phi_powerful_lower(g, k):
+    """The phi_p_lower audit's verdict on g at k: None off the powerful
+    range, else (ok, phi_pow(k), max(phi_def(k), phi_off(k+2)))."""
+    return audit_mod._AUDITS["phi_p_lower"].verdict(g, None, {}, k=k)
+
+
 def test_phi_powerful_lower():
     rng = random.Random(35)
     e4 = Graph(4)
-    assert phi_powerful_lower(e4, 1) == 4
+    # the powerful range of an edgeless graph is empty; the bound still reads n
+    assert _phi_powerful_lower(e4, 1) is None
+    assert max(phi_value(e4, 1, "defensive"), phi_value(e4, 3, "offensive")) == 4
     p3 = path_graph(3)
     assert phi(p3, 2, "offensive").value == 2
-    assert phi_powerful_lower(p3, 0) == max(phi(p3, 0, "defensive").value, 2) == 2
+    assert _phi_powerful_lower(p3, 0)[2] == max(phi(p3, 0, "defensive").value, 2) == 2
     for _ in range(12):
         g = seeded_graph(rng, rng.randint(2, 7))
         for k in canonical_k_range(g, "powerful"):
-            assert phi(g, k, "powerful").value >= phi_powerful_lower(g, k)
+            ok, lhs, rhs = _phi_powerful_lower(g, k)
+            assert ok and lhs == phi(g, k, "powerful").value >= rhs
 
 
 def test_phi_value_matches_phi():
@@ -260,7 +269,8 @@ def test_phi_value_builds_one_table_per_graph_and_kind():
     for kind in AllianceKind:
         for k in range(-12, 13):
             phi_value(g, k, kind)
-    phi_powerful_lower(g, 0)
+    phi_value(g, 0, "defensive")
+    phi_value(g, 2, "offensive")
     assert phi_mod._level_minima.cache_info().misses == 3
 
 
@@ -302,7 +312,6 @@ def test_capacity_errors():
     assert refusal_peak(lambda: phi(g33, 0, "defensive")) < 1 << 20
     assert refusal_peak(lambda: phi_table(g33, "defensive")) < 1 << 20
     assert refusal_peak(lambda: phi_value(g33, 0, "defensive")) < 1 << 20
-    assert refusal_peak(lambda: phi_powerful_lower(g33, 0)) < 1 << 20
     assert refusal_peak(lambda: enumerate_minimal_alliances(g33, 0, "defensive")) < 1 << 20
     # the oracle keeps its fixed cap
     with pytest.raises(CapacityError):
@@ -394,7 +403,7 @@ def test_memory_rule_refuses_before_allocation(monkeypatch):
     monkeypatch.setattr(graph_mod, "_MEMORY", 1 << 20)
     phi_mod._level_minima.cache_clear()
     g = grid_graph(4, 6)
-    calls = [lambda: phi_powerful_lower(g, 0)]
+    calls = [lambda: _phi_powerful_lower(g, 0)]
     calls += [partial(call, g, kind) for call in _PATHS.values() for kind in AllianceKind]
     for call in calls:
         assert refusal_peak(call) < 1 << 20

@@ -66,6 +66,12 @@ def test_column_witness_rejects_non_free():
         column_witness(p3, p3, VertexSet.of([0, 2], 3), 1, 2, "offensive")
 
 
+def test_column_witness_refuses_an_unknown_axis():
+    p3 = path_graph(3)
+    with pytest.raises(ValueError, match="axis must be 1 or 2"):
+        column_witness(p3, p3, VertexSet(0, 3), 3, 2, "defensive")
+
+
 def test_box_witness():
     s3, p4 = star_graph(3), path_graph(4)
     leaves = VertexSet.of([1, 2, 3], 4)
@@ -113,6 +119,8 @@ def test_box_plus_diagonal_precondition():
     p3 = path_graph(3)
     with pytest.raises(ValueError):
         box_plus_diagonal_witness(p3, p3, VertexSet(0, 3), VertexSet(0, 3), -1, 2, "defensive")
+    with pytest.raises(ValueError, match="defensive and powerful kinds"):
+        box_plus_diagonal_witness(p3, p3, VertexSet(0, 3), VertexSet(0, 3), 2, 2, "offensive")
 
 
 def test_union_witness_golden():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,16 @@ def test_all_names_exactly_what_init_imports():
     ]
     assert len(alliancekit.__all__) == len(set(alliancekit.__all__))
     assert sorted(alliancekit.__all__) == sorted(imported)
+
+
+def test_readme_quick_start_runs():
+    """The first python block of README.md runs as written, and its result
+    has the value the block's comment states."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.DOTALL).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["result"].value == 8
 
 
 def _bench_workloads():
