@@ -10,7 +10,6 @@ when both hold (the offensive side at k+2).
 
 from alliancekit import (
     VertexSet,
-    boundary_set,
     canonical_k_range,
     complete_graph,
     cycle_graph,
@@ -28,7 +27,7 @@ view = degree_view(p3, ends)
 print("split degrees of {0,2} in the 3-path:")
 for v in range(3):
     print(f"  vertex {v}: inside={view.in_degree[v]} outside={view.out_degree[v]}")
-print("boundary:", boundary_set(p3, ends).to_sorted_list())
+print("boundary:", view.boundary.to_sorted_list())
 
 # The centre sees both ends, so {0,2} attacks it with surplus 2:
 print("{0,2} offensive 2-alliance:", is_alliance(p3, ends, 2, "offensive"))

@@ -46,25 +46,10 @@ def canonical_k_range(g: Graph, kind: AllianceKind | str) -> range:
 # Raw bitmask predicates.  These are the hot path for every enumeration in
 # the package; they take adjacency masks and degree tuples directly.
 
-def _defensive_ok(adj: tuple[int, ...], degrees: tuple[int, ...], mask: int, k: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if 2 * (adj[v] & mask).bit_count() < degrees[v] + k:
-            return False
-        m ^= low
-    return True
-
-
-def _offensive_ok(adj: tuple[int, ...], degrees: tuple[int, ...], mask: int, k: int) -> bool:
-    nbr = 0
-    m = mask
-    while m:
-        low = m & -m
-        nbr |= adj[low.bit_length() - 1]
-        m ^= low
-    m = nbr & ~mask
+def _holds(adj: tuple[int, ...], degrees: tuple[int, ...], mask: int, vertices: int, k: int) -> bool:
+    """Condition (1) at k against the set ``mask``, for every vertex of the
+    mask ``vertices``."""
+    m = vertices
     while m:
         low = m & -m
         v = low.bit_length() - 1
@@ -75,14 +60,20 @@ def _offensive_ok(adj: tuple[int, ...], degrees: tuple[int, ...], mask: int, k: 
 
 
 def _alliance_ok(g: Graph, mask: int, k: int, kind: AllianceKind) -> bool:
-    """kind/k alliance predicate on a raw non-empty vertex mask."""
+    """kind/k alliance predicate on a raw non-empty vertex mask: the members
+    at k, then the boundary at k (offensive) or k + 2 (powerful)."""
+    adj, degrees = g.adj_bits, g.degrees
+    if kind is not AllianceKind.OFFENSIVE and not _holds(adj, degrees, mask, mask, k):
+        return False
     if kind is AllianceKind.DEFENSIVE:
-        return _defensive_ok(g.adj_bits, g.degrees, mask, k)
-    if kind is AllianceKind.OFFENSIVE:
-        return _offensive_ok(g.adj_bits, g.degrees, mask, k)
-    return _defensive_ok(g.adj_bits, g.degrees, mask, k) and _offensive_ok(
-        g.adj_bits, g.degrees, mask, k + 2
-    )
+        return True
+    nbr = 0
+    m = mask
+    while m:
+        low = m & -m
+        nbr |= adj[low.bit_length() - 1]
+        m ^= low
+    return _holds(adj, degrees, mask, nbr & ~mask, k + 2 if kind is AllianceKind.POWERFUL else k)
 
 
 def _validated_mask(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> int:

@@ -82,10 +82,12 @@ class AuditConfig:
     claims need factors of maximum degree >= 2 or degree sum >= 3, so of
     order >= 3: ``max_factor_order`` is at least 3 and
     ``max_product_order`` at least 9.  Products may not pass the audit's
-    product-order cap, ``DEFAULT_EXACT_LIMIT``, so ``max_factor_order**2``
-    and ``max_product_order`` stay at or below it.  Each row's cases sweep
-    k over the canonical range intersected with the claim's stated range;
-    the sweep is not configurable.
+    product-order cap, ``DEFAULT_EXACT_LIMIT``, so ``max_product_order``
+    stays at or below it.  A factor of the largest order must fit beside an
+    order-2 factor, so ``2 * max_factor_order`` stays at or below
+    ``max_product_order``.  Each row's cases sweep k over the canonical
+    range intersected with the claim's stated range; the sweep is not
+    configurable.
     """
 
     seed: int = 987620
@@ -100,9 +102,10 @@ class AuditConfig:
                 f" and max product order >= 9, got {self.max_factor_order}"
                 f" and {self.max_product_order}"
             )
-        if self.max_factor_order**2 > DEFAULT_EXACT_LIMIT:
+        if 2 * self.max_factor_order > self.max_product_order:
             raise ValueError(
-                f"max_factor_order**2 exceeds the audit's product-order cap {DEFAULT_EXACT_LIMIT}"
+                f"a factor of order {self.max_factor_order} does not fit beside an order-2"
+                f" factor under max product order {self.max_product_order}"
             )
         if self.max_product_order > DEFAULT_EXACT_LIMIT:
             raise ValueError("max_product_order exceeds the audit's product-order cap")
@@ -431,19 +434,23 @@ def _check(
     """Run the verdict on one drawn instance at every case ``ks``, its
     keyword arguments: the number of outcomes that are not ``None`` (the
     checks), and the first failure's payload, merged with the count of the
-    others, or ``None``."""
+    others, or ``None``.  Only the first failing case is shrunk."""
     checks = 0
-    fails = []
+    failing = []
     for ks in cases:
         outcome = verdict(g1, g2, sets, **ks)
         if outcome is None:
             continue
         checks += 1
         if not outcome[0]:
-            fails.append(_failure(partial(verdict, **ks), g1, g2, sets, ks, check))
-    if len(fails) > 1:
-        fails[0] = {**fails[0], "additional_failing_checks": len(fails) - 1}
-    return checks, (fails[0] if fails else None)
+            failing.append(ks)
+    if not failing:
+        return checks, None
+    first = failing[0]
+    failure = _failure(partial(verdict, **first), g1, g2, sets, first, check)
+    if len(failing) > 1:
+        failure["additional_failing_checks"] = len(failing) - 1
+    return checks, failure
 
 
 # ---------------------------------------------------------------------------

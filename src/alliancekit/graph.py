@@ -257,29 +257,15 @@ class SetDegreeView:
 
 
 def degree_view(g: Graph, s: VertexSet) -> SetDegreeView:
+    """Split degrees of every vertex v of g against s: d_S(v) inside s and
+    d_notS(v) outside it; with the boundary N(S) minus S and the number of
+    edges induced by s."""
     _check_universe(g, s)
     in_deg = {v: (g.adj_bits[v] & s.mask).bit_count() for v in range(g.n)}
     out_deg = {v: g.degrees[v] - in_deg[v] for v in range(g.n)}
-    return SetDegreeView(in_deg, out_deg, boundary_set(g, s), induced_edge_count(g, s))
-
-
-def induced_edge_count(g: Graph, s: VertexSet) -> int:
-    """Number of edges of g with both endpoints in s."""
-    _check_universe(g, s)
-    mask = s.mask
-    total = 0
-    for v in _bits(mask):
-        total += (g.adj_bits[v] & mask).bit_count()
-    return total // 2
-
-
-def boundary_set(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices outside s adjacent to at least one vertex of s."""
-    _check_universe(g, s)
-    nbr = 0
-    for v in _bits(s.mask):
-        nbr |= g.adj_bits[v]
-    return VertexSet(nbr & ~s.mask & g.full_mask, g.n)
+    boundary = sum(1 << v for v in range(g.n) if v not in s and in_deg[v])
+    induced = sum(in_deg[v] for v in s) // 2
+    return SetDegreeView(in_deg, out_deg, VertexSet(boundary, g.n), induced)
 
 
 # ---------------------------------------------------------------------------

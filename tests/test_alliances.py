@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from alliancekit import (
     AllianceKind,
     CanonicalRangeWarning,
+    Graph,
     VertexSet,
     canonical_k_range,
     complete_graph,
@@ -16,6 +17,7 @@ from alliancekit import (
     path_graph,
     star_graph,
 )
+from alliancekit.alliances import _alliance_ok
 
 from conftest import graph_and_set, kinds
 
@@ -128,3 +130,35 @@ def test_half_degree_equivalence(gs, k):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CanonicalRangeWarning)
         assert is_alliance(g, s, k, "defensive") == lhs
+
+
+def _condition_one(view, vertices, k: int) -> bool:
+    return all(view.in_degree[v] >= view.out_degree[v] + k for v in vertices)
+
+
+def test_condition_one_on_every_atlas_graph():
+    """_alliance_ok is condition (1) read off degree_view: on S for
+    defensive, on the boundary for offensive, on S at k and the boundary at
+    k + 2 for powerful.  Every atlas graph of order 1 to 6, every non-empty
+    set, every kind, and k from -D-1 to D+1, past both canonical ends."""
+    nx = pytest.importorskip("networkx")
+    checks = 0
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if not 1 <= n <= 6:
+            continue
+        g = Graph(n, h.edges())  # atlas graphs are labelled 0..n-1
+        for mask in range(1, 1 << n):
+            s = VertexSet(mask, n)
+            view = degree_view(g, s)
+            for k in range(-g.delta_max - 1, g.delta_max + 2):
+                expected = {
+                    AllianceKind.DEFENSIVE: _condition_one(view, s, k),
+                    AllianceKind.OFFENSIVE: _condition_one(view, view.boundary, k),
+                    AllianceKind.POWERFUL: _condition_one(view, s, k)
+                    and _condition_one(view, view.boundary, k + 2),
+                }
+                for kind, want in expected.items():
+                    assert _alliance_ok(g, mask, k, kind) == want, (list(g.edges()), mask, k, kind)
+                    checks += 1
+    assert checks == 336390

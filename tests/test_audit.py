@@ -39,7 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         AuditConfig(max_factor_order=2)
     with pytest.raises(ValueError):
-        AuditConfig(max_factor_order=5)  # 25 > the product-order cap
+        AuditConfig(max_factor_order=9)  # 18 > the default product order 16
     with pytest.raises(ValueError):
         AuditConfig(max_product_order=3)
     with pytest.raises(ValueError):
@@ -131,7 +131,29 @@ def test_factor_cap_two_is_rejected_and_cap_nine_runs():
     assert audit("th1_i", AuditConfig(max_product_order=9, trials_per_theorem=3)).trials == 3
 
 
-@pytest.mark.parametrize("factors, product", [(3, 9), (4, 24)])
+@pytest.mark.parametrize("factors, product", [(13, 24), (5, 9)])
+def test_a_factor_that_cannot_sit_beside_an_order_two_factor_is_refused(factors, product):
+    with pytest.raises(ValueError, match="beside an order-2 factor"):
+        AuditConfig(max_factor_order=factors, max_product_order=product)
+
+
+def test_factor_order_five_is_reached_under_product_order_24(monkeypatch):
+    factors = []
+    product = audit_mod._product
+
+    def spy(g1, g2):
+        factors.append((g1.n, g2.n))
+        return product(g1, g2)
+
+    monkeypatch.setattr(audit_mod, "_product", spy)
+    reports = audit_all(AuditConfig(max_factor_order=5, max_product_order=24,
+                                    trials_per_theorem=4))
+    assert all(not r.failures for r in reports)
+    assert max(max(pair) for pair in factors) >= 5
+    assert max(a * b for a, b in factors) <= 24
+
+
+@pytest.mark.parametrize("factors, product", [(3, 9), (4, 24), (12, 24)])
 def test_every_valid_corner_config_runs_the_whole_audit(factors, product):
     config = AuditConfig(max_factor_order=factors, max_product_order=product,
                          trials_per_theorem=2)

@@ -15,7 +15,6 @@ from alliancekit import (
     EdgeListParseError,
     Graph,
     VertexSet,
-    boundary_set,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -25,7 +24,6 @@ from alliancekit import (
     format_edge_list,
     grid_graph,
     independence_number,
-    induced_edge_count,
     parse_edge_list,
     path_graph,
     projections,
@@ -118,16 +116,19 @@ def test_handshake_identity(gs):
     g, s = gs
     view = degree_view(g, s)
     assert 2 * view.induced_edges == sum(view.in_degree[v] for v in s)
-    assert induced_edge_count(g, s) == view.induced_edges
+    assert sum(a in s and b in s for a, b in g.edges()) == view.induced_edges
     for v in range(g.n):
         assert view.in_degree[v] + view.out_degree[v] == g.degrees[v]
-    assert set(view.boundary) == set(boundary_set(g, s))
+    # the vertices outside s with a neighbour in s
+    boundary = {v for e in g.edges() for u, v in (e, e[::-1]) if u in s and v not in s}
+    assert set(view.boundary) == boundary
 
 
 def test_induced_edge_count_examples():
-    assert induced_edge_count(complete_graph(4), VertexSet.of([0], 4)) == 0
-    assert induced_edge_count(complete_graph(4), complete_graph(4).vertices) == 6
-    assert induced_edge_count(cycle_graph(5), VertexSet.of([0, 1, 2], 5)) == 2
+    k4 = complete_graph(4)
+    assert degree_view(k4, VertexSet.of([0], 4)).induced_edges == 0
+    assert degree_view(k4, k4.vertices).induced_edges == 6
+    assert degree_view(cycle_graph(5), VertexSet.of([0, 1, 2], 5)).induced_edges == 2
 
 
 # ---------------------------------------------------------------------------

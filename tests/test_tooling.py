@@ -68,9 +68,9 @@ def test_readme_quick_start_runs():
     assert namespace["result"].value == 8
 
 
-def _bench_workloads():
-    """``bench/workloads.py``, loaded as the module ``workloads``."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
@@ -82,7 +82,27 @@ def test_bench_jobs_match_their_goldens(workload, tmp_path):
     """Every bench job at the goldens' seed has a golden, and its output
     matches it: a changed audit record, phi record or CLI table fails here
     before a bench run rejects it."""
-    workloads = _bench_workloads()
+    workloads = _bench_module("workloads")
     _, jobs = workloads.setup(workload, workloads.DEFAULT_SEED, tmp_path)
     assert jobs and all(job.expected is not None for job in jobs)
     assert {job.name: job.check(job.run()) for job in jobs} == {job.name: [] for job in jobs}
+
+
+def test_every_traced_bench_target_exists_and_is_restored():
+    """Each (module, function) of the bench tracer's ``TARGETS`` exists and
+    is replaced while the tracer is installed, and every attribute it
+    patched holds its original object after ``restore``: deleting or
+    renaming a traced name fails here before a bench run."""
+    tracing = _bench_module("tracing")
+    modules = {m: importlib.import_module(f"alliancekit.{m}") for m, _, _ in tracing.TARGETS}
+    originals = {(m, f): getattr(modules[m], f) for m, f, _ in tracing.TARGETS}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = tracer.patched
+        for (m, f), original in originals.items():
+            assert getattr(modules[m], f) is not original, (m, f)
+    finally:
+        tracer.restore()
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original, (module.__name__, attr)
