@@ -24,6 +24,10 @@ class AllianceKind(Enum):
     OFFENSIVE = "offensive"
     POWERFUL = "powerful"
 
+    # members compare by identity, so they hash by it too: a memo lookup
+    # keyed by a kind then runs no Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
     def canonical_k_range(self, g: Graph) -> range:
         """Canonical k values: {-D..D} defensive, {2-D..D} offensive,
         {-D..D-2} powerful, where D is the maximum degree."""
@@ -39,8 +43,15 @@ class CanonicalRangeWarning(UserWarning):
     """k lies outside the canonical range; the predicate is still total."""
 
 
+def _as_kind(kind: AllianceKind | str) -> AllianceKind:
+    """The one kind normaliser of every entry that takes a kind: a member
+    as is, anything else through ``AllianceKind(kind)``, which raises the
+    ValueError of an unknown kind."""
+    return kind if type(kind) is AllianceKind else AllianceKind(kind)
+
+
 def canonical_k_range(g: Graph, kind: AllianceKind | str) -> range:
-    return AllianceKind(kind).canonical_k_range(g)
+    return _as_kind(kind).canonical_k_range(g)
 
 
 # Raw bitmask predicates.  These are the hot path for every enumeration in
@@ -93,5 +104,5 @@ def _validated_mask(g: Graph, s: VertexSet, k: int, kind: AllianceKind) -> int:
 def is_alliance(g: Graph, s: VertexSet, k: int, kind: AllianceKind | str) -> bool:
     """True iff the non-empty set s is a kind/k alliance of g; a k outside
     the canonical range is evaluated and warned about."""
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     return _alliance_ok(g, _validated_mask(g, s, k, kind), k, kind)

@@ -327,6 +327,13 @@ def _product(g1: Graph, g2: Graph) -> Graph:
     return cartesian_product(g1, g2)
 
 
+# a verdict runs once per case on one drawn set, so the sets it derives
+# from that set are kept beside the product; an error is never kept, so a
+# universe mismatch raises at every call
+_projections = lru_cache(maxsize=2048)(projections)
+_factor_box = lru_cache(maxsize=2048)(factor_box)
+
+
 # ---------------------------------------------------------------------------
 # Counterexample minimization
 
@@ -505,7 +512,7 @@ def _projection_transfer(kind: AllianceKind, check: str) -> _Audit:
 
     def verdict(a, b, sets, axis, k_i):
         own, other = (a, b) if axis == 1 else (b, a)
-        if not is_free_set(own, projections(sets["s"], a.n, b.n)[axis - 1], k_i, kind):
+        if not is_free_set(own, _projections(sets["s"], a.n, b.n)[axis - 1], k_i, kind):
             return None
         got = is_free_set(_product(a, b), sets["s"], column_k(k_i, other, kind), kind)
         return got, got, True
@@ -518,7 +525,7 @@ def _both_projections(kind: AllianceKind, check: str) -> _Audit:
     free, S is free at box_k in the product."""
 
     def verdict(a, b, sets, k1, k2):
-        q1, q2 = projections(sets["s"], a.n, b.n)
+        q1, q2 = _projections(sets["s"], a.n, b.n)
         if not (is_free_set(a, q1, k1, kind) and is_free_set(b, q2, k2, kind)):
             return None
         kc = box_k(k1, k2, a, b, kind)
@@ -632,7 +639,7 @@ def _factor_recovery(a, b, sets, k, k_prime):
     s1, s2 = sets["s1"], sets["s2"]
     if s2.mask == 0 or not _alliance_ok(b, s2.mask, k_prime, DEF):
         return None
-    if not is_free_set(_product(a, b), factor_box(s1, s2), k, DEF):
+    if not is_free_set(_product(a, b), _factor_box(s1, s2), k, DEF):
         return None
     got = is_free_set(a, s1, k - k_prime, DEF)
     return got, got, True
@@ -648,7 +655,7 @@ def _factor_recovery_cases(g1: Graph, g2: Graph) -> list[dict]:
 
 def _column_recovery(a, b, sets, k):
     """If S1 x V2 is def k-free in the product, S1 is def (k-d2)-free."""
-    if not is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF):
+    if not is_free_set(_product(a, b), _factor_box(sets["s1"], b.vertices), k, DEF):
         return None
     got = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
     return got, got, True
@@ -663,7 +670,7 @@ def _iff_regular(a, b, sets, k):
     (k-d2)-free in G1, for d2-D1 <= k <= D1+d2."""
     if not b.is_regular or k not in _iff_regular_range(a, b):
         return None
-    left = is_free_set(_product(a, b), factor_box(sets["s1"], b.vertices), k, DEF)
+    left = is_free_set(_product(a, b), _factor_box(sets["s1"], b.vertices), k, DEF)
     right = is_free_set(a, sets["s1"], k - b.delta_min, DEF)
     return left == right, [left, right], "equal"
 
@@ -674,7 +681,7 @@ def _union(a, b, sets, k1, k2):
     s1, s2 = sets["s1"], sets["s2"]
     if not (is_free_set(a, s1, k1, OFF) and is_free_set(b, s2, k2, OFF)):
         return None
-    union = VertexSet(factor_box(s1, b.vertices).mask | factor_box(a.vertices, s2).mask, a.n * b.n)
+    union = VertexSet(_factor_box(s1, b.vertices).mask | _factor_box(a.vertices, s2).mask, a.n * b.n)
     got = is_free_set(_product(a, b), union, union_k(k1, k2, a, b), OFF)
     return got, got, True
 

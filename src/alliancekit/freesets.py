@@ -62,7 +62,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .alliances import AllianceKind, _alliance_ok
+from .alliances import AllianceKind, _alliance_ok, _as_kind
 from .graph import CapacityError, Graph, VertexSet, _bits, _check_universe, _refuse_bytes
 
 
@@ -73,7 +73,7 @@ def is_free_set(g: Graph, x: VertexSet, k: int, kind: AllianceKind | str) -> boo
     compares that with k; the value does not depend on k and is memoised
     per (graph, x, kind).  Polynomial in the order, for sets of any size.
     """
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     _check_universe(g, x)
     return _max_slack(g, x.mask, kind) < k
 
@@ -126,7 +126,7 @@ class MinimalAllianceFamily:
 
 def enumerate_minimal_alliances(g: Graph, k: int, kind: AllianceKind | str) -> MinimalAllianceFamily:
     """Exact inclusion-minimal kind/k alliances via a full 2^n sweep."""
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     _, minimal = _covered_words(g, k, kind)
     return _minimal_family(minimal, g.n, k, kind)
 
@@ -359,9 +359,8 @@ def _minimal_family(
     return MinimalAllianceFamily(kind, k, tuple(masks.tolist()), n)
 
 
-#: A term of ``_fold_slack``: its row, its shift, and the least and the
-#: largest entry of its row.
-_Term = tuple[int, int, int, int]
+#: A term of ``_fold_slack``: its row and its shift.
+_Term = tuple[int, int]
 
 
 def _fold_slack(
@@ -379,22 +378,18 @@ def _fold_slack(
     one equal slot per block.  What a vertex contributes that depends on l
     is tabulated once, in one uint8 array of n rows per table: member
     rows, then reached rows, then unreached rows, as the kind's scope
-    needs them.  One count doubling builds the reached rows
-    (``_reached_rows``); a member row toggles their flag on the low
-    vertices, so it is flagged where v is low and absent from l, and an
-    unreached row is flagged also where v has no neighbour in l.
+    needs them.  ``_reached_rows`` builds the reached rows; a member row
+    toggles their flag on the low vertices, so it is flagged where v is
+    low and absent from l, and an unreached row is flagged also where v
+    has no neighbour in l.
 
     A block's biased slack at l is the minimum of rows[r][l] + shift over
     its terms, and ``fold(block, rows, terms, shared)`` folds a list of
-    terms (r, shift, least, most) into a block's slot, where least and most
-    are the smallest and the largest entry of row r.  A vertex gives a
-    member term when it is low or in h, and a boundary term when it is
-    outside h, on its reached row when h reaches it.  The shift is
+    terms (r, shift) into a block's slot.  A vertex gives a member term
+    when it is low or in h, and a boundary term when it is outside h, on
+    its reached row when h reaches it.  The shift is
     2*|N(v) & h| + _BIAS - deg(v), less the kind's offset for a boundary
-    term, and no entry reaches 256.  Over all l, the member and reached
-    rows of v run from 0 to twice its low degree, plus the flag when v is
-    low; its unreached row holds the flag where l has no neighbour of v
-    and a count of at least 2 elsewhere.  The low vertices with no high
+    term, and no entry reaches 256.  The low vertices with no high
     neighbour give the same terms to every block: every other vertex is
     in h, or has a neighbour in h, in some blocks and not in others.
     Those shared terms are folded in one call, with ``shared`` set, into
@@ -427,40 +422,47 @@ def _fold_slack(
     base = blocks[-1]
     base.fill(fill)
     shared, vertices = [], []
-    low_mask = (1 << low) - 1
     for v, adj, degree in zip(range(n), g.adj_bits, g.degrees):
-        # the largest entry of v's member and reached rows, and the least
-        # and largest of its unreached row, as the docstring derives them
-        count = 2 * (adj & low_mask).bit_count()
-        top = count + _VACUOUS if v < low else count
-        unreached_least, unreached_most = (2 if count else _VACUOUS), max(top, _VACUOUS)
         if v < low and not adj >> low:
             if members:
-                shared.append((v, _BIAS - degree, 0, top))
+                shared.append((v, _BIAS - degree))
             if boundary:
-                shift = _BIAS - degree - offset
-                shared.append((unreached + v, shift, unreached_least, unreached_most))
+                shared.append((unreached + v, _BIAS - degree - offset))
         else:
-            vertices.append((v, adj, degree, top, unreached_least, unreached_most))
+            vertices.append((v, adj, degree))
     fold(base, rows, shared, True)
     for b, block in enumerate(blocks):
         if b < len(blocks) - 1:
             np.copyto(block, base)
         hmask = b << low
         terms = []
-        for v, adj, degree, top, unreached_least, unreached_most in vertices:
+        for v, adj, degree in vertices:
             # a high vertex is in every set of the block or in none
             inside = hmask >> v & 1
             c = (hmask & adj).bit_count()
             shift = 2 * c + _BIAS - degree
             if members and (v < low or inside):
-                terms.append((v, shift, 0, top))
+                terms.append((v, shift))
             if boundary and not inside:
-                if c:
-                    terms.append((reached + v, shift - offset, 0, top))
-                else:
-                    terms.append((unreached + v, shift - offset, unreached_least, unreached_most))
+                terms.append(((reached if c else unreached) + v, shift - offset))
         fold(block, rows, terms, False)
+
+
+def _row_bounds(g: Graph, kind: AllianceKind) -> list[tuple[int, int]]:
+    """(least, most) of each row of ``_fold_slack``, in its row order, from
+    the low degrees alone.  Over all l, the member and reached rows of v
+    run from 0 to twice its low degree, plus the flag when v is low; its
+    unreached row holds the flag where l has no neighbour of v and a count
+    of at least 2 elsewhere."""
+    members, boundary, _ = _SCOPES[kind]
+    low = min(g.n, _LOW_BITS)
+    low_mask = (1 << low) - 1
+    counts = [2 * (adj & low_mask).bit_count() for adj in g.adj_bits]
+    tops = [c + _VACUOUS if v < low else c for v, c in enumerate(counts)]
+    bounds = (members + boundary) * [(0, top) for top in tops]
+    if boundary:
+        bounds += [(2 if c else _VACUOUS, max(top, _VACUOUS)) for c, top in zip(counts, tops)]
+    return bounds
 
 
 def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
@@ -472,7 +474,7 @@ def _slack_table(g: Graph, kind: AllianceKind) -> np.ndarray:
     scratch = np.empty(min(out.size, 1 << _LOW_BITS), dtype=np.uint8)
 
     def fold(block: np.ndarray, rows: np.ndarray, terms: list[_Term], shared: bool) -> None:
-        for r, shift, _, _ in terms:
+        for r, shift in terms:
             np.add(rows[r], np.uint8(shift), out=scratch)
             np.minimum(block, scratch, out=block)
 
@@ -496,13 +498,15 @@ def _alliance_words(g: Graph, k: int, kind: AllianceKind) -> np.ndarray:
     # allocated before the fold's low rows, so the closure's second array reuses their space
     words = np.empty(max(1, (1 << g.n) >> 6), dtype="<u8")
     t = _threshold(k)
+    bounds = _row_bounds(g, kind)
     patterns: dict[tuple[int, int], np.ndarray] = {}
 
     def fold(block: np.ndarray, rows: np.ndarray, terms: list[_Term], shared: bool) -> None:
         tests = []
-        for r, shift, least, most in terms:
+        for r, shift in terms:
             # rows[r] + shift >= t, as one comparison on the uint8 row
             floor = t - shift
+            least, most = bounds[r]
             if most < floor:  # no low part passes, so no mask of the block does
                 block.fill(0)
                 return
@@ -559,16 +563,31 @@ def _max_slack(g: Graph, xmask: int, kind: AllianceKind) -> float:
     return best
 
 
+#: Every low part below 2^8, and in row v the flag of vertex v on each:
+#: bit 7 of the entry for l set iff v is in l.
+_BYTES = np.arange(256, dtype=np.uint8)
+_BYTE_FLAGS = (_BYTES >> np.arange(8, dtype=np.uint8)[:, None] & 1) << 7
+#: The flag of vertex v in column v of row v, up to _MAX_ORDER.
+_SELF_FLAGS = np.eye(_MAX_ORDER, dtype=np.uint8) << 7
+
+
 def _reached_rows(g: Graph, low: int, out: np.ndarray) -> None:
     """The reached rows over the low parts l < 2^low, written into the n
     rows of ``out``: the row of vertex v holds 2*|N(v) & l|, with _VACUOUS
-    set where v is in l, off the boundary.  Adding vertex j < low to l adds
-    2 to row v when j is a neighbour of v, and toggles the high bit (adds
-    128 mod 256) when j is v, so each low bit doubles the filled columns."""
-    cols = np.arange(low, dtype=np.int64)
-    adj = np.array(g.adj_bits, dtype=np.int64)
-    step = ((adj[:, None] >> cols) & 1).astype(np.uint8) << 1
-    step[np.arange(g.n)[:, None] == cols] = _VACUOUS
-    out[:, 0] = 0
-    for j in range(low):
+    set where v is in l, off the boundary.  The low parts below 2^8 are
+    read off the byte table: twice the popcount of l & N(v), with v's flag
+    from _BYTE_FLAGS.  From bit 8 on, adding vertex j to l adds 2 to row v
+    when j is a neighbour of v, and toggles the high bit (adds 128 mod
+    256) when j is v, so each higher low bit doubles the filled columns."""
+    head = 1 << min(low, 8)
+    # byte i of each neighbourhood, for i = 0..3; n <= _MAX_ORDER
+    adj = np.array(g.adj_bits, dtype="<u4").view(np.uint8).reshape(g.n, 4)
+    first = out[:, :head]
+    np.bitwise_count(np.bitwise_and.outer(adj[:, 0], _BYTES[:head]), out=first)
+    first <<= 1
+    flagged = min(g.n, 8)
+    first[:flagged] |= _BYTE_FLAGS[:flagged, :head]
+    # what adding vertex j adds to row v, in column j
+    step = np.unpackbits(adj, axis=1, bitorder="little") << 1 | _SELF_FLAGS[: g.n]
+    for j in range(8, low):
         np.add(out[:, : 1 << j], step[:, j : j + 1], out=out[:, 1 << j : 2 << j])

@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .alliances import AllianceKind
+from .alliances import AllianceKind, _as_kind
 from .freesets import (
     _LOW_HALVES,
     MinimalAllianceFamily,
@@ -78,7 +78,7 @@ def phi(g: Graph, k: int, kind: AllianceKind | str) -> PhiResult:
     Ties between maximum witnesses are broken toward the lexicographically
     smallest sorted vertex list.
     """
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     covered, minimal = _covered_words(g, k, kind)
     value, witness = _select(np.invert(covered, out=covered), g.n)
     family = _minimal_family(minimal, g.n, k, kind)
@@ -88,7 +88,7 @@ def phi(g: Graph, k: int, kind: AllianceKind | str) -> PhiResult:
 def phi_table(g: Graph, kind: AllianceKind | str) -> list[tuple[int, int, VertexSet]]:
     """(k, phi value, witness) for every canonical k, from one closed table;
     each row equals the value and witness of ``phi(g, k, kind)``."""
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     closed = _closed_slack_table(g, kind)
     free = np.empty(closed.size, dtype=np.bool_)
     rows = []
@@ -113,7 +113,7 @@ def phi_value(g: Graph, k: int, kind: AllianceKind | str) -> int:
     sweeps."""
     # the levels whose smallest entry is below the threshold are 0..phi:
     # the minima are non-decreasing and level 0 (the empty mask) holds 0
-    return bisect_left(_level_minima(g, AllianceKind(kind)), _threshold(k)) - 1
+    return bisect_left(_level_minima(g, _as_kind(kind)), _threshold(k)) - 1
 
 
 def phi_bruteforce(g: Graph, k: int, kind: AllianceKind | str) -> int:
@@ -122,7 +122,7 @@ def phi_bruteforce(g: Graph, k: int, kind: AllianceKind | str) -> int:
     Freeness of each candidate X is decided by enumerating the subsets of
     X directly; the minimal-alliance family is never consulted.
     """
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     if g.n > DEFAULT_ORACLE_LIMIT:
         raise CapacityError(f"order {g.n} exceeds oracle limit {DEFAULT_ORACLE_LIMIT}")
     for size in range(g.n, 0, -1):

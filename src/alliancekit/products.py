@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alliances import AllianceKind
+from .alliances import AllianceKind, _as_kind
 from .freesets import is_free_set
 from .graph import Graph, VertexSet, cartesian_product, factor_box, product_vertex, _check_universe
 
@@ -99,7 +99,7 @@ def column_witness(
     stored lower endpoint up to D1+D2-2; monotonicity in k supplies the
     rest of the interval.
     """
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
     own, other = (g1, g2) if axis == 1 else (g2, g1)
@@ -122,7 +122,7 @@ def box_witness(
     kind: AllianceKind | str,
 ) -> ProductWitness:
     """S1 x S2 from free sets of both factors (defensive or powerful)."""
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     if kind is AllianceKind.OFFENSIVE:
         raise ValueError("box construction covers the defensive and powerful kinds")
     _require_free(g1, s1, k1, kind, "s1")
@@ -144,7 +144,7 @@ def box_plus_diagonal_witness(
     """S1 x S2 extended by t = min(n1-|s1|, n2-|s2|) isolated diagonal
     vertices; needs k_i >= 1 - min_degree(G_i) so the isolated vertices
     cannot sit inside an alliance."""
-    kind = AllianceKind(kind)
+    kind = _as_kind(kind)
     if kind is AllianceKind.OFFENSIVE:
         raise ValueError("diagonal construction covers the defensive and powerful kinds")
     _check_universe(g1, s1)
@@ -206,7 +206,7 @@ def build_witness(
     if construction not in CONSTRUCTIONS:
         raise ValueError(f"unknown construction {construction!r}; choose from {CONSTRUCTIONS}")
     own = AllianceKind.OFFENSIVE if construction == "union" else AllianceKind.DEFENSIVE
-    kind = own if kind is None else AllianceKind(kind)
+    kind = own if kind is None else _as_kind(kind)
     if construction == "union" and kind is not own:
         raise ValueError("union construction covers the offensive kind only")
     if construction == "column":

@@ -1,4 +1,6 @@
+import importlib
 import warnings
+from enum import Enum
 
 import pytest
 from hypothesis import given
@@ -9,17 +11,30 @@ from alliancekit import (
     CanonicalRangeWarning,
     Graph,
     VertexSet,
+    box_plus_diagonal_witness,
+    box_witness,
+    build_witness,
     canonical_k_range,
+    column_witness,
     complete_graph,
     cycle_graph,
     degree_view,
+    enumerate_minimal_alliances,
     is_alliance,
+    is_cover_set,
+    is_free_set,
     path_graph,
+    phi,
+    phi_bruteforce,
+    phi_table,
+    phi_value,
     star_graph,
 )
-from alliancekit.alliances import _alliance_ok
+from alliancekit.alliances import _alliance_ok, _as_kind
 
 from conftest import graph_and_set, kinds
+
+freesets_mod = importlib.import_module("alliancekit.freesets")
 
 
 def test_defensive_examples():
@@ -162,3 +177,87 @@ def test_condition_one_on_every_atlas_graph():
                     assert _alliance_ok(g, mask, k, kind) == want, (list(g.edges()), mask, k, kind)
                     checks += 1
     assert checks == 336390
+
+
+# ---------------------------------------------------------------------------
+# The kind contract: every entry that takes a kind takes a member or its
+# string value, and refuses anything else with AllianceKind's own error.
+
+
+class _OtherKind(Enum):
+    DEFENSIVE = "defensive"
+
+
+def _kind_entries():
+    """(name, call on a kind) for every public entry that takes a kind; each
+    call's other arguments are valid for every kind, and its answer is
+    comparable.  The witness constructions run on star(3) and P3 with free
+    factor sets: the empty set is free at every k."""
+    g = path_graph(4)
+    s = VertexSet.of([0, 1], 4)
+    g1, g2 = star_graph(3), path_graph(3)
+    e1, e2 = VertexSet(0, g1.n), VertexSet(0, g2.n)
+
+    def witness(build):
+        return lambda kind: build(kind).to_record()
+
+    def box_kind(kind):  # the box constructions refuse the offensive kind
+        return "defensive" if kind in (AllianceKind.OFFENSIVE, "offensive") else kind
+
+    return [
+        ("is_alliance", lambda kind: is_alliance(g, s, 0, kind)),
+        ("canonical_k_range", lambda kind: canonical_k_range(g, kind)),
+        ("is_free_set", lambda kind: is_free_set(g, s, 1, kind)),
+        ("is_cover_set", lambda kind: is_cover_set(g, s, 1, kind)),
+        ("enumerate_minimal_alliances",
+         lambda kind: enumerate_minimal_alliances(g, 0, kind).masks),
+        ("phi", lambda kind: (phi(g, 0, kind).to_record(), phi(g, 0, kind).certificate.masks)),
+        ("phi_table", lambda kind: phi_table(g, kind)),
+        ("phi_value", lambda kind: phi_value(g, 0, kind)),
+        ("phi_bruteforce", lambda kind: phi_bruteforce(g, 0, kind)),
+        ("column_witness", witness(lambda kind: column_witness(g1, g2, e1, 1, 0, kind))),
+        ("box_witness",
+         witness(lambda kind: box_witness(g1, g2, e1, e2, 1, 1, box_kind(kind)))),
+        ("box_plus_diagonal_witness",
+         witness(lambda kind: box_plus_diagonal_witness(g1, g2, e1, e2, 1, 1, box_kind(kind)))),
+        ("build_witness",
+         witness(lambda kind: build_witness("column", g1, g2, s=e1, k=0, kind=kind))),
+    ]
+
+
+_KIND_ENTRIES = _kind_entries()
+_KIND_IDS = [name for name, _ in _KIND_ENTRIES]
+
+
+@pytest.mark.parametrize("name, call", _KIND_ENTRIES, ids=_KIND_IDS)
+def test_every_kind_entry_takes_a_member_or_its_value(name, call):
+    for kind in AllianceKind:
+        assert call(kind) == call(kind.value), (name, kind)
+
+
+@pytest.mark.parametrize("name, call", _KIND_ENTRIES, ids=_KIND_IDS)
+@pytest.mark.parametrize(
+    "bad", ["nope", _OtherKind.DEFENSIVE, ["defensive"]], ids=["unknown", "other-enum", "unhashable"]
+)
+def test_every_kind_entry_refuses_a_non_kind_as_the_enum_does(name, call, bad):
+    with pytest.raises(ValueError) as expected:
+        AllianceKind(bad)
+    with pytest.raises(ValueError) as got:
+        call(bad)
+    assert str(got.value) == str(expected.value), name
+
+
+def test_the_normaliser_returns_a_member_itself():
+    for kind in AllianceKind:
+        assert _as_kind(kind) is kind
+        assert _as_kind(kind.value) is kind
+        assert hash(kind) == object.__hash__(kind)  # memo keys skip Enum.__hash__
+
+
+def test_a_string_and_its_member_share_one_free_set_entry():
+    g, x = path_graph(5), VertexSet.of([0, 2, 3], 5)
+    freesets_mod._max_slack.cache_clear()
+    for kind in AllianceKind:
+        assert is_free_set(g, x, 1, kind.value) == is_free_set(g, x, 1, kind)
+    info = freesets_mod._max_slack.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)

@@ -13,6 +13,7 @@ from alliancekit import (
     audit,
     audit_all,
     find_strict_gap_instance,
+    is_free_set,
     path_graph,
     phi,
 )
@@ -262,3 +263,28 @@ def test_strict_gap_instance_found_and_verified():
     assert phi(inst.graph, 2, "powerful").value == inst.phi_powerful
     assert phi(inst.graph, 2, "defensive").value == inst.phi_defensive
     assert phi(inst.graph, 4, "offensive").value == inst.phi_offensive
+
+
+def test_memoised_projections_still_refuse_a_universe_mismatch():
+    """A cached answer never stands in for an error: the mismatch raises on
+    every call, also after the same mask was answered on its own universe."""
+    s = VertexSet.of([0, 4, 5], 6)
+    assert audit_mod._projections(s, 2, 3) == (VertexSet.of([0, 1], 2), VertexSet.of([0, 1, 2], 3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not 3\\*3"):
+            audit_mod._projections(s, 3, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not 3\\*2"):
+            audit_mod._projections(VertexSet(s.mask, 7), 3, 2)
+
+
+def test_memoised_factor_box_keeps_each_universe_apart():
+    """Equal masks on other universes are other keys, and a box checked on
+    a product of the wrong order raises at every call."""
+    a, b = VertexSet.of([1], 2), VertexSet.of([0], 2)
+    assert audit_mod._factor_box(a, b) == VertexSet.of([2], 4)
+    assert audit_mod._factor_box(VertexSet(a.mask, 3), b) == VertexSet.of([2], 6)
+    p = audit_mod._product(path_graph(3), path_graph(3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not match graph order 9"):
+            is_free_set(p, audit_mod._factor_box(a, b), 0, "defensive")

@@ -15,6 +15,7 @@ Regenerate it (only when an output change is intended) with
     PYTHONPATH=src python tests/test_audit_goldens.py
 """
 
+import hashlib
 import importlib
 import json
 from contextlib import contextmanager
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from alliancekit import AuditConfig, Graph, VertexSet, audit_all
+from alliancekit.cli import main
 
 GOLDENS = Path(__file__).parent / "data" / "audit_goldens.json"
 PERTURBED_SEED = 11
@@ -106,6 +108,18 @@ def write_goldens() -> None:
 @pytest.fixture(scope="module")
 def goldens() -> dict:
     return json.loads(GOLDENS.read_text())
+
+
+#: sha256 of ``alliancekit audit --theorem all --json`` at the default
+#: configuration, as printed.
+DEFAULT_DOCUMENT_SHA256 = "1d6b933fc67aa4520f9573ef16eb12961fa0ae098066ed5f0a86646358f4473c"
+
+
+def test_default_audit_document_is_pinned(capsys):
+    _clear_audit_caches()
+    assert main(["audit", "--theorem", "all", "--json"]) == 0
+    document = capsys.readouterr().out
+    assert hashlib.sha256(document.encode()).hexdigest() == DEFAULT_DOCUMENT_SHA256
 
 
 def test_default_reports_match_goldens(goldens):

@@ -351,6 +351,25 @@ def test_slack_table_matches_a_per_vertex_reference(n):
             assert (_slack_table(g, kind) == _reference_slack(g, kind)).all(), (n, kind)
 
 
+@pytest.mark.parametrize("low", range(1, _LOW_BITS + 1))
+def test_reached_rows_match_their_definition(low):
+    """Row v at low part l is 2*|N(v) & l| + _VACUOUS*[v in l], for every
+    l < 2^low: lows 1-8 come from the byte table alone, 9-16 double it from
+    bit 8 on, so the seam between them (bits 7 and 8) is checked directly.
+    A graph of order low, and one of order low + 5 with edges to the five
+    high vertices, whose neighbours there count nowhere."""
+    rng = random.Random(700 + low)
+    for n in (low, low + 5):
+        g = seeded_graph(rng, n)
+        assert n == low or any(adj >> low for adj in g.adj_bits[:low])
+        out = np.empty((n, 1 << low), dtype=np.uint8)
+        freesets_mod._reached_rows(g, low, out)
+        masks = np.arange(1 << low)
+        for v, adj in enumerate(g.adj_bits):
+            expected = 2 * np.bitwise_count(masks & adj) + _VACUOUS * (masks >> v & 1)
+            assert (out[v] == expected).all(), (low, n, v)
+
+
 @pytest.mark.parametrize("g", [random_graph(17, 0.3, seed=1), random_graph(20, 0.3, seed=2),
                                grid_graph(4, 6)], ids=["random17", "random20", "grid4x6"])
 def test_powerful_builds_are_defensive_and_shifted_offensive(g):
@@ -482,17 +501,20 @@ def test_shared_terms_are_those_of_every_block(n):
 
 @pytest.mark.parametrize("n", [*range(1, 8), *range(15, 19)])
 def test_term_ranges_are_those_of_their_rows(n):
-    """Each term comes with the least and the largest entry of its row,
-    shared and own terms alike, for every kind: orders 1-16 fill one
+    """``_row_bounds`` gives the least and the largest entry of each term's
+    row, shared and own terms alike, for every kind: orders 1-16 fill one
     block, 17 and 18 two and four.  Each graph has isolated vertices, the
     highest one among them, so rows with no low neighbour are reached."""
     rng = random.Random(170 + n)
     isolated = {n - 1, rng.randrange(n)}
     g = Graph(n, [e for e in seeded_graph(rng, n).edges() if not isolated & set(e)])
     for kind in AllianceKind:
+        bounds = freesets_mod._row_bounds(g, kind)
+
         def check(block, rows, terms, is_shared):
-            for r, _, least, most in terms:
-                assert (least, most) == (rows[r].min(), rows[r].max()), (n, kind, r)
+            assert len(bounds) == len(rows), (n, kind)
+            for r, _ in terms:
+                assert bounds[r] == (rows[r].min(), rows[r].max()), (n, kind, r)
 
         freesets_mod._fold_slack(g, kind, np.zeros(max(1, (1 << n) >> 6), dtype="<u8"), 0, check)
 
