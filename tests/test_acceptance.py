@@ -15,9 +15,9 @@ from alliancekit import (
     Graph,
     VertexSet,
     audit_all,
+    build_witness,
     canonical_k_range,
     cartesian_product,
-    column_witness,
     cycle_graph,
     find_strict_gap_instance,
     grid_graph,
@@ -29,7 +29,6 @@ from alliancekit import (
     random_graph,
     random_tree,
     star_graph,
-    union_witness,
     wheel_graph,
 )
 
@@ -70,7 +69,7 @@ def test_criterion_3_c4_p3_offensive_with_column_witness():
     c4, p3 = cycle_graph(4), path_graph(3)
     factor = phi(p3, 2, "offensive")
     assert factor.value == 2
-    witness = column_witness(c4, p3, factor.witness, axis=2, k_factor=2, kind="offensive")
+    witness = build_witness("column", c4, p3, s=factor.witness, axis=2, k=2, kind="offensive")
     value = phi(cartesian_product(c4, p3), 0, "offensive").value
     ok = value == 8 and witness.k_claim == 0 and len(witness.result) == 8 and witness.verified
     _report(3, ok, f"phi_off(0) on cycle(4) x path(3) = {value} (required 8); "
@@ -84,7 +83,7 @@ def test_criterion_4_c3_p3_offensive_with_union_witness():
     f1 = phi(c3, 1, "offensive")
     f2 = phi(p3, 2, "offensive")
     assert f1.value == 1 and f2.value == 2
-    witness = union_witness(c3, p3, f1.witness, f2.witness, 1, 2)
+    witness = build_witness("union", c3, p3, s1=f1.witness, s2=f2.witness, k1=1, k2=2)
     value = phi(cartesian_product(c3, p3), 3, "offensive").value
     expected_size = 3 * 2 + 3 * 1 - 1 * 2
     ok = (value == 7 and witness.k_claim == 3 and len(witness.result) == expected_size

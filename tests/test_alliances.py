@@ -11,11 +11,8 @@ from alliancekit import (
     CanonicalRangeWarning,
     Graph,
     VertexSet,
-    box_plus_diagonal_witness,
-    box_witness,
     build_witness,
     canonical_k_range,
-    column_witness,
     complete_graph,
     cycle_graph,
     degree_view,
@@ -191,8 +188,9 @@ class _OtherKind(Enum):
 def _kind_entries():
     """(name, call on a kind) for every public entry that takes a kind; each
     call's other arguments are valid for every kind, and its answer is
-    comparable.  The witness constructions run on star(3) and P3 with free
-    factor sets: the empty set is free at every k."""
+    comparable.  The witness rows are the column (on each axis), box and
+    box_plus_diagonal constructions of ``build_witness``, run on star(3)
+    and P3 with free factor sets: the empty set is free at every k."""
     g = path_graph(4)
     s = VertexSet.of([0, 1], 4)
     g1, g2 = star_graph(3), path_graph(3)
@@ -215,13 +213,14 @@ def _kind_entries():
         ("phi_table", lambda kind: phi_table(g, kind)),
         ("phi_value", lambda kind: phi_value(g, 0, kind)),
         ("phi_bruteforce", lambda kind: phi_bruteforce(g, 0, kind)),
-        ("column_witness", witness(lambda kind: column_witness(g1, g2, e1, 1, 0, kind))),
-        ("box_witness",
-         witness(lambda kind: box_witness(g1, g2, e1, e2, 1, 1, box_kind(kind)))),
-        ("box_plus_diagonal_witness",
-         witness(lambda kind: box_plus_diagonal_witness(g1, g2, e1, e2, 1, 1, box_kind(kind)))),
-        ("build_witness",
+        ("column_witness",
          witness(lambda kind: build_witness("column", g1, g2, s=e1, k=0, kind=kind))),
+        ("box_witness", witness(lambda kind: build_witness(
+            "box", g1, g2, s1=e1, s2=e2, k1=1, k2=1, kind=box_kind(kind)))),
+        ("box_plus_diagonal_witness", witness(lambda kind: build_witness(
+            "box_plus_diagonal", g1, g2, s1=e1, s2=e2, k1=1, k2=1, kind=box_kind(kind)))),
+        ("build_witness",
+         witness(lambda kind: build_witness("column", g1, g2, s=e2, axis=2, k=0, kind=kind))),
     ]
 
 

@@ -233,6 +233,26 @@ def test_witness_box_constructions(tmp_path, capsys, construction, result):
     assert record["verified"] is True
 
 
+@pytest.mark.parametrize("construction, extra, unread", [
+    ("box", ["-s", "1", "-k", "3"], "s, k"),
+    ("column", ["-s", "1,2,3", "-k", "0", "-k2", "1"], "s1, s2, k1, k2"),
+])
+def test_witness_refuses_arguments_its_construction_does_not_read(
+        tmp_path, capsys, construction, extra, unread):
+    s3 = tmp_path / "s3.el"
+    p4 = tmp_path / "p4.el"
+    write_edge_list(star_graph(3), s3)
+    write_edge_list(path_graph(4), p4)
+    rc = main([
+        "witness", "--construction", construction, "-g1", str(s3), "-g2", str(p4),
+        "-s1", "1,2,3", "-s2", "0,1,2", "-k1", "0", "--kind", "defensive", *extra,
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {construction} does not read {unread}\n"
+
+
 def test_audit_single_theorem(capsys):
     rc = main(["audit", "--theorem", "vizing_alpha", "--trials", "3", "--json"])
     assert rc == 0

@@ -5,12 +5,9 @@ import pytest
 from alliancekit import (
     AllianceKind,
     VertexSet,
-    box_plus_diagonal_witness,
-    box_witness,
     build_witness,
     canonical_k_range,
     cartesian_product,
-    column_witness,
     complete_graph,
     cycle_graph,
     degree_view,
@@ -19,7 +16,6 @@ from alliancekit import (
     path_graph,
     phi,
     star_graph,
-    union_witness,
 )
 from alliancekit.audit import _AUDITS
 from alliancekit.freesets import _closed_slack_table, _threshold
@@ -30,14 +26,14 @@ from conftest import seeded_graph, seeded_subset
 def test_column_witness_defensive():
     s3, p3 = star_graph(3), path_graph(3)
     leaves = VertexSet.of([1, 2, 3], 4)
-    w = column_witness(s3, p3, leaves, axis=1, k_factor=0, kind="defensive")
+    w = build_witness("column", s3, p3, s=leaves, axis=1, k=0, kind="defensive")
     assert w.k_claim == 0 + p3.delta_max
     assert len(w.result) == 3 * 3
     assert w.verified
     # 24 members: the closure of the product confirms that V(P4) x V(P6) is
     # free at k_claim, and the witness says so
     p4, p6 = path_graph(4), path_graph(6)
-    w = column_witness(p4, p6, p4.vertices, axis=1, k_factor=2, kind="defensive")
+    w = build_witness("column", p4, p6, s=p4.vertices, axis=1, k=2, kind="defensive")
     assert len(w.result) == 24 and w.k_claim == 4
     closed = _closed_slack_table(cartesian_product(p4, p6), AllianceKind.DEFENSIVE)
     assert closed[w.result.mask] < _threshold(w.k_claim)
@@ -47,7 +43,7 @@ def test_column_witness_defensive():
 def test_column_witness_offensive_golden():
     c4, p3 = cycle_graph(4), path_graph(3)
     s2 = VertexSet.of([0, 1], 3)
-    w = column_witness(c4, p3, s2, axis=2, k_factor=2, kind="offensive")
+    w = build_witness("column", c4, p3, s=s2, axis=2, k=2, kind="offensive")
     assert w.k_claim == 2 - c4.delta_min == 0
     assert len(w.result) == 8
     assert w.verified
@@ -55,7 +51,8 @@ def test_column_witness_offensive_golden():
 
 
 def test_column_witness_empty_set():
-    w = column_witness(path_graph(3), path_graph(3), VertexSet(0, 3), 1, 2, "defensive")
+    w = build_witness("column", path_graph(3), path_graph(3), s=VertexSet(0, 3), axis=1, k=2,
+                      kind="defensive")
     assert len(w.result) == 0 and w.verified
 
 
@@ -63,32 +60,33 @@ def test_column_witness_rejects_non_free():
     p3 = path_graph(3)
     with pytest.raises(ValueError):
         # {0,2} contains the offensive 2-alliance {0,2}
-        column_witness(p3, p3, VertexSet.of([0, 2], 3), 1, 2, "offensive")
+        build_witness("column", p3, p3, s=VertexSet.of([0, 2], 3), axis=1, k=2, kind="offensive")
 
 
 def test_column_witness_refuses_an_unknown_axis():
     p3 = path_graph(3)
     with pytest.raises(ValueError, match="axis must be 1 or 2"):
-        column_witness(p3, p3, VertexSet(0, 3), 3, 2, "defensive")
+        build_witness("column", p3, p3, s=VertexSet(0, 3), axis=3, k=2, kind="defensive")
 
 
 def test_box_witness():
     s3, p4 = star_graph(3), path_graph(4)
     leaves = VertexSet.of([1, 2, 3], 4)
     left = VertexSet.of([0, 1, 2], 4)
-    w = box_witness(s3, p4, leaves, left, 0, 1, "defensive")
+    w = build_witness("box", s3, p4, s1=leaves, s2=left, k1=0, k2=1, kind="defensive")
     assert w.k_claim == 0
     assert len(w.result) == 9
     assert w.verified
     with pytest.raises(ValueError):
-        box_witness(s3, p4, leaves, left, 0, 1, "offensive")
+        build_witness("box", s3, p4, s1=leaves, s2=left, k1=0, k2=1, kind="offensive")
 
 
 def test_box_plus_diagonal_witness():
     s3, p4 = star_graph(3), path_graph(4)
     leaves = VertexSet.of([1, 2, 3], 4)
     left = VertexSet.of([0, 1, 2], 4)
-    w = box_plus_diagonal_witness(s3, p4, leaves, left, 0, 1, "defensive")
+    w = build_witness("box_plus_diagonal", s3, p4, s1=leaves, s2=left, k1=0, k2=1,
+                      kind="defensive")
     assert w.k_claim == 0
     assert len(w.result) == 3 * 3 + 1
     assert w.verified
@@ -103,7 +101,8 @@ def test_box_plus_diagonal_witness():
 
 def test_box_with_empty_factor_set():
     p3 = path_graph(3)
-    w = box_witness(p3, p3, VertexSet(0, 3), VertexSet.of([0, 1], 3), 2, 2, "defensive")
+    w = build_witness("box", p3, p3, s1=VertexSet(0, 3), s2=VertexSet.of([0, 1], 3), k1=2, k2=2,
+                      kind="defensive")
     assert len(w.result) == 0 and w.verified
 
 
@@ -111,23 +110,25 @@ def test_box_plus_diagonal_degenerates_to_box():
     p3 = path_graph(3)
     full = p3.vertices  # no leftover vertices in factor 2
     s1 = VertexSet.of([0], 3)
-    w = box_plus_diagonal_witness(p3, p3, s1, full, 2, 2, "defensive")
+    w = build_witness("box_plus_diagonal", p3, p3, s1=s1, s2=full, k1=2, k2=2, kind="defensive")
     assert len(w.result) == 3  # plain box, t = 0
 
 
 def test_box_plus_diagonal_precondition():
     p3 = path_graph(3)
     with pytest.raises(ValueError):
-        box_plus_diagonal_witness(p3, p3, VertexSet(0, 3), VertexSet(0, 3), -1, 2, "defensive")
+        build_witness("box_plus_diagonal", p3, p3, s1=VertexSet(0, 3), s2=VertexSet(0, 3),
+                      k1=-1, k2=2, kind="defensive")
     with pytest.raises(ValueError, match="defensive and powerful kinds"):
-        box_plus_diagonal_witness(p3, p3, VertexSet(0, 3), VertexSet(0, 3), 2, 2, "offensive")
+        build_witness("box_plus_diagonal", p3, p3, s1=VertexSet(0, 3), s2=VertexSet(0, 3),
+                      k1=2, k2=2, kind="offensive")
 
 
 def test_union_witness_golden():
     c3, p3 = cycle_graph(3), path_graph(3)
     s1 = VertexSet.of([0], 3)
     s2 = VertexSet.of([0, 1], 3)
-    w = union_witness(c3, p3, s1, s2, 1, 2)
+    w = build_witness("union", c3, p3, s1=s1, s2=s2, k1=1, k2=2)
     assert w.k_claim == 3
     assert len(w.result) == 1 * 3 + 2 * 3 - 1 * 2 == 7
     assert w.verified
@@ -136,7 +137,7 @@ def test_union_witness_golden():
 
 def test_union_witness_empty():
     p3 = path_graph(3)
-    w = union_witness(p3, p3, VertexSet(0, 3), VertexSet(0, 3), 2, 2)
+    w = build_witness("union", p3, p3, s1=VertexSet(0, 3), s2=VertexSet(0, 3), k1=2, k2=2)
     assert len(w.result) == 0 and w.verified
 
 
@@ -151,7 +152,7 @@ def test_union_size_identity():
         s2 = seeded_subset(rng, g2.n)
         if not (is_free_set(g1, s1, k1, "offensive") and is_free_set(g2, s2, k2, "offensive")):
             continue
-        w = union_witness(g1, g2, s1, s2, k1, k2)
+        w = build_witness("union", g1, g2, s1=s1, s2=s2, k1=k1, k2=k2)
         assert len(w.result) == len(s1) * g2.n + len(s2) * g1.n - len(s1) * len(s2)
 
 
@@ -168,17 +169,18 @@ def test_witness_constructions_hold_on_random_factors():
         k1, k2 = rng.choice(ks1), rng.choice(ks2)
         s1, s2 = seeded_subset(rng, g1.n), seeded_subset(rng, g2.n)
         if is_free_set(g1, s1, k1, kind):
-            w = column_witness(g1, g2, s1, 1, k1, kind)
+            w = build_witness("column", g1, g2, s=s1, axis=1, k=k1, kind=kind)
             assert w.verified
         if kind is not AllianceKind.OFFENSIVE:
             if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
-                assert box_witness(g1, g2, s1, s2, k1, k2, kind).verified
+                assert build_witness("box", g1, g2, s1=s1, s2=s2, k1=k1, k2=k2, kind=kind).verified
                 if k1 >= 1 - g1.delta_min and k2 >= 1 - g2.delta_min:
-                    w = box_plus_diagonal_witness(g1, g2, s1, s2, k1, k2, kind)
+                    w = build_witness("box_plus_diagonal", g1, g2, s1=s1, s2=s2, k1=k1, k2=k2,
+                                      kind=kind)
                     assert w.verified
         else:
             if is_free_set(g1, s1, k1, kind) and is_free_set(g2, s2, k2, kind):
-                assert union_witness(g1, g2, s1, s2, k1, k2).verified
+                assert build_witness("union", g1, g2, s1=s1, s2=s2, k1=k1, k2=k2).verified
 
 
 def test_phi_dominates_witness_sizes():
@@ -186,7 +188,8 @@ def test_phi_dominates_witness_sizes():
     s3, p4 = star_graph(3), path_graph(4)
     leaves = VertexSet.of([1, 2, 3], 4)
     left = VertexSet.of([0, 1, 2], 4)
-    w = box_plus_diagonal_witness(s3, p4, leaves, left, 0, 1, "defensive")
+    w = build_witness("box_plus_diagonal", s3, p4, s1=leaves, s2=left, k1=0, k2=1,
+                      kind="defensive")
     prod = cartesian_product(s3, p4)
     assert phi(prod, w.k_claim, "defensive").value >= len(w.result)
 
@@ -275,3 +278,21 @@ def test_build_witness_union_has_the_offensive_kind_only():
     for kind in ("defensive", "powerful"):
         with pytest.raises(ValueError, match="offensive kind only"):
             build_witness("union", c3, p3, kind=kind, **sets)
+
+
+def test_build_witness_refuses_arguments_its_construction_does_not_read():
+    s3, p4 = star_graph(3), path_graph(4)
+    leaves, left = VertexSet.of([1, 2, 3], 4), VertexSet.of([0, 1, 2], 4)
+    sets = {"s1": leaves, "s2": left, "k1": 0, "k2": 1}
+    with pytest.raises(ValueError, match=r"^box does not read s, k$"):
+        build_witness("box", s3, p4, s=leaves, k=3, **sets)
+    for construction in ("box_plus_diagonal", "union"):
+        with pytest.raises(ValueError, match=f"^{construction} does not read k$"):
+            build_witness(construction, s3, p4, k=0, **sets)
+    with pytest.raises(ValueError, match=r"^column does not read s1, s2, k1, k2$"):
+        build_witness("column", s3, p4, s=leaves, k=0, **sets)
+    # the refusal comes before the missing arguments are named
+    with pytest.raises(ValueError, match=r"^column does not read k2$"):
+        build_witness("column", s3, p4, k2=1)
+    # axis is read by column alone and keeps its default of 1 elsewhere
+    assert build_witness("box", s3, p4, axis=2, **sets) == build_witness("box", s3, p4, **sets)

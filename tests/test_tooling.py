@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import alliancekit
+from alliancekit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +68,23 @@ def test_readme_quick_start_runs():
     namespace = {}
     exec(block, namespace)
     assert namespace["result"].value == 8
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each line of README.md's "Command line" block runs through
+    ``cli.main`` in one directory, in order, with the exit code pinned
+    here: the ``check`` example's verdict is false, so it exits 1."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = block.splitlines()
+    assert all(line.startswith("alliancekit ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    codes = {line: main(shlex.split(line)[1:]) for line in lines}
+    capsys.readouterr()
+    assert list(codes.values()) == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0], codes
+    assert [line.split()[1] for line in lines] == [
+        "family", "family", "product", "phi", "table", "check", "minimal", "witness",
+        "audit", "audit"]
 
 
 def _bench_module(name: str):
