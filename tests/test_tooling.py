@@ -87,6 +87,18 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
         "audit", "audit"]
 
 
+def test_console_script_and_module_entry_both_call_run():
+    """The installed ``alliancekit`` command and ``python -m alliancekit.cli``
+    take one path: the process entry ``cli.run``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"alliancekit": "alliancekit.cli:run"}
+    tree = ast.parse((ROOT / "src" / "alliancekit" / "cli.py").read_text())
+    main_blocks = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for block in main_blocks for stmt in block.body] == ["run()"]
+
+
 def _bench_module(name: str):
     """``bench/<name>.py``, loaded as the module ``name``."""
     spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / f"{name}.py")
