@@ -112,9 +112,6 @@ class AuditConfig:
         if self.trials_per_theorem < 0:
             raise ValueError("trials_per_theorem must be non-negative")
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -811,15 +808,6 @@ class StrictGapInstance:
     phi_powerful: int
     phi_defensive: int
     phi_offensive: int
-
-    def to_record(self) -> dict:
-        return {
-            **_graph_record(self.graph),
-            "k": self.k,
-            "phi_powerful": self.phi_powerful,
-            "phi_defensive": self.phi_defensive,
-            "phi_offensive": self.phi_offensive,
-        }
 
 
 def find_strict_gap_instance() -> StrictGapInstance | None:

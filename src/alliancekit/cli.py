@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over one library operation: it returns
-its JSON record, its text lines and its verdict, and ``main`` alone prints
-one or the other.  Exit status: 0 for success / a true verdict, 1 for a
-false verdict or a failed audit, 2 for usage, parse, or capacity errors,
-and 141 when the reader of stdout closes the pipe early (what a shell
-reports for a writer that SIGPIPE ends; stderr stays empty).  A
+its JSON record, its text lines and its verdict, and ``main`` alone stamps a
+dict record with the subcommand's name and writes one or the other, in one
+``write`` call.  Exit status: 0 for success / a true verdict, 1 for a false
+verdict or a failed or inconclusive audit, 2 for usage, parse, or capacity
+errors, and 141 when the reader of stdout closes the pipe early (what a
+shell reports for a writer that SIGPIPE ends; stderr stays empty).  A
 ``ValueError`` or ``OSError`` is one ``error:`` line and exit 2.  Running
 out of memory is a capacity error too: one ``capacity error:`` line, never
 a traceback.
@@ -80,7 +81,6 @@ def _cmd_check(args) -> tuple[dict, list[str], bool]:
         verdict = is_alliance(g, s, args.k, args.kind)
     in_range = args.k in canonical_k_range(g, args.kind)
     record = {
-        "command": "check",
         "kind": args.kind,
         "k": args.k,
         "set": s.to_sorted_list(),
@@ -95,7 +95,6 @@ def _cmd_minimal(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     fam = enumerate_minimal_alliances(g, args.k, args.kind)
     record = {
-        "command": "minimal",
         "kind": args.kind,
         "k": args.k,
         "count": len(fam),
@@ -109,20 +108,19 @@ def _cmd_minimal(args) -> tuple[dict, list[str], bool]:
 def _cmd_phi(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     result = phi(g, args.k, args.kind)
-    record = {"command": "phi", **result.to_record()}
     lines = [
         f"phi_{args.kind}({args.k}) = {result.value}",
         f"witness {result.witness.to_sorted_list()}",
         f"certificate: {len(result.certificate)} minimal alliance(s)",
     ]
-    return record, lines, True
+    return result.to_record(), lines, True
 
 
 def _cmd_table(args) -> tuple[dict, list[str], bool]:
     g = read_edge_list(args.graph)
     rows = [{"k": k, "value": value, "witness": witness.to_sorted_list()}
             for k, value, witness in phi_table(g, args.kind)]
-    record = {"command": "table", "kind": args.kind, "rows": rows}
+    record = {"kind": args.kind, "rows": rows}
     lines = [f"k\tphi_{args.kind}"]
     lines += [f"{row['k']}\t{row['value']}" for row in rows]
     return record, lines, True
@@ -133,7 +131,7 @@ def _cmd_product(args) -> tuple[dict, list[str], bool]:
     g2 = read_edge_list(args.graph2)
     product = cartesian_product(g1, g2)
     write_edge_list(product, args.output)
-    record = {"command": "product", "n": product.n, "m": product.edge_count, "output": args.output}
+    record = {"n": product.n, "m": product.edge_count, "output": args.output}
     line = f"wrote product with {product.n} vertices, {product.edge_count} edges to {args.output}"
     return record, [line], True
 
@@ -151,14 +149,13 @@ def _cmd_witness(args) -> tuple[dict, list[str], bool]:
         s1=parsed(args.set1, g1.n), s2=parsed(args.set2, g2.n),
         k=args.k, k1=args.k1, k2=args.k2, kind=args.kind,
     )
-    record = {"command": "witness", **witness.to_record()}
     lines = [
         f"{witness.construction}: {witness.kind.value} {witness.k_claim}-alliance-free"
         f" set of size {len(witness.result)}",
         f"result {_pairs(witness.result, g2.n)}",
         f"verified {str(witness.verified).lower()}",
     ]
-    return record, lines, witness.verified
+    return witness.to_record(), lines, witness.verified
 
 
 def _cmd_audit(args) -> tuple[list[dict], list[str], bool]:
@@ -176,8 +173,7 @@ def _cmd_audit(args) -> tuple[list[dict], list[str], bool]:
 def _cmd_family(args) -> tuple[dict, list[str], bool]:
     g = family(args.kind, *args.params, seed=args.seed)
     write_edge_list(g, args.output)
-    record = {"command": "family", "kind": args.kind, "n": g.n, "m": g.edge_count,
-              "output": args.output}
+    record = {"kind": args.kind, "n": g.n, "m": g.edge_count, "output": args.output}
     line = f"wrote {args.kind} graph with {g.n} vertices, {g.edge_count} edges to {args.output}"
     return record, [line], True
 
@@ -268,8 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record, lines, ok = args.fn(args)
-        for line in [json.dumps(record, sort_keys=True)] if args.json else lines:
-            print(line)
+        if isinstance(record, dict):  # the audit's document is a bare list of reports
+            record["command"] = args.command
+        text = json.dumps(record, sort_keys=True) if args.json else "\n".join(lines)
+        sys.stdout.write(text + "\n")
         return 0 if ok else 1
     except (CapacityError, MemoryError) as exc:
         # numpy's allocation errors name the bytes asked for; a bare

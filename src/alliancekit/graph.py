@@ -3,7 +3,7 @@
 Vertices are the integers 0..n-1.  Subsets are backed by int bitmasks so
 that exhaustive subset searches stay cheap; the wrapper types below keep
 the set-of-ints view for callers.  A product vertex (a, b) of G1 x G2 is
-encoded as ``a * n2 + b`` everywhere (projections, fibers, witnesses).
+encoded as ``a * n2 + b`` everywhere (projections, boxes, witnesses).
 
 One rule says how big is too big: work whose estimated peak is more than
 half the memory the process may use is refused up front with
@@ -311,23 +311,6 @@ def projections(a: VertexSet, n1: int, n2: int) -> tuple[VertexSet, VertexSet]:
         p1 |= 1 << x
         p2 |= 1 << y
     return VertexSet(p1, n1), VertexSet(p2, n2)
-
-
-def fiber(a: VertexSet, axis: int, coordinate: int, n1: int, n2: int) -> VertexSet:
-    """Subset of a whose axis-th coordinate equals ``coordinate``."""
-    if a.universe_size != n1 * n2:
-        raise ValueError(f"set universe {a.universe_size} is not {n1}*{n2}")
-    if axis not in (1, 2):
-        raise ValueError("axis must be 1 or 2")
-    bound = n1 if axis == 1 else n2
-    if not 0 <= coordinate < bound:
-        raise ValueError(f"coordinate {coordinate} out of range")
-    mask = 0
-    for v in _bits(a.mask):
-        x, y = divmod(v, n2)
-        if (x if axis == 1 else y) == coordinate:
-            mask |= 1 << v
-    return VertexSet(mask, n1 * n2)
 
 
 def factor_box(s1: VertexSet, s2: VertexSet) -> VertexSet:

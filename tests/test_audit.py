@@ -95,7 +95,7 @@ def test_report_serialization():
     report = audit("remark1", FAST)
     record = report.to_record()
     assert record["theorem_id"] == "remark1"
-    assert record["config"] == FAST.to_record()
+    assert record["config"] == dataclasses.asdict(FAST)
     lines = report.to_lines()
     assert lines[0].startswith("theorem=remark1 ")
     assert f"seed={FAST.seed}" in lines[0]

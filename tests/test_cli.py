@@ -288,6 +288,12 @@ def test_audit_inconclusive_is_a_failure_exit(capsys):
     rc = main(["audit", "--theorem", "remark1", "--trials", "0"])
     assert rc == 1
     assert "inconclusive=true" in capsys.readouterr().out
+    # at these orders th_union skips both draws: no trial ran, which is not a pass
+    rc = main(["audit", "--theorem", "th_union", "--factors", "12", "--product", "24",
+               "--trials", "2"])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "trials=0 " in out and "skipped=2 " in out and "inconclusive=true" in out
 
 
 def test_family_round_trip(tmp_path, capsys):
@@ -483,6 +489,67 @@ def test_a_process_loses_no_write_at_exit(tmp_path):
     assert out.read_bytes() == format_edge_list(product).encode()
     assert json.loads(done.stdout) == {"command": "product", "n": product.n,
                                        "m": product.edge_count, "output": str(out)}
+
+
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "audit"])
+def test_every_dict_document_names_its_command(tmp_path, capsys, command):
+    """``main`` stamps each dict document with the subcommand argparse
+    parsed; the audit's document is a bare list of reports."""
+    c4 = tmp_path / "c4.el"
+    write_edge_list(cycle_graph(4), c4)
+    g, out = str(c4), str(tmp_path / "out.el")
+    argv = {
+        "check": ["-g", g, "-s", "0,2", "-k", "0", "--kind", "offensive"],
+        "minimal": ["-g", g, "-k", "0", "--kind", "offensive"],
+        "phi": ["-g", g, "-k", "0", "--kind", "offensive"],
+        "table": ["-g", g, "--kind", "offensive"],
+        "product": ["-g1", g, "-g2", g, "-o", out],
+        "witness": ["--construction", "column", "-g1", g, "-g2", g, "-s", "0,1",
+                    "-k", "2", "--kind", "offensive"],
+        "family": ["star", "3", "-o", out],
+    }[command]
+    assert main([command, *argv, "--json"]) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["command"] == command
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts the ``write`` calls made on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_document_is_one_write(c4_file, flags):
+    """Unbuffered stdout makes each write a system call, so a document of
+    many lines goes out in one."""
+    out = CountingStream()
+    with contextlib.redirect_stdout(out):
+        assert main(["minimal", "-g", c4_file, "-k", "0", "--kind", "offensive", *flags]) == 0
+    assert out.getvalue().count("\n") == (1 if flags else 5)
+    assert out.writes == 1
+
+
+def test_text_stdout_does_not_depend_on_buffering(tmp_path):
+    graph = tmp_path / "c4xc5.el"
+    write_edge_list(cartesian_product(cycle_graph(4), cycle_graph(5)), graph)
+    argv = [sys.executable, "-m", "alliancekit.cli", "minimal", "-g", str(graph), "-k", "0",
+            "--kind", "offensive"]
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    outs = []
+    for setting in ({}, {"PYTHONUNBUFFERED": "1"}):
+        done = subprocess.run(argv, capture_output=True, env=env | setting, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b"")
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"3110 minimal offensive 0-alliance(s)\n")
+    assert outs[0].count(b"\n") == 3111
 
 
 def test_help_texts_match_recorded(monkeypatch):

@@ -20,7 +20,6 @@ from alliancekit import (
     cycle_graph,
     degree_view,
     family,
-    fiber,
     format_edge_list,
     grid_graph,
     independence_number,
@@ -252,34 +251,6 @@ def test_projections_examples():
     assert p2.to_sorted_list() == [0, 1, 2]
     with pytest.raises(ValueError):
         projections(VertexSet(0, 5), 2, 2)
-
-
-def test_fiber_examples():
-    a = VertexSet.of([0, 1, 2], 4)  # {(0,0),(0,1),(1,0)}, n1=n2=2
-    assert fiber(a, 1, 0, 2, 2).to_sorted_list() == [0, 1]
-    assert fiber(a, 1, 1, 2, 2).to_sorted_list() == [2]
-    assert len(fiber(VertexSet.of([0], 4), 1, 1, 2, 2)) == 0
-    full = VertexSet((1 << 6) - 1, 6)
-    assert fiber(full, 2, 1, 2, 3).to_sorted_list() == [1, 4]
-    with pytest.raises(ValueError):
-        fiber(a, 2, 5, 2, 2)
-    with pytest.raises(ValueError):
-        fiber(a, 3, 0, 2, 2)
-    with pytest.raises(ValueError, match=r"universe 5 is not 2\*2"):
-        fiber(VertexSet.of([0], 5), 1, 0, 2, 2)
-
-
-@given(graph_and_set(max_order=4))
-def test_fiber_union_recovers_set(gs):
-    g, _ = gs
-    rng = random.Random(11)
-    n1, n2 = g.n, 3
-    a = VertexSet(rng.getrandbits(n1 * n2), n1 * n2)
-    p1, _ = projections(a, n1, n2)
-    union = 0
-    for x in p1:
-        union |= fiber(a, 1, x, n1, n2).mask
-    assert union == a.mask
 
 
 # ---------------------------------------------------------------------------
