@@ -28,17 +28,23 @@ is that case.  A set's name says where it lives: ``s`` on G1 x G2, ``s1``
 on G1 and ``s2`` on G2.  Deleting vertex v of G1 drops row v, and deleting
 v of G2 drops column v, from every set that lives on that factor.
 
+A verdict reads phi only through ``_phi``, on a canonical copy of its
+graph, or of its product's factors, so isomorphic instances share one
+memoised table.
+
 An audit that never saw a hypothesis-satisfying trial is flagged
 inconclusive rather than passed.  Reports are deterministic functions of
-the configuration.
+the configuration, apart from their cost fields, which compare False.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache, partial
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .alliances import AllianceKind, _alliance_ok
@@ -61,7 +67,7 @@ from .graph import (
     vizing_alpha_bound,
     wheel_graph,
 )
-from .phi import phi_value
+from .phi import _level_minima, phi_value
 from .products import box_k, column_k, union_k
 
 DEF = AllianceKind.DEFENSIVE
@@ -121,6 +127,12 @@ class AuditReport:
     skipped: int
     checks: int
     config: AuditConfig
+    # what the audit cost: wall time and the phi table memo's hits and
+    # misses.  They vary from run to run, so they compare False and stay
+    # out of the record and the lines.
+    elapsed_s: float = field(compare=False)
+    cache_hits: int = field(compare=False)
+    cache_misses: int = field(compare=False)
 
     @property
     def passes(self) -> int:
@@ -136,7 +148,8 @@ class AuditReport:
         return not self.failures and not self.inconclusive
 
     def to_record(self) -> dict:
-        record = asdict(self)
+        full = asdict(self)
+        record = {f.name: full[f.name] for f in fields(self) if f.compare}
         record["failures"] = list(record["failures"])  # a JSON array, as in the goldens
         return {**record, "passes": self.passes, "inconclusive": self.inconclusive}
 
@@ -330,6 +343,47 @@ def _product(g1: Graph, g2: Graph) -> Graph:
 _projections = lru_cache(maxsize=2048)(projections)
 _factor_box = lru_cache(maxsize=2048)(factor_box)
 
+#: Graphs up to this order are read through their canonical relabelling.
+#: It covers every factor under the default config; the n! relabellings
+#: of a larger graph cost more than the tables they would share.
+_CANONICAL_ORDER = 4
+
+
+def _canonical(g: Graph) -> Graph:
+    """A canonical copy of g: isomorphic graphs up to order
+    ``_CANONICAL_ORDER`` get equal copies, and a larger g is its own."""
+    return g if g.n > _CANONICAL_ORDER else _smallest_relabelling(g)
+
+
+@lru_cache(maxsize=2048)
+def _smallest_relabelling(g: Graph) -> Graph:
+    """The relabelling of g with the lexicographically smallest
+    ``adj_bits``, by brute force over all n! relabellings."""
+    edges = list(g.edges())
+
+    def relabelled(p: tuple[int, ...]) -> tuple[int, ...]:
+        adj = [0] * g.n
+        for u, v in edges:
+            adj[p[u]] |= 1 << p[v]
+            adj[p[v]] |= 1 << p[u]
+        return tuple(adj)
+
+    best = min(permutations(range(g.n)), key=relabelled)
+    return Graph(g.n, [(best[u], best[v]) for u, v in edges])
+
+
+def _phi(k: int, kind: AllianceKind, a: Graph, b: Graph | None = None) -> int:
+    """``phi_value`` of a, or of a x b, read on a canonical copy.  phi is an
+    isomorphism invariant and a x b is isomorphic to b x a, so the value is
+    exact, and isomorphic instances share one memoised table."""
+    a = _canonical(a)
+    if b is None:
+        return phi_value(a, k, kind)
+    b = _canonical(b)
+    if (b.n, b.adj_bits) < (a.n, a.adj_bits):
+        a, b = b, a
+    return phi_value(_product(a, b), k, kind)
+
 
 # ---------------------------------------------------------------------------
 # Counterexample minimization
@@ -491,7 +545,7 @@ def _remark1(a, b, sets, k):
     if k not in _remark1_range(a, b):
         return None
     bound = vizing_alpha_bound(independence_number(a), independence_number(b), a, b)
-    val = phi_value(_product(a, b), k, DEF)
+    val = _phi(k, DEF, a, b)
     return val >= bound, val, bound
 
 
@@ -557,8 +611,8 @@ def _column_bound(
         k_f = k - column_k(0, other, kind)
         if k_f not in factor_range(own):
             return None
-        lhs = phi_value(_product(a, b), k, kind)
-        rhs = other.n * phi_value(own, k_f, kind)
+        lhs = _phi(k, kind, a, b)
+        rhs = other.n * _phi(k_f, kind, own)
         return lhs >= rhs, lhs, rhs
 
     draw = partial(_draw_pairs, accept=accept, scripted=_SCRIPTED_PAIRS)
@@ -590,8 +644,8 @@ def _factor_bound(
             return None
         if k not in claim_range(k1, k2, a, b):
             return None
-        rhs = bound(phi_value(a, k1, kind), phi_value(b, k2, kind), a, b)
-        lhs = phi_value(_product(a, b), k, kind)
+        rhs = bound(_phi(k1, kind, a), _phi(k2, kind, b), a, b)
+        lhs = _phi(k, kind, a, b)
         return lhs >= rhs, lhs, rhs
 
     draw = partial(_draw_pairs, accept=accept, scripted=_SCRIPTED_PAIRS)
@@ -626,7 +680,7 @@ def _remarktree(a, b, sets, case, k):
     graph."""
     if not _LOWS[case] <= k <= a.delta_max or (case == "tree" and not _is_tree(a)):
         return None
-    val = phi_value(a, k, DEF)
+    val = _phi(k, DEF, a)
     return val == a.n, val, a.n
 
 
@@ -688,8 +742,8 @@ def _phi_p_lower(a, b, sets, k):
     defensive-k-free or offensive-(k+2)-free set is powerful-k free."""
     if k not in POW.canonical_k_range(a):
         return None
-    lhs = phi_value(a, k, POW)
-    rhs = max(phi_value(a, k, DEF), phi_value(a, k + 2, OFF))
+    lhs = _phi(k, POW, a)
+    rhs = max(_phi(k, DEF, a), _phi(k + 2, OFF, a))
     return lhs >= rhs, lhs, rhs
 
 
@@ -779,6 +833,7 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
     row = _AUDITS[theorem_id]
     trials = skipped = checks = 0
     failures = []
+    start, memo = time.perf_counter(), _level_minima.cache_info()
     for g1, g2, sets in row.draw(config, random.Random(f"{config.seed}/{theorem_id}")):
         found, failure = _check(g1, g2, sets, row.verdict, row.cases(g1, g2), row.check)
         if not found:
@@ -788,7 +843,11 @@ def audit(theorem_id: str, config: AuditConfig | None = None) -> AuditReport:
         checks += found
         if failure is not None:
             failures.append(failure)
-    return AuditReport(theorem_id, trials, tuple(failures), skipped, checks, config)
+    after = _level_minima.cache_info()
+    return AuditReport(
+        theorem_id, trials, tuple(failures), skipped, checks, config,
+        time.perf_counter() - start, after.hits - memo.hits, after.misses - memo.misses,
+    )
 
 
 def audit_all(config: AuditConfig | None = None) -> list[AuditReport]:

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,45 @@ def test_fast_audits_all_pass():
     for report in audit_all(FAST):
         assert not report.failures, report.to_lines()
         assert not report.inconclusive, report.theorem_id
+
+
+def test_reports_carry_their_cost_outside_the_record():
+    """One cold default audit_all() builds at most 332 phi tables (583
+    when every labelled graph had its own); the cost fields differ from
+    run to run, so they stay out of equality, the record and the lines."""
+    for value in vars(audit_mod).values():  # audit_mod holds _level_minima too
+        clear = getattr(value, "cache_clear", None)
+        if clear is not None:
+            clear()
+    first = audit_all()
+    assert sum(r.cache_misses for r in first) <= 332
+    assert all(r.elapsed_s > 0 for r in first)
+    second = audit_all()
+    assert sum(r.cache_misses for r in second) == 0
+    assert sum(r.cache_hits for r in second) > 0
+    assert first == second
+    cost = {"elapsed_s", "cache_hits", "cache_misses"}
+    assert cost.isdisjoint(first[0].to_record())
+    assert not any(name in line for name in cost for line in first[0].to_lines())
+
+
+def test_phi_value_is_read_only_through_the_canonical_memo():
+    """Every verdict reads phi through ``_phi``, so it shares the canonical
+    tables; only the strict-gap search, on its own graphs, calls
+    phi_value directly."""
+    readers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                if isinstance(child, ast.Name) and child.id == "phi_value":
+                    readers.add(owner)
+                visit(child, owner)
+
+    visit(ast.parse(Path(audit_mod.__file__).read_text(encoding="utf-8")), None)
+    assert readers == {"_phi", "find_strict_gap_instance"}
 
 
 def test_report_serialization():
